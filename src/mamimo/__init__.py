@@ -6,7 +6,6 @@ from .campaign import (
     ExperimentSpec,
     ResultRow,
     aggregate,
-    cross_evaluate,
     derive_seed,
     empirical_cdf,
     fdd_evaluate,
@@ -25,7 +24,6 @@ from .channels import (
     narrowband_channel,
     path_loss,
     pulse_triangle,
-    sample_user_position,
     sample_user_positions,
     subcarrier_channels,
     subcarriers_from_taps,

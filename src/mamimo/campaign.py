@@ -27,7 +27,6 @@ from .channels import (
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayLayout,
-    MoveRegion,
     make_compact_upa,
     make_move_regions,
     make_sparse_upa,
@@ -48,7 +47,12 @@ ZERO_INTERFERENCE = "zero-interference"
 COMPACT_UPA = "compact-upa"
 SPARSE_UPA = "sparse-upa"
 STAGGERED_URA = "staggered-ura"
-FIXED_ARRAYS = (COMPACT_UPA, SPARSE_UPA, STAGGERED_URA)
+FIXED_ARRAY_BUILDERS = {
+    COMPACT_UPA: make_compact_upa,
+    SPARSE_UPA: make_sparse_upa,
+    STAGGERED_URA: make_staggered_ura,
+}
+FIXED_ARRAYS = tuple(FIXED_ARRAY_BUILDERS)
 ARRAY_SCHEMES = (MOVABLE, ZERO_INTERFERENCE) + FIXED_ARRAYS
 
 PAPER_SCALE_REALIZATIONS = 100
@@ -314,40 +318,7 @@ def zero_interference_bound(
 
 def build_fixed_layouts(spec: ExperimentSpec) -> dict[str, ArrayLayout]:
     lam = SPEED_OF_LIGHT / spec.carrier_hz
-    builders = {
-        COMPACT_UPA: make_compact_upa,
-        SPARSE_UPA: make_sparse_upa,
-        STAGGERED_URA: make_staggered_ura,
-    }
-    return {name: fn(spec.m_rows, spec.m_cols, lam) for name, fn in builders.items()}
-
-
-def cross_evaluate(
-    optimize_scheme: str,
-    evaluate_scheme: str,
-    paths: Sequence[UserPaths],
-    grid: OfdmGrid,
-    config: ImpairedLinkConfig,
-    regions: Sequence[MoveRegion],
-    wavelength: float,
-    pso_config: PsoConfig,
-    rng: np.random.Generator,
-    seed_layouts: Sequence[ArrayLayout] = (),
-) -> tuple[float, float, OptimizationTrace]:
-    """Optimize positions under one scheme, evaluate the result under another.
-
-    Returns (rate under the optimizing scheme, rate under the evaluating
-    scheme, swarm trace); both rates are measured on the same final layout, so
-    an identity pairing returns two equal numbers.
-    """
-    objective = objective_adapter(
-        optimize_scheme, paths, grid, config, penalty_weight=pso_config.penalty_weight
-    )
-    trace = pso_optimize(objective, regions, wavelength, pso_config, rng, seed_layouts)
-    h = subcarrier_channels(paths, trace.best_layout, grid)
-    opt_value = evaluate_rate_scheme(optimize_scheme, h, config).sum_rate
-    eval_value = evaluate_rate_scheme(evaluate_scheme, h, config).sum_rate
-    return opt_value, eval_value, trace
+    return {name: fn(spec.m_rows, spec.m_cols, lam) for name, fn in FIXED_ARRAY_BUILDERS.items()}
 
 
 def fdd_evaluate(
@@ -371,39 +342,121 @@ def fdd_evaluate(
     return evaluate_rate_scheme(scheme, h, config)
 
 
-def _trace_key(index: int, users: int, subcarriers: int, evm: float, scheme: str) -> str:
-    return f"r{index:04d}_k{users}_s{subcarriers}_evm{evm:g}_{scheme}"
+@dataclass(frozen=True, eq=False)
+class Realization:
+    """User drops and multipath of one channel draw."""
+
+    index: int
+    users: int
+    channel_seed: int
+    paths: list[UserPaths]
+
+
+@dataclass(frozen=True, eq=False)
+class Swarm:
+    """Placement optimized for one scheme at one sweep point of a realization."""
+
+    scheme: str
+    key: str  # stem of the trace file and, prefixed with "movable_", of the layout file
+    seed: int
+    trace: OptimizationTrace
+
+
+def draw_realization(spec: ExperimentSpec, index: int, users: int) -> Realization:
+    """Draw the paths of realization `index` with `users` users.
+
+    The channel seed depends only on (master seed, realization, user count),
+    so every array, rate scheme and sweep point sees identical channels.
+    """
+    channel_seed = derive_seed(spec.master_seed, "channel", index, users)
+    rng = np.random.default_rng(channel_seed)
+    scenario = spec.scenario()
+    positions = sample_user_positions(rng, scenario, users)
+    paths = [synthesize_paths(rng, scenario, pos) for pos in positions]
+    return Realization(index, users, channel_seed, paths)
+
+
+def run_swarm(
+    spec: ExperimentSpec, realization: Realization, subcarriers: int, evm: float, scheme: str
+) -> Swarm:
+    """Optimize the movable placement for `scheme` at one sweep point.
+
+    The swarm seed additionally hashes the sweep point and the scheme. The
+    initial swarm holds the fixed arrays that fit the movement regions, in
+    the order staggered, sparse, compact.
+    """
+    index, users = realization.index, realization.users
+    seed = derive_seed(spec.master_seed, "pso", index, users, subcarriers, evm, scheme)
+    lam = spec.scenario().wavelength
+    regions = make_move_regions(spec.m_rows, spec.m_cols, spec.region_side_wavelengths * lam)
+    fixed = build_fixed_layouts(spec)
+    objective = objective_adapter(
+        scheme,
+        realization.paths,
+        spec.grid(subcarriers),
+        spec.link_config(users, subcarriers, evm),
+        penalty_weight=spec.pso_penalty_weight,
+    )
+    trace = pso_optimize(
+        objective,
+        regions,
+        lam,
+        spec.pso_config(),
+        np.random.default_rng(seed),
+        [fixed[STAGGERED_URA], fixed[SPARSE_UPA], fixed[COMPACT_UPA]],
+    )
+    key = f"r{index:04d}_k{users}_s{subcarriers}_evm{evm:g}_{scheme}"
+    return Swarm(scheme, key, seed, trace)
+
+
+def _row(
+    realization: Realization,
+    subcarriers: int,
+    evm: float,
+    carrier_ghz: float,
+    array: str,
+    rate_scheme: str,
+    report: RateReport,
+    swarm: Swarm | None = None,
+) -> ResultRow:
+    return ResultRow(
+        realization=realization.index,
+        array_scheme=array,
+        rate_scheme=rate_scheme,
+        optimized_for=None if swarm is None else swarm.scheme,
+        subcarriers=subcarriers,
+        evm=evm,
+        users=realization.users,
+        carrier_ghz=carrier_ghz,
+        channel_seed=realization.channel_seed,
+        pso_seed=None if swarm is None else swarm.seed,
+        sum_rate=report.sum_rate,
+        per_user_rates=tuple(float(r) for r in report.per_user_rates),
+    )
 
 
 def run_realization(spec: ExperimentSpec, index: int) -> RealizationOutput:
     """Draw one channel realization and evaluate every requested combination.
 
-    The channel seed depends only on (master seed, realization, user count),
-    so array and rate schemes always see identical channels. Swarm seeds
-    additionally hash the sweep point and the optimizing scheme.
+    At each sweep point every distinct optimizing scheme (the main one and
+    those of the cross pairs) runs one swarm. Its layout serves the movable
+    rows, each cross pair optimizing that scheme and, for the main scheme,
+    the FDD rows.
     """
-    scenario = spec.scenario()
-    lam = scenario.wavelength
-    regions = make_move_regions(spec.m_rows, spec.m_cols, spec.region_side_wavelengths * lam)
     fixed_layouts = build_fixed_layouts(spec)
-    seed_layouts = [fixed_layouts[STAGGERED_URA], fixed_layouts[SPARSE_UPA], fixed_layouts[COMPACT_UPA]]
-    needs_movable = (
-        MOVABLE in spec.array_schemes
-        or bool(spec.cross_pairs)
-        or bool(spec.fdd_eval_carriers_ghz)
-    )
+    main_scheme = spec.resolved_optimize_scheme()
+    swarm_schemes: tuple[str, ...] = ()
+    if MOVABLE in spec.array_schemes or spec.cross_pairs or spec.fdd_eval_carriers_ghz:
+        swarm_schemes = tuple(dict.fromkeys([main_scheme] + [opt for opt, _ in spec.cross_pairs]))
 
+    fixed = {name: fixed_layouts[name] for name in spec.array_schemes if name in fixed_layouts}
     rows: list[ResultRow] = []
     traces: dict[str, OptimizationTrace] = {}
-    layouts: dict[str, ArrayLayout] = {
-        name: fixed_layouts[name] for name in spec.array_schemes if name in fixed_layouts
-    }
+    layouts: dict[str, ArrayLayout] = dict(fixed)
 
     for users in spec.user_counts:
-        channel_seed = derive_seed(spec.master_seed, "channel", index, users)
-        rng = np.random.default_rng(channel_seed)
-        user_positions = sample_user_positions(rng, scenario, users)
-        paths = [synthesize_paths(rng, scenario, pos) for pos in user_positions]
+        realization = draw_realization(spec, index, users)
+        paths = realization.paths
         for subcarriers in spec.subcarrier_counts:
             grid = spec.grid(subcarriers)
             fixed_channels = {
@@ -413,65 +466,25 @@ def run_realization(spec: ExperimentSpec, index: int) -> RealizationOutput:
             }
             for evm in spec.evms:
                 config = spec.link_config(users, subcarriers, evm)
-                opt_scheme = spec.resolved_optimize_scheme()
+                point = (realization, subcarriers, evm)
+                swarms = {s: run_swarm(spec, realization, subcarriers, evm, s) for s in swarm_schemes}
+                movable_channels: dict[str, SubcarrierChannels] = {}
+                for scheme, swarm in swarms.items():
+                    traces[swarm.key] = swarm.trace
+                    layouts[f"{MOVABLE}_{swarm.key}"] = swarm.trace.best_layout
+                    movable_channels[scheme] = subcarrier_channels(paths, swarm.trace.best_layout, grid)
+                main_swarm = swarms.get(main_scheme)
                 channels_by_array = dict(fixed_channels)
-                movable_layout = None
-                if needs_movable:
-                    pso_seed = derive_seed(
-                        spec.master_seed, "pso", index, users, subcarriers, evm, opt_scheme
-                    )
-                    objective = objective_adapter(
-                        opt_scheme, paths, grid, config, penalty_weight=spec.pso_penalty_weight
-                    )
-                    trace = pso_optimize(
-                        objective,
-                        regions,
-                        lam,
-                        spec.pso_config(),
-                        np.random.default_rng(pso_seed),
-                        seed_layouts,
-                    )
-                    movable_layout = trace.best_layout
-                    key = _trace_key(index, users, subcarriers, evm, opt_scheme)
-                    traces[key] = trace
-                    layouts[f"{MOVABLE}_{key}"] = movable_layout
-                    channels_by_array[MOVABLE] = subcarrier_channels(paths, movable_layout, grid)
-                else:
-                    pso_seed = None
-
-                def make_row(array, rate_scheme, report, optimized_for=None, carrier_ghz=None,
-                             seed=None):
-                    if seed is None and array == MOVABLE:
-                        seed = pso_seed
-                    return ResultRow(
-                        realization=index,
-                        array_scheme=array,
-                        rate_scheme=rate_scheme,
-                        optimized_for=optimized_for,
-                        subcarriers=subcarriers,
-                        evm=evm,
-                        users=users,
-                        carrier_ghz=carrier_ghz if carrier_ghz is not None else spec.carrier_ghz,
-                        channel_seed=channel_seed,
-                        pso_seed=seed if array == MOVABLE else None,
-                        sum_rate=report.sum_rate,
-                        per_user_rates=tuple(float(r) for r in report.per_user_rates),
-                    )
+                if main_swarm is not None:
+                    channels_by_array[MOVABLE] = movable_channels[main_scheme]
 
                 for array in spec.array_schemes:
                     if array == ZERO_INTERFERENCE:
                         continue
-                    h = channels_by_array[array]
+                    swarm = main_swarm if array == MOVABLE else None
                     for rate_scheme in spec.rate_schemes:
-                        report = evaluate_rate_scheme(rate_scheme, h, config)
-                        rows.append(
-                            make_row(
-                                array,
-                                rate_scheme,
-                                report,
-                                optimized_for=opt_scheme if array == MOVABLE else None,
-                            )
-                        )
+                        report = evaluate_rate_scheme(rate_scheme, channels_by_array[array], config)
+                        rows.append(_row(*point, spec.carrier_ghz, array, rate_scheme, report, swarm))
 
                 if ZERO_INTERFERENCE in spec.array_schemes:
                     # The analytic bound depends on the layout through the channel
@@ -486,56 +499,28 @@ def run_realization(spec: ExperimentSpec, index: int) -> RealizationOutput:
                     best = max(reports, key=lambda r: r.sum_rate)
                     for rate_scheme in spec.rate_schemes:
                         if rate_scheme in (UL_LIN, UL_SIC):
-                            rows.append(make_row(ZERO_INTERFERENCE, rate_scheme, best))
+                            rows.append(
+                                _row(*point, spec.carrier_ghz, ZERO_INTERFERENCE, rate_scheme, best)
+                            )
 
-                for pair in spec.cross_pairs:
-                    pair_opt, pair_eval = pair
-                    if pair_opt == opt_scheme and movable_layout is not None:
-                        cross_layout = movable_layout
-                        cross_seed = pso_seed
-                    else:
-                        cross_seed = derive_seed(
-                            spec.master_seed, "pso", index, users, subcarriers, evm, pair_opt
-                        )
-                        cross_objective = objective_adapter(
-                            pair_opt, paths, grid, config, penalty_weight=spec.pso_penalty_weight
-                        )
-                        cross_trace = pso_optimize(
-                            cross_objective,
-                            regions,
-                            lam,
-                            spec.pso_config(),
-                            np.random.default_rng(cross_seed),
-                            seed_layouts,
-                        )
-                        cross_layout = cross_trace.best_layout
-                        traces[_trace_key(index, users, subcarriers, evm, pair_opt)] = cross_trace
-                    h = subcarrier_channels(paths, cross_layout, grid)
-                    report = evaluate_rate_scheme(pair_eval, h, config)
+                for opt_scheme, rate_scheme in spec.cross_pairs:
+                    report = evaluate_rate_scheme(rate_scheme, movable_channels[opt_scheme], config)
                     rows.append(
-                        make_row(MOVABLE, pair_eval, report, optimized_for=pair_opt, seed=cross_seed)
+                        _row(*point, spec.carrier_ghz, MOVABLE, rate_scheme, report, swarms[opt_scheme])
                     )
 
-                if spec.fdd_eval_carriers_ghz and movable_layout is not None:
-                    eval_arrays = {MOVABLE: movable_layout, **{
-                        name: fixed_layouts[name]
-                        for name in spec.array_schemes
-                        if name in fixed_layouts
-                    }}
+                if spec.fdd_eval_carriers_ghz:
+                    eval_arrays = [(MOVABLE, main_swarm.trace.best_layout, main_swarm)] + [
+                        (name, layout, None) for name, layout in fixed.items()
+                    ]
                     for carrier_ghz in spec.fdd_eval_carriers_ghz:
-                        for array, layout in eval_arrays.items():
+                        for array, layout, swarm in eval_arrays:
                             for rate_scheme in spec.rate_schemes:
                                 report = fdd_evaluate(
                                     layout, paths, grid, config, carrier_ghz * 1e9, rate_scheme
                                 )
                                 rows.append(
-                                    make_row(
-                                        array,
-                                        rate_scheme,
-                                        report,
-                                        optimized_for=opt_scheme if array == MOVABLE else None,
-                                        carrier_ghz=carrier_ghz,
-                                    )
+                                    _row(*point, carrier_ghz, array, rate_scheme, report, swarm)
                                 )
 
     return RealizationOutput(tuple(rows), traces, layouts)
@@ -591,17 +576,19 @@ def _series_key(row: ResultRow) -> tuple:
 def aggregate(rows: Sequence[ResultRow]) -> dict:
     """Per data series: mean sum rate, mean per-user rates, empirical CDF.
 
-    Invariant under reordering of the input rows (realizations are folded in
-    sorted order).
+    Each realization counts once per series: a cross pair or FDD row that
+    repeats a factorial row (same layout, scheme and carrier) is folded into
+    it. Invariant under reordering of the input rows (realizations are folded
+    in sorted order).
     """
     if not rows:
         raise ValueError("cannot aggregate an empty result set")
-    groups: dict[tuple, list[ResultRow]] = {}
+    groups: dict[tuple, dict[int, ResultRow]] = {}
     for row in rows:
-        groups.setdefault(_series_key(row), []).append(row)
+        groups.setdefault(_series_key(row), {}).setdefault(row.realization, row)
     series = []
     for key in sorted(groups):
-        members = sorted(groups[key], key=lambda r: r.realization)
+        members = [groups[key][i] for i in sorted(groups[key])]
         sums = [r.sum_rate for r in members]
         user_rates = np.array([r.per_user_rates for r in members])
         series.append(

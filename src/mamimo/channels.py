@@ -8,7 +8,7 @@ per-subcarrier frequency-domain channel matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,8 +18,7 @@ from .geometry import SPEED_OF_LIGHT, ArrayLayout, array_response
 
 LOS_DOMINANT = "los-dominant"
 RICH_SCATTERING = "rich-scattering"
-NARROWBAND = "narrowband"
-SCENARIO_KINDS = (LOS_DOMINANT, RICH_SCATTERING, NARROWBAND)
+SCENARIO_KINDS = (LOS_DOMINANT, RICH_SCATTERING)
 
 
 def pulse_triangle(t):
@@ -102,10 +101,6 @@ class OfdmGrid:
         if not self.subcarrier_spacing > 0:
             raise ValueError("subcarrier spacing must be positive")
 
-    @property
-    def bandwidth(self) -> float:
-        return self.subcarrier_count * self.subcarrier_spacing
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -153,9 +148,6 @@ class ScenarioConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
-    def with_carrier(self, carrier_hz: float) -> ScenarioConfig:
-        return replace(self, carrier_hz=carrier_hz)
-
 
 @dataclass(frozen=True, eq=False)
 class TapChannel:
@@ -195,10 +187,6 @@ class SubcarrierChannels:
     @property
     def user_count(self) -> int:
         return self.matrices.shape[2]
-
-    def user_vectors(self, k: int) -> np.ndarray:
-        """All subcarrier channel vectors of user k, shape (S, M)."""
-        return self.matrices[:, :, k]
 
 
 def path_loss(
@@ -246,10 +234,6 @@ def sample_user_positions(
     return pos
 
 
-def sample_user_position(rng: np.random.Generator, scenario: ScenarioConfig) -> np.ndarray:
-    return sample_user_positions(rng, scenario, 1)[0]
-
-
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
@@ -274,7 +258,7 @@ def synthesize_paths(
     tau_los = distance / SPEED_OF_LIGHT
     rice_linear = 10.0 ** (-scenario.rice_factor_db / 10.0)
 
-    if scenario.kind in (LOS_DOMINANT, NARROWBAND):
+    if scenario.kind == LOS_DOMINANT:
         n_clusters = scenario.cluster_count
         per_cluster = scenario.paths_per_cluster
         n_scatter = n_clusters * per_cluster

@@ -8,30 +8,19 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .campaign import (
-    COMPACT_UPA,
-    SPARSE_UPA,
-    STAGGERED_URA,
-    build_fixed_layouts,
-    derive_seed,
+    FIXED_ARRAY_BUILDERS,
+    FIXED_ARRAYS,
+    draw_realization,
     run_campaign,
+    run_swarm,
     write_campaign_outputs,
     write_trace_csv,
 )
-from .channels import sample_user_positions, synthesize_paths
 from .config import ConfigError, emit_manifest, parse_config, write_manifest
-from .geometry import (
-    SPEED_OF_LIGHT,
-    make_compact_upa,
-    make_move_regions,
-    make_sparse_upa,
-    make_staggered_ura,
-    save_layout,
-)
-from .pso import objective_adapter, pso_optimize
+from .geometry import SPEED_OF_LIGHT, save_layout
 
 
 class _UsageError(Exception):
@@ -87,39 +76,22 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     spec = _load_spec(args)
-    scenario = spec.scenario()
-    lam = scenario.wavelength
-    users = spec.user_counts[0]
-    subcarriers = spec.subcarrier_counts[0]
-    evm = spec.evms[0]
-    scheme = spec.resolved_optimize_scheme()
-    channel_seed = derive_seed(spec.master_seed, "channel", args.realization, users)
-    rng = np.random.default_rng(channel_seed)
-    positions = sample_user_positions(rng, scenario, users)
-    paths = [synthesize_paths(rng, scenario, pos) for pos in positions]
-    grid = spec.grid(subcarriers)
-    config = spec.link_config(users, subcarriers, evm)
-    regions = make_move_regions(spec.m_rows, spec.m_cols, spec.region_side_wavelengths * lam)
-    fixed = build_fixed_layouts(spec)
-    objective = objective_adapter(
-        scheme, paths, grid, config, penalty_weight=spec.pso_penalty_weight
+    realization = draw_realization(spec, args.realization, spec.user_counts[0])
+    swarm = run_swarm(
+        spec,
+        realization,
+        spec.subcarrier_counts[0],
+        spec.evms[0],
+        spec.resolved_optimize_scheme(),
     )
-    pso_seed = derive_seed(spec.master_seed, "pso", args.realization, users, subcarriers, evm, scheme)
-    trace = pso_optimize(
-        objective,
-        regions,
-        lam,
-        spec.pso_config(),
-        np.random.default_rng(pso_seed),
-        [fixed[STAGGERED_URA], fixed[SPARSE_UPA], fixed[COMPACT_UPA]],
-    )
+    trace = swarm.trace
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     write_manifest(spec, outdir / "manifest.yaml")
     save_layout(trace.best_layout, outdir / "optimized_layout.txt")
     write_trace_csv(trace, outdir / "trace.csv")
     print(
-        f"best {scheme} objective {trace.best_objective!r} "
+        f"best {swarm.scheme} objective {trace.best_objective!r} "
         f"(spacing feasible: {trace.spacing_feasible})"
     )
     return 0
@@ -127,12 +99,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_export_layout(args) -> int:
     wavelength = SPEED_OF_LIGHT / (args.carrier_ghz * 1e9)
-    builders = {
-        COMPACT_UPA: make_compact_upa,
-        SPARSE_UPA: make_sparse_upa,
-        STAGGERED_URA: make_staggered_ura,
-    }
-    layout = builders[args.array](args.rows, args.cols, wavelength)
+    layout = FIXED_ARRAY_BUILDERS[args.array](args.rows, args.cols, wavelength)
     save_layout(layout, args.output)
     print(f"wrote {args.array} ({layout.antenna_count} antennas) to {args.output}")
     return 0
@@ -148,21 +115,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mamimo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_output=True):
+    def add_common(p):
         p.add_argument("-c", "--config", help="YAML config file (defaults apply if omitted)")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config value")
-        if needs_output:
-            p.add_argument("-o", "--output", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel realization workers")
+        p.add_argument("-o", "--output", required=True, help="output directory")
         p.add_argument("-v", "--verbose", action="store_true")
 
+    def add_campaign(p):
+        add_common(p)
+        p.add_argument("--workers", type=int, default=1, help="parallel realization workers")
+
     p_sim = sub.add_parser("simulate", help="run the configured campaign")
-    add_common(p_sim)
+    add_campaign(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run a campaign sweeping one list-valued key")
-    add_common(p_sweep)
+    add_campaign(p_sweep)
     p_sweep.add_argument("--axis", required=True,
                          help="dotted key to sweep, e.g. grid.subcarrier_counts")
     p_sweep.add_argument("--values", required=True, help="comma-separated sweep values")
@@ -174,7 +143,7 @@ def _build_parser() -> _Parser:
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_exp = sub.add_parser("export-layout", help="write a benchmark array layout file")
-    p_exp.add_argument("--array", choices=[COMPACT_UPA, SPARSE_UPA, STAGGERED_URA], required=True)
+    p_exp.add_argument("--array", choices=FIXED_ARRAYS, required=True)
     p_exp.add_argument("--rows", type=int, default=4)
     p_exp.add_argument("--cols", type=int, default=4)
     p_exp.add_argument("--carrier-ghz", type=float, default=3.0)

@@ -37,12 +37,6 @@ class MoveRegion:
         """Closed-interval membership; boundary positions are valid."""
         return abs(y - self.center_y) <= self.half and abs(z - self.center_z) <= self.half
 
-    def clamp(self, y: float, z: float) -> tuple[float, float]:
-        return (
-            float(min(max(y, self.center_y - self.half), self.center_y + self.half)),
-            float(min(max(z, self.center_z - self.half), self.center_z + self.half)),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ArrayLayout:
@@ -75,9 +69,6 @@ class ArrayLayout:
     def with_wavelength(self, wavelength: float) -> ArrayLayout:
         """Same physical positions evaluated at a different carrier wavelength."""
         return ArrayLayout(self.positions, wavelength, self.regions)
-
-    def with_regions(self, regions: tuple[MoveRegion, ...] | None) -> ArrayLayout:
-        return ArrayLayout(self.positions, self.wavelength, regions)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .channels import OfdmGrid, SubcarrierChannels, UserPaths, subcarrier_channels
-from .geometry import ArrayLayout, MoveRegion, SPACING_RTOL, min_pairwise_distance
+from .geometry import (
+    ArrayLayout,
+    MoveRegion,
+    SPACING_RTOL,
+    min_pairwise_distance,
+    pairwise_distances,
+)
 from .rates import (
     DL_DPC,
     DL_LIN,
@@ -57,9 +63,12 @@ class PsoConfig:
 class OptimizationTrace:
     """Global-best history and the best placement found.
 
-    `best_values` has one entry for the initial swarm plus one per iteration
-    and is nondecreasing. `spacing_feasible` records whether any penalty-free
-    particle was seen; if so, `best_layout` is the best such particle.
+    `best_values` is the swarm's history: the penalized global best after the
+    initial swarm and after each iteration, nondecreasing. `spacing_feasible`
+    records whether any penalty-free particle was seen; if so, `best_layout`
+    is the best such particle. `best_objective` is the objective of
+    `best_layout`, so it may lie below the last history entry when the
+    global best violates the spacing constraint.
     """
 
     best_values: np.ndarray
@@ -82,11 +91,7 @@ def spacing_penalty(positions: np.ndarray, wavelength: float, weight: float = 1e
     Zero exactly when every pair satisfies the constraint (pairs sitting on
     the boundary up to representation rounding count as satisfied).
     """
-    positions = np.asarray(positions, dtype=float)
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    iu = np.triu_indices(positions.shape[0], k=1)
-    pair_dist = dist[iu]
+    pair_dist = pairwise_distances(np.asarray(positions, dtype=float))
     limit = wavelength / 2.0
     violating = pair_dist < limit * (1.0 - SPACING_RTOL)
     if not np.any(violating):
@@ -201,12 +206,10 @@ def pso_optimize(
         trace.append(gbest_val)
 
     if feasible_pos is not None:
-        best_layout = _coords_to_layout(feasible_pos, wavelength, regions)
-        feasible = True
-    else:
-        best_layout = _coords_to_layout(gbest_pos, wavelength, regions)
-        feasible = False
-    return OptimizationTrace(np.array(trace), best_layout, gbest_val, feasible)
+        layout = _coords_to_layout(feasible_pos, wavelength, regions)
+        return OptimizationTrace(np.array(trace), layout, float(feasible_val), True)
+    layout = _coords_to_layout(gbest_pos, wavelength, regions)
+    return OptimizationTrace(np.array(trace), layout, gbest_val, False)
 
 
 def evaluate_rate_scheme(

@@ -115,17 +115,6 @@ class RateReport:
     per_subcarrier_rates: np.ndarray  # (S,)
     per_user_per_subcarrier: np.ndarray | None = None  # (S, K)
 
-    def records(self, realization: int = 0) -> list[tuple]:
-        """Flat (scheme, realization, subcarrier, user, rate) records."""
-        if self.per_user_per_subcarrier is None:
-            raise ValueError("per-subcarrier user rates not available for this report")
-        out = []
-        s, k = self.per_user_per_subcarrier.shape
-        for nu in range(s):
-            for u in range(k):
-                out.append((self.scheme, realization, nu, u, float(self.per_user_per_subcarrier[nu, u])))
-        return out
-
 
 def logdet_hpd(matrix: np.ndarray) -> float:
     """log2 of the determinant of a Hermitian positive definite matrix.
@@ -356,14 +345,11 @@ def dl_linear_sum_rate(
 def duality_precoders(
     channels: SubcarrierChannels,
     config: ImpairedLinkConfig,
-    refine_iterations: int = 0,
 ) -> PrecoderSet:
     """Downlink precoders pointing along the uplink MMSE combining directions.
 
     Power is split across users and subcarriers proportionally to the uplink
-    allocation and scaled to saturate the total budget. The optional
-    refinement performs coordinate ascent on the per-user power shares of the
-    linear downlink sum rate.
+    allocation and scaled to saturate the total budget.
     """
     if config.total_power is None:
         raise ValueError("config.total_power must be set for downlink precoding")
@@ -384,27 +370,7 @@ def duality_precoders(
 
     shares = config.powers / config.powers.sum()
     q_power = config.total_power * shares  # (S, K)
-
-    def build(qp: np.ndarray) -> PrecoderSet:
-        return PrecoderSet(directions * np.sqrt(qp)[:, None, :])
-
-    best = build(q_power)
-    if refine_iterations > 0:
-        best_rate = dl_linear_sum_rate(channels, best, config).sum_rate
-        for _ in range(refine_iterations):
-            improved = False
-            for user in range(k):
-                for factor in (0.5, 2.0):
-                    trial = q_power.copy()
-                    trial[:, user] *= factor
-                    trial *= config.total_power / trial.sum()
-                    candidate = build(trial)
-                    rate = dl_linear_sum_rate(channels, candidate, config).sum_rate
-                    if rate > best_rate:
-                        best_rate, best, q_power, improved = rate, candidate, trial, True
-            if not improved:
-                break
-    return best
+    return PrecoderSet(directions * np.sqrt(q_power)[:, None, :])
 
 
 def _project_budget(x: np.ndarray, budget: float) -> np.ndarray:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import mamimo.campaign
 from mamimo.campaign import (
     ExperimentSpec,
     aggregate,
-    cross_evaluate,
     derive_seed,
     empirical_cdf,
     fdd_evaluate,
@@ -14,8 +14,7 @@ from mamimo.campaign import (
     zero_interference_bound,
 )
 from mamimo.channels import OfdmGrid, ScenarioConfig, sample_user_positions, subcarrier_channels, synthesize_paths
-from mamimo.geometry import make_move_regions, make_staggered_ura
-from mamimo.pso import PsoConfig
+from mamimo.geometry import make_staggered_ura
 from mamimo.rates import ImpairedLinkConfig, mmse_combiner, ul_linear_sinr, ul_linear_sum_rate, ul_sic_sum_rate
 from mamimo.config import parse_config_dict
 
@@ -151,14 +150,37 @@ class TestRunRealization:
         spec = tiny_spec(
             rate_schemes=("ul-sic",),
             optimize_scheme="ul-sic",
-            cross_pairs=(("ul-sic", "ul-sic"),),
+            cross_pairs=(("ul-sic", "ul-sic"), ("ul-sic", "ul-lin")),
         )
         output = run_realization(spec, 0)
-        movable = [
-            r for r in output.rows if r.array_scheme == "movable" and r.optimized_for == "ul-sic"
-        ]
-        assert len(movable) == 2  # factorial row plus the cross row
-        assert movable[0].sum_rate == pytest.approx(movable[1].sum_rate, rel=1e-12)
+        movable = [r for r in output.rows if r.array_scheme == "movable"]
+        sic = [r.sum_rate for r in movable if r.rate_scheme == "ul-sic"]
+        lin = [r.sum_rate for r in movable if r.rate_scheme == "ul-lin"]
+        assert {r.optimized_for for r in movable} == {"ul-sic"}
+        assert len(sic) == 2 and len(lin) == 1  # factorial row plus two cross rows
+        assert sic[0] == pytest.approx(sic[1], rel=1e-12)
+        assert sic[0] >= lin[0] - 1e-9  # SIC dominates linear on the same layout
+        (trace,) = output.traces.values()
+        assert np.all(np.diff(trace.best_values) >= 0)
+
+    def test_each_optimizing_scheme_runs_one_swarm_with_a_layout(self, monkeypatch):
+        calls = []
+        original = mamimo.campaign.pso_optimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mamimo.campaign, "pso_optimize", counting)
+        spec = tiny_spec(
+            optimize_scheme="ul-sic",
+            cross_pairs=(("ul-lin", "ul-sic"), ("ul-lin", "ul-lin"), ("ul-sic", "ul-lin")),
+        )
+        output = run_realization(spec, 0)
+        assert len(calls) == 2  # one swarm per optimizing scheme, not one per cross pair
+        assert len(output.traces) == 2
+        for key in output.traces:
+            assert f"movable_{key}" in output.layouts
 
     def test_tdd_direction_pair_reuses_layout(self):
         # Optimizing in the uplink and evaluating the downlink at the same
@@ -202,53 +224,6 @@ class TestRunRealization:
                 assert rates[0] == pytest.approx(rates[1], rel=1e-12)
             else:
                 assert len(rates) == 1
-
-
-class TestCrossEvaluate:
-    def test_identity_pairing(self):
-        rng = np.random.default_rng(3)
-        scen = ScenarioConfig()
-        paths = [
-            synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)
-        ]
-        grid = OfdmGrid(1, 15e3)
-        config = ImpairedLinkConfig.uniform(2, 1, 1.5e-5, 0.02, 5.97e-17, total_power=3e-5)
-        regions = make_move_regions(2, 2, 5 * scen.wavelength)
-        opt, evaluated, trace = cross_evaluate(
-            "ul-sic",
-            "ul-sic",
-            paths,
-            grid,
-            config,
-            regions,
-            scen.wavelength,
-            PsoConfig(particle_count=5, max_iterations=2),
-            np.random.default_rng(0),
-        )
-        assert opt == pytest.approx(evaluated, rel=1e-12)
-        assert np.all(np.diff(trace.best_values) >= 0)
-
-    def test_cross_schemes_both_reported(self):
-        rng = np.random.default_rng(4)
-        scen = ScenarioConfig()
-        paths = [
-            synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)
-        ]
-        grid = OfdmGrid(1, 15e3)
-        config = ImpairedLinkConfig.uniform(2, 1, 1.5e-5, 0.02, 5.97e-17, total_power=3e-5)
-        regions = make_move_regions(2, 2, 5 * scen.wavelength)
-        opt, evaluated, _ = cross_evaluate(
-            "ul-sic",
-            "ul-lin",
-            paths,
-            grid,
-            config,
-            regions,
-            scen.wavelength,
-            PsoConfig(particle_count=5, max_iterations=2),
-            np.random.default_rng(0),
-        )
-        assert opt >= evaluated - 1e-9  # SIC dominates linear on the same layout
 
 
 class TestFdd:
@@ -321,6 +296,19 @@ class TestAggregation:
         agg1 = aggregate(rows)
         agg2 = aggregate(rows[::-1])
         assert agg1 == agg2
+
+    def test_repeated_rows_count_once_per_realization(self):
+        # The cross pair repeats the factorial movable/ul-lin row and the FDD
+        # carrier equal to the base carrier repeats every factorial row.
+        spec = tiny_spec(
+            optimize_scheme="ul-sic",
+            cross_pairs=(("ul-sic", "ul-lin"),),
+            fdd_eval_carriers_ghz=(3.0,),
+        )
+        result = run_campaign(spec)
+        series = aggregate(result.rows)["series"]
+        assert len(result.rows) > sum(s["realizations"] for s in series)
+        assert {s["realizations"] for s in series} == {2}
 
     def test_aggregate_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -99,8 +99,10 @@ class TestCliCommands:
         assert main(["validate-config", "-c", str(path)]) == 1
         assert "noise_pw" in capsys.readouterr().err
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, tmp_path):
         assert main(["simulate"]) == 1  # missing --output
+        # optimize runs one swarm in-process and takes no worker count
+        assert main(["optimize", "-o", str(tmp_path / "opt"), "--workers", "2"]) == 1
 
     def test_unknown_command_exit_code(self):
         assert main(["frobnicate"]) == 1
@@ -178,6 +180,17 @@ class TestCliCommands:
         trace_lines = (outdir / "trace.csv").read_text().splitlines()
         assert trace_lines[0] == "iteration,best_value"
         assert len(trace_lines) == 1 + 2 + 1  # header + iterations + initial swarm
+
+    def test_optimize_matches_simulate_realization(self, tmp_path):
+        config = self.write_tiny(tmp_path)
+        sim, opt = tmp_path / "sim", tmp_path / "opt"
+        assert main(["simulate", "-c", str(config), "-o", str(sim)]) == 0
+        assert main(["optimize", "-c", str(config), "-o", str(opt), "--realization", "1"]) == 0
+        key = "r0001_k2_s1_evm0.02_ul-lin"
+        assert (opt / "optimized_layout.txt").read_bytes() == (
+            sim / "layouts" / f"movable_{key}.txt"
+        ).read_bytes()
+        assert (opt / "trace.csv").read_bytes() == (sim / "traces" / f"{key}.csv").read_bytes()
 
     def test_export_layout(self, tmp_path):
         out = tmp_path / "staggered.txt"

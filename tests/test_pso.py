@@ -223,6 +223,21 @@ class TestObjectiveAdapter:
         assert trace.best_values[0] >= seed_value - 1e-12
         assert trace.best_objective >= seed_value - 1e-12
 
+    def test_best_objective_scores_best_layout(self, small_realization):
+        # Regions of 0.55 wavelengths leave little room between neighbours,
+        # so the penalized global best is often infeasible; the reported
+        # objective must still be the one of the returned layout.
+        scen, paths, grid, config = small_realization
+        lam = scen.wavelength
+        regions = make_move_regions(2, 2, 0.55 * lam)
+        objective = objective_adapter("ul-sic", paths, grid, config)
+        for seed in range(8):
+            trace = pso_optimize(
+                objective, regions, lam, PsoConfig(particle_count=20, max_iterations=10, seed=seed)
+            )
+            assert trace.spacing_feasible
+            assert objective(trace.best_layout) == trace.best_objective
+
     def test_infeasible_seed_is_skipped(self, small_realization):
         scen, paths, grid, config = small_realization
         lam = scen.wavelength

@@ -194,7 +194,6 @@ class TestUplinkLinearSumRate:
         assert report.per_subcarrier_rates == pytest.approx(
             report.per_user_per_subcarrier.sum(axis=1)
         )
-        assert len(report.records(realization=4)) == 6
 
 
 class TestUplinkSic:
@@ -372,16 +371,6 @@ class TestDuality:
             ul = ul_linear_sinr(w, h[0], np.full(2, rho), 1.0, 0.3, k)
             dl = dl_linear_sinr(precoders.vectors[0], h[0], k, 1.0, 0.3)
             assert dl == pytest.approx(ul, rel=1e-12)
-
-    def test_refinement_never_hurts(self):
-        rng = np.random.default_rng(22)
-        channels = random_channels(rng, 2, 4, 3)
-        cfg = ImpairedLinkConfig.uniform(3, 2, 1.0, 0.1, 0.3, total_power=4.0)
-        base = dl_linear_sum_rate(channels, duality_precoders(channels, cfg), cfg).sum_rate
-        refined = dl_linear_sum_rate(
-            channels, duality_precoders(channels, cfg, refine_iterations=3), cfg
-        ).sum_rate
-        assert refined >= base - 1e-12
 
 
 class TestDpc:
