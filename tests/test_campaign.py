@@ -6,15 +6,18 @@ from mamimo.campaign import (
     ExperimentSpec,
     aggregate,
     derive_seed,
+    draw_realization,
     empirical_cdf,
     fdd_evaluate,
     run_campaign,
     run_realization,
+    run_swarm,
     write_campaign_outputs,
     zero_interference_bound,
 )
 from mamimo.channels import OfdmGrid, ScenarioConfig, sample_user_positions, subcarrier_channels, synthesize_paths
 from mamimo.geometry import make_staggered_ura
+from mamimo.pso import evaluate_rate_scheme
 from mamimo.rates import ImpairedLinkConfig, mmse_combiner, ul_linear_sinr, ul_linear_sum_rate, ul_sic_sum_rate
 from mamimo.config import parse_config_dict
 
@@ -224,6 +227,30 @@ class TestRunRealization:
                 assert rates[0] == pytest.approx(rates[1], rel=1e-12)
             else:
                 assert len(rates) == 1
+
+
+class TestCrossEvaluate:
+    # A cross pair optimizes the placement for one scheme and evaluates
+    # another on the resulting layout; both steps run as in run_realization.
+    @staticmethod
+    def swarm_and_channels(seed):
+        spec = tiny_spec(m_cols=1, user_counts=(2,), pso_particles=5, pso_iterations=2, master_seed=seed)
+        realization = draw_realization(spec, 0, 2)
+        swarm = run_swarm(spec, realization, 1, 0.02, "ul-sic")
+        channels = subcarrier_channels(realization.paths, swarm.trace.best_layout, spec.grid(1))
+        return swarm.trace, channels, spec.link_config(2, 1, 0.02)
+
+    def test_identity_pairing(self):
+        trace, channels, config = self.swarm_and_channels(3)
+        evaluated = evaluate_rate_scheme("ul-sic", channels, config).sum_rate
+        assert trace.best_objective == pytest.approx(evaluated, rel=1e-12)
+        assert np.all(np.diff(trace.best_values) >= 0)
+
+    def test_cross_schemes_both_reported(self):
+        _, channels, config = self.swarm_and_channels(4)
+        opt = evaluate_rate_scheme("ul-sic", channels, config).sum_rate
+        evaluated = evaluate_rate_scheme("ul-lin", channels, config).sum_rate
+        assert opt >= evaluated - 1e-9  # SIC dominates linear on the same layout
 
 
 class TestFdd:

@@ -133,9 +133,13 @@ class TestSynthesizePaths:
         assert np.all(np.abs(user.elevations) <= np.pi / 2)
 
     def test_invalid_kind_rejected(self):
-        for kind in ("tropospheric", "narrowband"):
-            with pytest.raises(ValueError):
-                ScenarioConfig(kind=kind)
+        with pytest.raises(ValueError):
+            ScenarioConfig(kind="tropospheric")
+
+    def test_narrowband_kind_rejected(self):
+        # "narrowband" was an alias of the los-dominant model and is no longer a kind.
+        with pytest.raises(ValueError, match="los-dominant"):
+            ScenarioConfig(kind="narrowband")
 
     def test_determinism(self):
         scen = ScenarioConfig()
