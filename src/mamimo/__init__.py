@@ -11,7 +11,6 @@ from .campaign import (
     fdd_evaluate,
     run_campaign,
     run_realization,
-    zero_interference_bound,
 )
 from .channels import (
     OfdmGrid,
@@ -51,7 +50,6 @@ from .geometry import (
 from .pso import (
     OptimizationTrace,
     PsoConfig,
-    evaluate_rate_scheme,
     objective_adapter,
     pso_optimize,
     repair_to_regions,
@@ -67,6 +65,7 @@ from .rates import (
     dl_linear_sinr,
     dl_linear_sum_rate,
     duality_precoders,
+    evaluate_rate_scheme,
     high_snr_ceiling,
     logdet_hpd,
     mmse_combiner,
@@ -74,6 +73,7 @@ from .rates import (
     ul_linear_sum_rate,
     ul_sic_per_user_rates,
     ul_sic_sum_rate,
+    zero_interference_bound,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,17 +33,19 @@ from .geometry import (
     make_staggered_ura,
     save_layout,
 )
-from .pso import (
-    OptimizationTrace,
-    PsoConfig,
+from .pso import OptimizationTrace, PsoConfig, objective_adapter, pso_optimize
+from .rates import (
+    RATE_SCHEMES,
+    UL_LIN,
+    UL_SIC,
+    ZERO_INTERFERENCE,
+    ImpairedLinkConfig,
+    RateReport,
     evaluate_rate_scheme,
-    objective_adapter,
-    pso_optimize,
+    zero_interference_bound,
 )
-from .rates import RATE_SCHEMES, UL_LIN, UL_SIC, ImpairedLinkConfig, RateReport
 
 MOVABLE = "movable"
-ZERO_INTERFERENCE = "zero-interference"
 COMPACT_UPA = "compact-upa"
 SPARSE_UPA = "sparse-upa"
 STAGGERED_URA = "staggered-ura"
@@ -293,29 +295,6 @@ class CampaignResult:
     layouts: dict[str, ArrayLayout]
 
 
-def zero_interference_bound(
-    channels: SubcarrierChannels, config: ImpairedLinkConfig
-) -> RateReport:
-    """Per-user matched-filter rates with every cross-user term removed.
-
-    Upper-bounds both the linear and the SIC sum rate on the same channel
-    instance; only each user's own distortion and thermal noise remain.
-    """
-    h = channels.matrices
-    norms2 = np.sum(np.abs(h) ** 2, axis=1)  # (S, K)
-    g = config.powers * norms2
-    sinr = config.kappa * g / ((1.0 - config.kappa) * g + config.noise_variance)
-    rates = np.log2(1.0 + sinr)
-    per_subcarrier = rates.sum(axis=1)
-    return RateReport(
-        scheme=ZERO_INTERFERENCE,
-        sum_rate=float(per_subcarrier.mean()),
-        per_user_rates=rates.mean(axis=0),
-        per_subcarrier_rates=per_subcarrier,
-        per_user_per_subcarrier=rates,
-    )
-
-
 def build_fixed_layouts(spec: ExperimentSpec) -> dict[str, ArrayLayout]:
     lam = SPEED_OF_LIGHT / spec.carrier_hz
     return {name: fn(spec.m_rows, spec.m_cols, lam) for name, fn in FIXED_ARRAY_BUILDERS.items()}
@@ -488,9 +467,10 @@ def run_realization(spec: ExperimentSpec, index: int) -> RealizationOutput:
 
                 if ZERO_INTERFERENCE in spec.array_schemes:
                     # The analytic bound depends on the layout through the channel
-                    # norms; taking the max over evaluated layouts keeps it an
-                    # upper bound for every scheme row of this realization.
-                    bound_channels = list(channels_by_array.values())
+                    # norms; taking the max over every evaluated layout, each
+                    # swarm's included, keeps it an upper bound for every scheme
+                    # row of this sweep point.
+                    bound_channels = list(fixed_channels.values()) + list(movable_channels.values())
                     if not bound_channels:
                         bound_channels = [
                             subcarrier_channels(paths, fixed_layouts[STAGGERED_URA], grid)

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channels import OfdmGrid, SubcarrierChannels, UserPaths, subcarrier_channels
+from .channels import OfdmGrid, UserPaths, subcarrier_channels
 from .geometry import (
     ArrayLayout,
     MoveRegion,
@@ -20,18 +20,7 @@ from .geometry import (
     min_pairwise_distance,
     pairwise_distances,
 )
-from .rates import (
-    DL_DPC,
-    DL_LIN,
-    UL_LIN,
-    UL_SIC,
-    ImpairedLinkConfig,
-    dl_dpc_sum_rate,
-    dl_linear_sum_rate,
-    duality_precoders,
-    ul_linear_sum_rate,
-    ul_sic_sum_rate,
-)
+from .rates import ImpairedLinkConfig, evaluate_rate_scheme
 
 
 @dataclass(frozen=True)
@@ -210,39 +199,6 @@ def pso_optimize(
         return OptimizationTrace(np.array(trace), layout, float(feasible_val), True)
     layout = _coords_to_layout(gbest_pos, wavelength, regions)
     return OptimizationTrace(np.array(trace), layout, gbest_val, False)
-
-
-def evaluate_rate_scheme(
-    scheme: str,
-    channels: SubcarrierChannels,
-    config: ImpairedLinkConfig,
-    *,
-    dpc_max_iterations: int = 500,
-    summary_only: bool = False,
-):
-    """Dispatch a rate scheme name to its sum-rate computation.
-
-    `summary_only` skips the per-user breakdowns that optimization loops do
-    not need.
-    """
-    if scheme == UL_LIN:
-        return ul_linear_sum_rate(channels, config)
-    if scheme == UL_SIC:
-        return ul_sic_sum_rate(channels, config, include_user_rates=not summary_only)
-    if scheme == DL_LIN:
-        precoders = duality_precoders(channels, config)
-        return dl_linear_sum_rate(channels, precoders, config)
-    if scheme == DL_DPC:
-        if config.total_power is None:
-            raise ValueError("config.total_power must be set for downlink schemes")
-        return dl_dpc_sum_rate(
-            channels,
-            config.total_power,
-            config,
-            max_iterations=dpc_max_iterations,
-            include_user_rates=not summary_only,
-        )
-    raise ValueError(f"unknown rate scheme {scheme!r}")
 
 
 def objective_adapter(

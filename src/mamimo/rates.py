@@ -7,6 +7,7 @@ distortion noise, which no receiver processing can cancel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,8 +20,10 @@ UL_SIC = "ul-sic"
 DL_LIN = "dl-lin"
 DL_DPC = "dl-dpc"
 RATE_SCHEMES = (UL_LIN, UL_SIC, DL_LIN, DL_DPC)
+ZERO_INTERFERENCE = "zero-interference"
 
 _LN2 = float(np.log(2.0))
+_DPC_REL_TOL = 1e-8  # DPC ascent stops once a step gains less than this, relatively
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +107,9 @@ class RateReport:
     """Rates of one scheme on one channel instance.
 
     `sum_rate` is the mean over subcarriers of the per-subcarrier user sums.
-    For the SIC scheme the per-user split uses the configured decode order;
-    its user sum matches `sum_rate` exactly only for ideal hardware. Reports
-    produced on a hot path may omit the per-user breakdowns.
+    For the SIC and DPC schemes the per-user split uses the ascending decode
+    order and sums to `sum_rate` up to rounding. Reports produced on a hot
+    path may omit the per-user breakdowns. Non-finite rates are rejected.
     """
 
     scheme: str
@@ -115,22 +118,85 @@ class RateReport:
     per_subcarrier_rates: np.ndarray  # (S,)
     per_user_per_subcarrier: np.ndarray | None = None  # (S, K)
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.sum_rate):
+            raise ValueError(f"{self.scheme} sum_rate is not finite")
+        for name in ("per_user_rates", "per_subcarrier_rates", "per_user_per_subcarrier"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{self.scheme} {name} is not finite")
 
-def logdet_hpd(matrix: np.ndarray) -> float:
-    """log2 of the determinant of a Hermitian positive definite matrix.
 
-    Uses a Cholesky factorization; raises `numpy.linalg.LinAlgError` if the
+def _report(
+    scheme: str, rates: np.ndarray | None, per_subcarrier: np.ndarray | None = None
+) -> RateReport:
+    """Report of (S, K) per-user rates. A scheme that computes its
+    per-subcarrier sums separately passes them, and may then omit `rates`."""
+    if per_subcarrier is None:
+        per_subcarrier = rates.sum(axis=1)
+    return RateReport(
+        scheme=scheme,
+        sum_rate=float(per_subcarrier.mean()),
+        per_user_rates=None if rates is None else rates.mean(axis=0),
+        per_subcarrier_rates=per_subcarrier,
+        per_user_per_subcarrier=rates,
+    )
+
+
+def logdet_hpd(matrices: np.ndarray) -> np.ndarray:
+    """log2-determinants of Hermitian positive definite matrices (..., N, N).
+
+    Uses a Cholesky factorization; raises `numpy.linalg.LinAlgError` if an
     input is not positive definite.
     """
-    chol = np.linalg.cholesky(matrix)
-    return 2.0 * float(np.sum(np.log2(np.diagonal(chol, axis1=-2, axis2=-1).real)))
-
-
-def _logdet_stack(matrices: np.ndarray) -> np.ndarray:
-    """log2-determinants of a stack of Hermitian PD matrices, shape (...,)."""
     chol = np.linalg.cholesky(matrices)
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
     return 2.0 * np.sum(np.log2(diag), axis=-1)
+
+
+def _gram(h: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Power-scaled Gram matrices P^1/2 H^H H P^1/2 of (S, M, K) channels, shape (S, K, K)."""
+    scaled = h * np.sqrt(powers)[:, None, :]
+    return np.einsum("smk,smj->skj", scaled.conj(), scaled)
+
+
+def _sic_gap(gram: np.ndarray, kappa: float, noise_variance: float) -> np.ndarray:
+    """Per-subcarrier SIC sum rate, shape (S,).
+
+    log det(I + G/sigma^2) - log det(I + (1-kappa) G/sigma^2): the ideal
+    hardware rate minus a distortion penalty that vanishes for EVM = 0.
+    """
+    eye = np.eye(gram.shape[-1])
+    rate = logdet_hpd(eye + gram / noise_variance)
+    resid = 1.0 - kappa
+    if resid > 0.0:
+        rate = rate - logdet_hpd(eye + resid * gram / noise_variance)
+    return rate
+
+
+def _sic_user_rates(
+    gram: np.ndarray, kappa: float, noise_variance: float, decode_order: Sequence[int] | None
+) -> np.ndarray:
+    """Per-user SIC rates along the decode order, shape (S, K).
+
+    Decoding a user cancels its data but not its distortion, so its weight in
+    the received covariance drops from 1 to 1 - kappa; its rate is the drop
+    in log-determinant this causes. The rates telescope to `_sic_gap`.
+    """
+    s, k, _ = gram.shape
+    order = np.arange(k) if decode_order is None else np.asarray(decode_order, dtype=int)
+    if sorted(order.tolist()) != list(range(k)):
+        raise ValueError(f"decode order must be a permutation of 0..{k - 1}")
+    eye = np.eye(k)
+    amplitude = np.ones(k)
+    previous = logdet_hpd(eye + gram / noise_variance)
+    rates = np.empty((s, k))
+    for user in order:
+        amplitude[user] = np.sqrt(1.0 - kappa)
+        current = logdet_hpd(eye + gram * np.outer(amplitude, amplitude) / noise_variance)
+        rates[:, user] = previous - current
+        previous = current
+    return rates
 
 
 def disturbance_covariance(
@@ -179,51 +245,25 @@ def ul_linear_sinr(
 def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) -> np.ndarray:
     """MMSE-combining SINRs for all users and subcarriers at once, shape (S, K).
 
-    Works from the full received-signal covariance and a rank-one
-    downdate, which needs a single factorization per subcarrier.
+    With the full received covariance Q and t_k = p_k h_k^H Q^-1 h_k, the
+    SINR is kappa t / (1 - kappa t). In Gram form, with A = sigma^2 I + G,
+    t = diag(G A^-1) and 1 - t = sigma^2 diag(A^-1), so the denominator
+    (1 - kappa) + kappa (1 - t) is formed without cancellation. One K x K
+    inverse per subcarrier serves all users.
     """
-    h = channels.matrices  # (S, M, K)
-    s, m, k = h.shape
-    scaled = h * np.sqrt(config.powers)[:, None, :]
-    q_all = np.einsum("smk,snk->smn", scaled, scaled.conj()) + config.noise_variance * np.eye(m)
-    u = np.linalg.solve(q_all, h)  # (S, M, K)
-    t = np.einsum("smk,smk->sk", h.conj(), u).real * config.powers  # p_k h^H Q^-1 h
-    denom = np.maximum(1.0 - config.kappa * t, 1e-300)
-    return config.kappa * t / denom
+    gram = _gram(channels.matrices, config.powers)
+    sigma2 = config.noise_variance
+    inverse = np.linalg.inv(gram + sigma2 * np.eye(gram.shape[-1]))
+    t = np.einsum("skj,sjk->sk", gram, inverse).real
+    slack = sigma2 * np.diagonal(inverse, axis1=1, axis2=2).real
+    return config.kappa * t / (1.0 - config.kappa + config.kappa * slack)
 
 
 def ul_linear_sum_rate(
     channels: SubcarrierChannels, config: ImpairedLinkConfig
 ) -> RateReport:
     """Achievable sum rate with per-user MMSE combining."""
-    sinr = _mmse_sinr_matrix(channels, config)
-    rates = np.log2(1.0 + sinr)  # (S, K)
-    per_subcarrier = rates.sum(axis=1)
-    return RateReport(
-        scheme=UL_LIN,
-        sum_rate=float(per_subcarrier.mean()),
-        per_user_rates=rates.mean(axis=0),
-        per_subcarrier_rates=per_subcarrier,
-        per_user_per_subcarrier=rates,
-    )
-
-
-def _sic_per_subcarrier_rates(
-    channels: SubcarrierChannels, config: ImpairedLinkConfig
-) -> np.ndarray:
-    """Per-subcarrier SIC sum rate: ideal-hardware term minus distortion penalty."""
-    h = channels.matrices
-    scaled = h * np.sqrt(config.powers)[:, None, :]
-    k = h.shape[2]
-    gram = np.einsum("smk,smj->skj", scaled.conj(), scaled)  # (S, K, K)
-    eye = np.eye(k)
-    term1 = _logdet_stack(eye + gram / config.noise_variance)
-    resid = 1.0 - config.kappa
-    if resid > 0.0:
-        term2 = _logdet_stack(eye + resid * gram / config.noise_variance)
-    else:
-        term2 = np.zeros_like(term1)
-    return term1 - term2
+    return _report(UL_LIN, np.log2(1.0 + _mmse_sinr_matrix(channels, config)))
 
 
 def ul_sic_sum_rate(
@@ -234,54 +274,14 @@ def ul_sic_sum_rate(
     """Uplink sum rate with successive interference cancellation.
 
     The distortion penalty term vanishes identically for EVM = 0. The
-    per-user entries use the default ascending decode order; they cost a
-    matrix solve per user and subcarrier and can be skipped.
+    per-user entries use the ascending decode order; they cost K more
+    batched log-determinants and can be skipped.
     """
-    per_subcarrier = _sic_per_subcarrier_rates(channels, config)
+    gram = _gram(channels.matrices, config.powers)
+    per_user = None
     if include_user_rates:
-        per_user, per_user_nu = _sic_user_rates(channels, config, None)
-    else:
-        per_user, per_user_nu = None, None
-    return RateReport(
-        scheme=UL_SIC,
-        sum_rate=float(per_subcarrier.mean()),
-        per_user_rates=per_user,
-        per_subcarrier_rates=per_subcarrier,
-        per_user_per_subcarrier=per_user_nu,
-    )
-
-
-def _sic_user_rates(
-    channels: SubcarrierChannels,
-    config: ImpairedLinkConfig,
-    decode_order: Sequence[int] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    h = channels.matrices
-    s, m, k = h.shape
-    if decode_order is None:
-        order = np.arange(k)
-    else:
-        order = np.asarray(decode_order, dtype=int)
-        if sorted(order.tolist()) != list(range(k)):
-            raise ValueError(f"decode order must be a permutation of 0..{k - 1}")
-    resid = 1.0 - config.kappa
-    rates = np.zeros((s, k))
-    eye = np.eye(m)
-    for nu in range(s):
-        hs = h[nu]
-        p = config.powers[nu]
-        scaled = hs * np.sqrt(p)
-        full = scaled @ scaled.conj().T
-        for t, user in enumerate(order):
-            later = order[t + 1 :]
-            cov = resid * full + config.noise_variance * eye
-            if later.size:
-                sl = scaled[:, later]
-                cov = cov + sl @ sl.conj().T
-            u = np.linalg.solve(cov, hs[:, user])
-            gain = float(np.real(hs[:, user].conj() @ u))
-            rates[nu, user] = np.log2(1.0 + config.kappa * p[user] * gain)
-    return rates.mean(axis=0), rates
+        per_user = _sic_user_rates(gram, config.kappa, config.noise_variance, None)
+    return _report(UL_SIC, per_user, _sic_gap(gram, config.kappa, config.noise_variance))
 
 
 def ul_sic_per_user_rates(
@@ -293,10 +293,10 @@ def ul_sic_per_user_rates(
 
     Users decoded later see less residual data interference; distortion noise
     of every user remains because it is uncorrelated with the decoded data.
-    With ideal hardware the user rates sum exactly to the SIC sum rate.
+    For any decode order and EVM the user rates sum to the SIC sum rate.
     """
-    per_user, _ = _sic_user_rates(channels, config, decode_order)
-    return per_user
+    gram = _gram(channels.matrices, config.powers)
+    return _sic_user_rates(gram, config.kappa, config.noise_variance, decode_order).mean(axis=0)
 
 
 def high_snr_ceiling(user_count: int, evm: float) -> float:
@@ -331,15 +331,7 @@ def dl_linear_sum_rate(
     own = np.diagonal(gains, axis1=1, axis2=2)  # (S, K)
     interference = gains.sum(axis=2) - own
     sinr = config.kappa * own / (interference + (1.0 - config.kappa) * own + config.noise_variance)
-    rates = np.log2(1.0 + sinr)
-    per_subcarrier = rates.sum(axis=1)
-    return RateReport(
-        scheme=DL_LIN,
-        sum_rate=float(per_subcarrier.mean()),
-        per_user_rates=rates.mean(axis=0),
-        per_subcarrier_rates=per_subcarrier,
-        per_user_per_subcarrier=rates,
-    )
+    return _report(DL_LIN, np.log2(1.0 + sinr))
 
 
 def duality_precoders(
@@ -348,26 +340,20 @@ def duality_precoders(
 ) -> PrecoderSet:
     """Downlink precoders pointing along the uplink MMSE combining directions.
 
-    Power is split across users and subcarriers proportionally to the uplink
-    allocation and scaled to saturate the total budget.
+    User k's MMSE direction Q_k^-1 h_k, with Q_k its disturbance covariance,
+    is parallel to Q^-1 h_k for the full received covariance
+    Q = Q_k + kappa p_k h_k h_k^H (Sherman-Morrison), so one solve per
+    subcarrier serves all users. Power is split across users and subcarriers
+    proportionally to the uplink allocation and scaled to saturate the total
+    budget.
     """
     if config.total_power is None:
         raise ValueError("config.total_power must be set for downlink precoding")
     h = channels.matrices
-    s, m, k = h.shape
-    directions = np.empty_like(h)
     scaled = h * np.sqrt(config.powers)[:, None, :]
-    for user in range(k):
-        others = scaled.copy()
-        others[:, :, user] = 0.0
-        q = np.einsum("smk,snk->smn", others, others.conj())
-        if config.kappa < 1.0:
-            hk = scaled[:, :, user]
-            q = q + (1.0 - config.kappa) * np.einsum("sm,sn->smn", hk, hk.conj())
-        q = q + config.noise_variance * np.eye(m)
-        w = np.linalg.solve(q, h[:, :, user][..., None])[..., 0]  # (S, M)
-        directions[:, :, user] = w / np.linalg.norm(w, axis=1, keepdims=True)
-
+    q_all = np.einsum("smk,snk->smn", scaled, scaled.conj()) + config.noise_variance * np.eye(h.shape[1])
+    w = np.linalg.solve(q_all, h)  # (S, M, K)
+    directions = w / np.linalg.norm(w, axis=1, keepdims=True)
     shares = config.powers / config.powers.sum()
     q_power = config.total_power * shares  # (S, K)
     return PrecoderSet(directions * np.sqrt(q_power)[:, None, :])
@@ -390,41 +376,30 @@ def _project_budget(x: np.ndarray, budget: float) -> np.ndarray:
 
 def dl_dpc_sum_rate(
     channels: SubcarrierChannels,
-    total_power: float,
     config: ImpairedLinkConfig,
     *,
     max_iterations: int = 500,
-    rel_tol: float = 1e-8,
     include_user_rates: bool = True,
 ) -> RateReport:
     """Downlink sum rate with dirty paper coding via the dual uplink problem.
 
     Maximizes the distortion-aware dual uplink objective over the diagonal
-    power allocations of all subcarriers under the total budget, using
-    projected gradient ascent with backtracking from the uniform allocation.
-    The uniform allocation is feasible, so the result never falls below it.
+    power allocations of all subcarriers under the budget
+    `config.total_power`, using projected gradient ascent with backtracking
+    from the uniform allocation. The uniform allocation is feasible, so the
+    result never falls below it.
     """
-    if not total_power > 0:
-        raise ValueError("total power must be positive")
+    if config.total_power is None:
+        raise ValueError("config.total_power must be set for downlink schemes")
+    total_power = config.total_power
     h = channels.matrices
     s, m, k = h.shape
     sigma2 = config.noise_variance
     resid = 1.0 - config.kappa
-    eye_k = np.eye(k)
     eye_m = np.eye(m)
 
-    def objective_terms(d: np.ndarray) -> np.ndarray:
-        scaled = h * np.sqrt(d)[:, None, :]
-        gram = np.einsum("smk,smj->skj", scaled.conj(), scaled)
-        t1 = _logdet_stack(eye_k + gram / sigma2)
-        if resid > 0.0:
-            t2 = _logdet_stack(eye_k + resid * gram / sigma2)
-        else:
-            t2 = np.zeros_like(t1)
-        return t1 - t2
-
     def objective(d: np.ndarray) -> float:
-        return float(objective_terms(d).mean())
+        return float(_sic_gap(_gram(h, d), config.kappa, sigma2).mean())
 
     def gradient(d: np.ndarray) -> np.ndarray:
         cov = np.einsum("smk,snk,sk->smn", h, h.conj(), d)
@@ -453,19 +428,51 @@ def dl_dpc_sum_rate(
         gain = candidate_value - value
         d, value = candidate, candidate_value
         step *= 2.0
-        if gain < rel_tol * max(abs(value), 1.0):
+        if gain < _DPC_REL_TOL * max(abs(value), 1.0):
             break
 
-    per_subcarrier = objective_terms(d)
-    if include_user_rates:
-        dual_config = ImpairedLinkConfig(d, config.evm, sigma2)
-        per_user, per_user_nu = _sic_user_rates(channels, dual_config, None)
-    else:
-        per_user, per_user_nu = None, None
-    return RateReport(
-        scheme=DL_DPC,
-        sum_rate=float(per_subcarrier.mean()),
-        per_user_rates=per_user,
-        per_subcarrier_rates=per_subcarrier,
-        per_user_per_subcarrier=per_user_nu,
-    )
+    gram = _gram(h, d)
+    per_user = _sic_user_rates(gram, config.kappa, sigma2, None) if include_user_rates else None
+    return _report(DL_DPC, per_user, _sic_gap(gram, config.kappa, sigma2))
+
+
+def zero_interference_bound(
+    channels: SubcarrierChannels, config: ImpairedLinkConfig
+) -> RateReport:
+    """Per-user matched-filter rates with every cross-user term removed.
+
+    Upper-bounds both the linear and the SIC sum rate on the same channel
+    instance; only each user's own distortion and thermal noise remain.
+    """
+    g = config.powers * np.sum(np.abs(channels.matrices) ** 2, axis=1)  # (S, K)
+    sinr = config.kappa * g / ((1.0 - config.kappa) * g + config.noise_variance)
+    return _report(ZERO_INTERFERENCE, np.log2(1.0 + sinr))
+
+
+def evaluate_rate_scheme(
+    scheme: str,
+    channels: SubcarrierChannels,
+    config: ImpairedLinkConfig,
+    *,
+    dpc_max_iterations: int = 500,
+    summary_only: bool = False,
+) -> RateReport:
+    """Dispatch a rate scheme name in `RATE_SCHEMES` to its sum-rate computation.
+
+    `summary_only` skips the per-user breakdowns that optimization loops do
+    not need.
+    """
+    if scheme == UL_LIN:
+        return ul_linear_sum_rate(channels, config)
+    if scheme == UL_SIC:
+        return ul_sic_sum_rate(channels, config, include_user_rates=not summary_only)
+    if scheme == DL_LIN:
+        return dl_linear_sum_rate(channels, duality_precoders(channels, config), config)
+    if scheme == DL_DPC:
+        return dl_dpc_sum_rate(
+            channels,
+            config,
+            max_iterations=dpc_max_iterations,
+            include_user_rates=not summary_only,
+        )
+    raise ValueError(f"unknown rate scheme {scheme!r}")

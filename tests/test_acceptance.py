@@ -132,7 +132,7 @@ def test_criterion_04_ordering_sic_vs_linear_and_dpc_vs_dl():
         )
         ul_gap = ul_sic_sum_rate(channels, cfg).sum_rate - ul_linear_sum_rate(channels, cfg).sum_rate
         dl_lin = dl_linear_sum_rate(channels, duality_precoders(channels, cfg), cfg).sum_rate
-        dl_dpc = dl_dpc_sum_rate(channels, total, cfg).sum_rate
+        dl_dpc = dl_dpc_sum_rate(channels, cfg).sum_rate
         worst_ul = min(worst_ul, ul_gap)
         worst_dl = min(worst_dl, dl_dpc - dl_lin)
     ok = worst_ul >= -1e-10 and worst_dl >= -1e-10

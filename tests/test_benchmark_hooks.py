@@ -1,0 +1,43 @@
+"""The benchmark's traced layers must see the calls a campaign makes.
+
+perfbench/tracing.py wraps module globals (for example
+`mamimo.campaign.evaluate_rate_scheme`). Code that reaches a layer around
+those names would silently zero the benchmark's per-layer metrics, so a
+small traced campaign must record a span for each hooked layer.
+"""
+import sys
+from pathlib import Path
+
+import yaml
+
+import mamimo.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+TINY = {
+    "arrays": {"schemes": ["movable", "zero-interference", "staggered-ura"], "m_rows": 2, "m_cols": 2},
+    "campaign": {"realizations": 1, "user_counts": [2], "master_seed": 4},
+    "pso": {"particles": 3, "iterations": 1},
+    "rates": {"schemes": ["ul-sic", "ul-lin"], "optimize_scheme": "ul-sic"},
+}
+
+
+def test_traced_campaign_records_every_hooked_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    config = tmp_path / "tiny.yaml"
+    config.write_text(yaml.safe_dump(TINY))
+    tracer = tracing.Tracer()
+    argv = ["simulate", "-c", str(config), "-o", str(tmp_path / "out")]
+    assert tracer.run(mamimo.cli.main, argv) == 0
+    calls, _, _ = tracer.totals()
+    for name in (
+        "rates.ul-sic.objective",
+        "rates.ul-lin.report",
+        "campaign.zero_interference_bound",
+        "channels.subcarrier_channels",
+        "pso.objective",
+    ):
+        assert calls.get(name, 0) > 0, name

@@ -13,12 +13,18 @@ from mamimo.campaign import (
     run_realization,
     run_swarm,
     write_campaign_outputs,
-    zero_interference_bound,
 )
 from mamimo.channels import OfdmGrid, ScenarioConfig, sample_user_positions, subcarrier_channels, synthesize_paths
 from mamimo.geometry import make_staggered_ura
-from mamimo.pso import evaluate_rate_scheme
-from mamimo.rates import ImpairedLinkConfig, mmse_combiner, ul_linear_sinr, ul_linear_sum_rate, ul_sic_sum_rate
+from mamimo.rates import (
+    ImpairedLinkConfig,
+    evaluate_rate_scheme,
+    mmse_combiner,
+    ul_linear_sinr,
+    ul_linear_sum_rate,
+    ul_sic_sum_rate,
+    zero_interference_bound,
+)
 from mamimo.config import parse_config_dict
 
 
@@ -165,6 +171,29 @@ class TestRunRealization:
         assert sic[0] >= lin[0] - 1e-9  # SIC dominates linear on the same layout
         (trace,) = output.traces.values()
         assert np.all(np.diff(trace.best_values) >= 0)
+
+    def test_bound_covers_layouts_of_cross_pair_swarms(self):
+        # The ul-lin swarm of the cross pair finds layouts the main ul-sic
+        # swarm never evaluates; the bound must still dominate their rows.
+        spec = tiny_spec(
+            user_counts=(2,),
+            array_schemes=("movable", "zero-interference"),
+            rate_schemes=("ul-lin",),
+            optimize_scheme="ul-sic",
+            cross_pairs=(("ul-lin", "ul-lin"),),
+            pso_particles=10,
+            pso_iterations=5,
+            realizations=30,
+            master_seed=3,
+        )
+        rows = run_campaign(spec).rows
+        bound = {r.realization: r.sum_rate for r in rows if r.array_scheme == "zero-interference"}
+        above = [
+            r.realization
+            for r in rows
+            if r.array_scheme == "movable" and r.sum_rate > bound[r.realization] + 1e-9
+        ]
+        assert above == []
 
     def test_each_optimizing_scheme_runs_one_swarm_with_a_layout(self, monkeypatch):
         calls = []

@@ -7,6 +7,7 @@ from mamimo.channels import SubcarrierChannels
 from mamimo.rates import (
     ImpairedLinkConfig,
     PrecoderSet,
+    RateReport,
     disturbance_covariance,
     dl_dpc_sum_rate,
     dl_linear_sinr,
@@ -185,6 +186,14 @@ class TestUplinkLinearSumRate:
         assert lin.sum_rate >= 0.0
         assert sic.sum_rate >= lin.sum_rate - 1e-10
 
+    @pytest.mark.parametrize("snr", [1e16, 1e20])
+    def test_high_snr_scalar_keeps_sinr(self, snr):
+        # With ideal hardware the scalar SINR is p|h|^2/sigma^2 at any SNR.
+        h = SubcarrierChannels(np.full((1, 1, 1), 2.0 + 0j))
+        cfg = ImpairedLinkConfig.uniform(1, 1, snr * 0.5 / 4.0, 0.0, 0.5)
+        rate = ul_linear_sum_rate(h, cfg).sum_rate
+        assert 2.0**rate - 1.0 == pytest.approx(snr, rel=1e-12)
+
     def test_report_invariant(self):
         rng = np.random.default_rng(8)
         channels = random_channels(rng, 3, 4, 2)
@@ -194,6 +203,30 @@ class TestUplinkLinearSumRate:
         assert report.per_subcarrier_rates == pytest.approx(
             report.per_user_per_subcarrier.sum(axis=1)
         )
+
+
+class TestRateReport:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sum_rate", np.nan),
+            ("per_subcarrier_rates", np.array([1.0, np.inf])),
+            ("per_user_rates", np.array([np.nan, 1.0])),
+            ("per_user_per_subcarrier", np.array([[1.0, -np.inf]])),
+        ],
+    )
+    def test_rejects_non_finite_rates(self, field, value):
+        fields = dict(
+            scheme="ul-lin",
+            sum_rate=2.0,
+            per_user_rates=np.array([1.0, 1.0]),
+            per_subcarrier_rates=np.array([2.0, 2.0]),
+            per_user_per_subcarrier=np.array([[1.0, 1.0]]),
+        )
+        RateReport(**fields)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            RateReport(**fields)
 
 
 class TestUplinkSic:
@@ -241,6 +274,27 @@ class TestSicPerUser:
             per_user = ul_sic_per_user_rates(channels, cfg)
             total = ul_sic_sum_rate(channels, cfg).sum_rate
             assert per_user.sum() == pytest.approx(total, rel=1e-9)
+
+    def test_telescoping_with_distortion(self):
+        # Decoded users keep their distortion; later users' distortion must
+        # not be counted twice, so the split still sums to the sum rate.
+        rng = np.random.default_rng(29)
+        for evm in (0.05, 0.3):
+            for _ in range(10):
+                s, m, k = 3, 6, 4
+                channels = random_channels(rng, s, m, k)
+                cfg = ImpairedLinkConfig(
+                    rng.uniform(0.2, 2.0, size=(s, k)), evm, 0.4, total_power=5.0
+                )
+                order = rng.permutation(k)
+                per_user = ul_sic_per_user_rates(channels, cfg, decode_order=order)
+                total = ul_sic_sum_rate(channels, cfg).sum_rate
+                assert per_user.sum() == pytest.approx(total, rel=1e-12)
+                dpc = dl_dpc_sum_rate(channels, cfg)
+                assert dpc.per_user_rates.sum() == pytest.approx(dpc.sum_rate, rel=1e-12)
+                assert dpc.per_user_per_subcarrier.sum(axis=1) == pytest.approx(
+                    dpc.per_subcarrier_rates, rel=1e-12
+                )
 
     def test_last_decoded_sees_no_interference_when_ideal(self):
         rng = np.random.default_rng(13)
@@ -373,33 +427,51 @@ class TestDuality:
             assert dl == pytest.approx(ul, rel=1e-12)
 
 
+    def test_directions_match_per_user_mmse_combiners(self):
+        # One solve with the full received covariance gives, per user, the
+        # direction of that user's own MMSE combiner (Sherman-Morrison).
+        rng = np.random.default_rng(22)
+        s, m, k = 3, 6, 4
+        channels = random_channels(rng, s, m, k)
+        powers = rng.uniform(0.5, 2.0, size=(s, k))
+        cfg = ImpairedLinkConfig(powers, 0.1, 0.3, total_power=4.0)
+        vectors = duality_precoders(channels, cfg).vectors
+        for nu in range(s):
+            for user in range(k):
+                w = mmse_combiner(channels.matrices[nu], powers[nu], cfg.kappa, 0.3, user)
+                p = vectors[nu, :, user]
+                np.testing.assert_allclose(
+                    p / np.linalg.norm(p), w / np.linalg.norm(w), rtol=0, atol=1e-10
+                )
+
+
 class TestDpc:
     def test_single_user_single_subcarrier(self):
         rng = np.random.default_rng(23)
         channels = random_channels(rng, 1, 4, 1)
-        cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 0.3)
         total = 2.5
-        report = dl_dpc_sum_rate(channels, total, cfg)
+        cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 0.3, total_power=total)
+        report = dl_dpc_sum_rate(channels, cfg)
         norm2 = np.linalg.norm(channels.matrices[0]) ** 2
         assert report.sum_rate == pytest.approx(np.log2(1 + total * norm2 / 0.3), rel=1e-9)
 
     def test_at_least_uniform_allocation(self):
         rng = np.random.default_rng(24)
         channels = random_channels(rng, 2, 3, 2)
-        cfg = ImpairedLinkConfig.uniform(2, 2, 1.0, 0.2, 0.4)
         total = 3.0
+        cfg = ImpairedLinkConfig.uniform(2, 2, 1.0, 0.2, 0.4, total_power=total)
         uniform_cfg = ImpairedLinkConfig.uniform(2, 2, total / 4, 0.2, 0.4)
         uniform_value = ul_sic_sum_rate(channels, uniform_cfg).sum_rate
-        assert dl_dpc_sum_rate(channels, total, cfg).sum_rate >= uniform_value - 1e-12
+        assert dl_dpc_sum_rate(channels, cfg).sum_rate >= uniform_value - 1e-12
 
     def test_power_sweep_approaches_ceiling(self):
         rng = np.random.default_rng(25)
         channels = random_channels(rng, 1, 4, 2)
         evm = 0.1
-        cfg = ImpairedLinkConfig.uniform(2, 1, 1.0, evm, 1.0)
         previous = -1.0
         for total in 10.0 ** np.arange(0, 8):
-            value = dl_dpc_sum_rate(channels, total, cfg).sum_rate
+            cfg = ImpairedLinkConfig.uniform(2, 1, 1.0, evm, 1.0, total_power=float(total))
+            value = dl_dpc_sum_rate(channels, cfg).sum_rate
             assert value >= previous - 1e-9
             previous = value
         ceiling = high_snr_ceiling(2, evm)
@@ -415,15 +487,16 @@ class TestDpc:
                 k, s, 1.0, float(rng.uniform(0, 0.4)), 0.5, total_power=float(rng.uniform(1, 10))
             )
             lin = dl_linear_sum_rate(channels, duality_precoders(channels, cfg), cfg).sum_rate
-            dpc = dl_dpc_sum_rate(channels, cfg.total_power, cfg).sum_rate
+            dpc = dl_dpc_sum_rate(channels, cfg).sum_rate
             assert dpc >= lin - 1e-10
 
     def test_rejects_nonpositive_budget(self):
         rng = np.random.default_rng(27)
         channels = random_channels(rng, 1, 2, 1)
-        cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            dl_dpc_sum_rate(channels, 0.0, cfg)
+            ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 1.0, total_power=0.0)
+        with pytest.raises(ValueError):
+            dl_dpc_sum_rate(channels, ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 1.0))
 
 
 class TestLogDet:
