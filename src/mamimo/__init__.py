@@ -14,7 +14,6 @@ from .campaign import (
 )
 from .channels import (
     OfdmGrid,
-    PathParams,
     ScenarioConfig,
     SubcarrierChannels,
     TapChannel,
@@ -28,7 +27,6 @@ from .channels import (
     subcarriers_from_taps,
     sync_and_tap_count,
     synthesize_paths,
-    tap_coefficient,
 )
 from .config import ConfigError, emit_manifest, parse_config, write_manifest
 from .geometry import (

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, ArrayLayout, array_response
+from .geometry import SPEED_OF_LIGHT, ArrayLayout, array_response, wave_vector
 
 LOS_DOMINANT = "los-dominant"
 RICH_SCATTERING = "rich-scattering"
@@ -25,26 +25,6 @@ def pulse_triangle(t):
     """Triangle pulse-shaping filter: 1 - |t| on [-1, 1], zero elsewhere."""
     t = np.asarray(t, dtype=float)
     return np.maximum(0.0, 1.0 - np.abs(t))
-
-
-@dataclass(frozen=True)
-class PathParams:
-    """One far-field propagation path."""
-
-    amplitude: float  # linear, >= 0
-    delay: float  # seconds, >= 0
-    azimuth: float  # radians in [-pi, pi]
-    elevation: float  # radians in [-pi/2, pi/2]
-
-    def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ValueError("path amplitude must be nonnegative")
-        if self.delay < 0:
-            raise ValueError("path delay must be nonnegative")
-        if abs(self.azimuth) > math.pi:
-            raise ValueError("azimuth must lie in [-pi, pi]")
-        if abs(self.elevation) > math.pi / 2:
-            raise ValueError("elevation must lie in [-pi/2, pi/2]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,14 +58,6 @@ class UserPaths:
     @property
     def n_paths(self) -> int:
         return self.amplitudes.shape[0]
-
-    def path(self, i: int) -> PathParams:
-        return PathParams(
-            float(self.amplitudes[i]),
-            float(self.delays[i]),
-            float(self.azimuths[i]),
-            float(self.elevations[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -339,15 +311,6 @@ def _carrier_phase(delays: np.ndarray, eta: float, wavelength: float) -> np.ndar
     return np.exp(-2j * np.pi * SPEED_OF_LIGHT * (delays - eta) / wavelength)
 
 
-def tap_coefficient(
-    path: PathParams, ell: int, eta: float, grid: OfdmGrid, wavelength: float
-) -> complex:
-    """Scalar FIR coefficient of one path at tap index `ell`."""
-    x = grid.subcarrier_count * grid.subcarrier_spacing * (path.delay - eta)
-    phase = np.exp(-2j * np.pi * SPEED_OF_LIGHT * (path.delay - eta) / wavelength)
-    return complex(path.amplitude * phase * pulse_triangle(ell - x))
-
-
 def build_tap_channel(
     paths: Sequence[UserPaths], layout: ArrayLayout, grid: OfdmGrid
 ) -> TapChannel:
@@ -377,6 +340,43 @@ def subcarriers_from_taps(tap_channel: TapChannel, grid: OfdmGrid) -> Subcarrier
     return SubcarrierChannels(np.ascontiguousarray(matrices))
 
 
+class ChannelModel:
+    """Layout-independent channel factors of one realization at one wavelength.
+
+    Per user it holds the wave vectors (3, N), the complex path gains
+    (amplitude times carrier rotation, (N,)) and the real pulse-filter matrix
+    (N, T+1); one DFT matrix (T+1, S) is shared. Only the phase signature
+    exp(j p.k) depends on the antenna positions, so a placement search builds
+    the model once and calls :meth:`channels` per candidate.
+    """
+
+    def __init__(self, paths: Sequence[UserPaths], grid: OfdmGrid, wavelength: float) -> None:
+        eta, n_taps = sync_and_tap_count(paths, grid)
+        ells = np.arange(n_taps + 1)
+        self.wavelength = wavelength
+        self.dft = _dft_matrix(n_taps, grid.subcarrier_count)
+        self.users: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for user in paths:
+            x = grid.subcarrier_count * grid.subcarrier_spacing * (user.delays - eta)
+            self.users.append((
+                wave_vector(user.azimuths, user.elevations, wavelength),
+                user.amplitudes * _carrier_phase(user.delays, eta, wavelength),
+                pulse_triangle(ells[None, :] - x[:, None]),
+            ))
+
+    def channels(self, positions: np.ndarray) -> SubcarrierChannels:
+        """(S, M, K) channels of antennas at `positions` (M, 3), in meters.
+
+        The per-path subcarrier weights are formed on each call rather than
+        stored, which keeps the model at O(N (T+1)) per user.
+        """
+        matrices = np.empty((self.dft.shape[1], positions.shape[0], len(self.users)), dtype=complex)
+        for k, (waves, gains, pulses) in enumerate(self.users):
+            weights = gains[:, None] * (pulses @ self.dft)  # (N, S)
+            matrices[:, :, k] = (np.exp(1j * (positions @ waves)) @ weights).T
+        return SubcarrierChannels(matrices)
+
+
 def subcarrier_channels(
     paths: Sequence[UserPaths], layout: ArrayLayout, grid: OfdmGrid
 ) -> SubcarrierChannels:
@@ -386,21 +386,7 @@ def subcarrier_channels(
     stage is folded into a per-path subcarrier weight so no (K, T+1, M) tensor
     is formed.
     """
-    eta, n_taps = sync_and_tap_count(paths, grid)
-    s = grid.subcarrier_count
-    ells = np.arange(n_taps + 1)
-    dft = _dft_matrix(n_taps, s)
-    m = layout.antenna_count
-    matrices = np.empty((s, m, len(paths)), dtype=complex)
-    for k, user in enumerate(paths):
-        a = array_response(layout, user.azimuths, user.elevations)  # (M, N)
-        x = grid.subcarrier_count * grid.subcarrier_spacing * (user.delays - eta)
-        filt = pulse_triangle(ells[None, :] - x[:, None]) @ dft  # (N, S)
-        weights = (
-            user.amplitudes * _carrier_phase(user.delays, eta, layout.wavelength)
-        )[:, None] * filt
-        matrices[:, :, k] = (a @ weights).T
-    return SubcarrierChannels(matrices)
+    return ChannelModel(paths, grid, layout.wavelength).channels(layout.positions)
 
 
 def narrowband_channel(

@@ -12,7 +12,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channels import OfdmGrid, UserPaths, subcarrier_channels
+# subcarrier_channels stays a module global although the objective no longer
+# calls it: perfbench/tracing.py wraps `mamimo.pso.subcarrier_channels`.
+from .channels import ChannelModel, OfdmGrid, UserPaths, subcarrier_channels  # noqa: F401
 from .geometry import (
     ArrayLayout,
     MoveRegion,
@@ -212,13 +214,19 @@ def objective_adapter(
 ) -> Callable[[ArrayLayout], float]:
     """Objective closure for one fixed channel realization.
 
-    The paths are independent of the antenna placement; only the per-antenna
-    phase signatures change, so each call rebuilds the subcarrier channels for
-    the candidate layout and scores the chosen scheme minus the spacing
-    penalty.
+    The paths are independent of the antenna placement, so the closure keeps
+    one :class:`ChannelModel` and each call computes only the candidate's
+    phase signatures. The model is rebuilt whenever a layout arrives at a
+    wavelength other than the one it was built for. A call scores the chosen
+    scheme minus the spacing penalty.
     """
+    model: ChannelModel | None = None
+
     def objective(layout: ArrayLayout) -> float:
-        h = subcarrier_channels(paths, layout, grid)
+        nonlocal model
+        if model is None or model.wavelength != layout.wavelength:
+            model = ChannelModel(paths, grid, layout.wavelength)
+        h = model.channels(layout.positions)
         report = evaluate_rate_scheme(
             scheme, h, config, dpc_max_iterations=dpc_max_iterations, summary_only=True
         )

@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mamimo.channels import (
+    ChannelModel,
     OfdmGrid,
-    PathParams,
     ScenarioConfig,
     UserPaths,
     build_tap_channel,
@@ -20,9 +23,52 @@ from mamimo.channels import (
     subcarriers_from_taps,
     sync_and_tap_count,
     synthesize_paths,
-    tap_coefficient,
 )
-from mamimo.geometry import SPEED_OF_LIGHT, ArrayLayout, array_response, make_staggered_ura
+from mamimo.geometry import (
+    SPEED_OF_LIGHT,
+    ArrayLayout,
+    array_response,
+    make_move_regions,
+    make_staggered_ura,
+)
+
+
+@dataclass(frozen=True)
+class PathParams:
+    """One far-field propagation path (scalar oracle for the tap tests)."""
+
+    amplitude: float  # linear, >= 0
+    delay: float  # seconds, >= 0
+    azimuth: float  # radians in [-pi, pi]
+    elevation: float  # radians in [-pi/2, pi/2]
+
+    def __post_init__(self) -> None:
+        if self.amplitude < 0:
+            raise ValueError("path amplitude must be nonnegative")
+        if self.delay < 0:
+            raise ValueError("path delay must be nonnegative")
+        if abs(self.azimuth) > math.pi:
+            raise ValueError("azimuth must lie in [-pi, pi]")
+        if abs(self.elevation) > math.pi / 2:
+            raise ValueError("elevation must lie in [-pi/2, pi/2]")
+
+
+def path_of(user: UserPaths, i: int) -> PathParams:
+    return PathParams(
+        float(user.amplitudes[i]),
+        float(user.delays[i]),
+        float(user.azimuths[i]),
+        float(user.elevations[i]),
+    )
+
+
+def tap_coefficient(
+    path: PathParams, ell: int, eta: float, grid: OfdmGrid, wavelength: float
+) -> complex:
+    """Scalar FIR coefficient of one path at tap index `ell`."""
+    x = grid.subcarrier_count * grid.subcarrier_spacing * (path.delay - eta)
+    phase = np.exp(-2j * np.pi * SPEED_OF_LIGHT * (path.delay - eta) / wavelength)
+    return complex(path.amplitude * phase * pulse_triangle(ell - x))
 
 
 def single_path_user(amplitude, delay, azimuth=0.3, elevation=-0.1, position=(200.0, 0.0, -2.75)):
@@ -246,6 +292,24 @@ class TestTapChannel:
         expected = 0.5 * array_response(layout, 0.3, 0.05) + 0.2 * array_response(layout, -0.4, 0.1)
         np.testing.assert_allclose(total, expected, rtol=1e-12)
 
+    def test_matches_scalar_path_oracle(self):
+        # Every tap is the sum over paths of the scalar tap coefficient times
+        # the path's array response.
+        rng = np.random.default_rng(4)
+        scen = ScenarioConfig()
+        layout = make_staggered_ura(2, 2, scen.wavelength)
+        users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)]
+        grid = OfdmGrid(16, 15e3)
+        tap = build_tap_channel(users, layout, grid)
+        for k, user in enumerate(users):
+            for ell in range(tap.tap_count + 1):
+                expected = sum(
+                    tap_coefficient(path, ell, tap.sync_offset, grid, layout.wavelength)
+                    * array_response(layout, path.azimuth, path.elevation)
+                    for path in (path_of(user, i) for i in range(user.n_paths))
+                )
+                np.testing.assert_allclose(tap.taps[k, ell], expected, rtol=1e-10, atol=1e-18)
+
 
 class TestSubcarrierChannels:
     def test_single_subcarrier_is_tap_sum(self):
@@ -290,6 +354,44 @@ class TestSubcarrierChannels:
         subcarrier_channels([user], layout, OfdmGrid(4, 15e3))
         subcarrier_channels([user], layout, OfdmGrid(64, 15e3))
         np.testing.assert_array_equal(user.amplitudes, before)
+
+
+def per_user_reference(paths, layout, grid):
+    """The per-user channel formula: array response times per-path weights."""
+    eta, n_taps = sync_and_tap_count(paths, grid)
+    s = grid.subcarrier_count
+    ells = np.arange(n_taps + 1)
+    dft = np.exp(-2j * np.pi * np.outer(ells, np.arange(s)) / s)
+    matrices = np.empty((s, layout.antenna_count, len(paths)), dtype=complex)
+    for k, user in enumerate(paths):
+        a = array_response(layout, user.azimuths, user.elevations)
+        x = s * grid.subcarrier_spacing * (user.delays - eta)
+        filt = pulse_triangle(ells[None, :] - x[:, None]) @ dft
+        phase = np.exp(-2j * np.pi * SPEED_OF_LIGHT * (user.delays - eta) / layout.wavelength)
+        weights = (user.amplitudes * phase)[:, None] * filt
+        matrices[:, :, k] = (a @ weights).T
+    return matrices
+
+
+class TestChannelModel:
+    @pytest.mark.parametrize("kind", ["los-dominant", "rich-scattering"])
+    @pytest.mark.parametrize("subcarriers", [1, 16])
+    def test_bits_match_per_user_formula(self, kind, subcarriers):
+        rng = np.random.default_rng(subcarriers)
+        scen = ScenarioConfig(kind=kind)
+        lam = scen.wavelength
+        users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 3)]
+        grid = OfdmGrid(subcarriers, 15e3)
+        model = ChannelModel(users, grid, lam)
+        regions = make_move_regions(2, 2, 5 * lam)
+        lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
+        for _ in range(5):
+            positions = np.zeros((4, 3))
+            positions[:, 1:] = lo + rng.uniform(size=(4, 2)) * 5 * lam
+            layout = ArrayLayout(positions, lam, regions)
+            expected = per_user_reference(users, layout, grid)
+            assert np.array_equal(model.channels(layout.positions).matrices, expected)
+            assert np.array_equal(subcarrier_channels(users, layout, grid).matrices, expected)
 
 
 class TestNarrowband:

@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mamimo.channels import OfdmGrid, ScenarioConfig, sample_user_positions, synthesize_paths
+from mamimo.channels import (
+    OfdmGrid,
+    ScenarioConfig,
+    sample_user_positions,
+    subcarrier_channels,
+    synthesize_paths,
+)
 from mamimo.geometry import (
+    SPEED_OF_LIGHT,
     ArrayLayout,
     make_compact_upa,
     make_move_regions,
@@ -20,7 +27,7 @@ from mamimo.pso import (
     repair_to_regions,
     spacing_penalty,
 )
-from mamimo.rates import ImpairedLinkConfig
+from mamimo.rates import ImpairedLinkConfig, evaluate_rate_scheme
 
 LAM = 0.1
 
@@ -237,6 +244,25 @@ class TestObjectiveAdapter:
             )
             assert trace.spacing_feasible
             assert objective(trace.best_layout) == trace.best_objective
+
+    def test_value_follows_each_layouts_wavelength(self, small_realization):
+        # One adapter scores layouts at the carrier wavelength, then the same
+        # positions at 3.5 GHz, then the carrier again; each value must be the
+        # one computed from scratch at that layout's own wavelength.
+        scen, paths, grid, config = small_realization
+        lam = scen.wavelength
+        objective = objective_adapter("ul-sic", paths, grid, config, penalty_weight=50.0)
+        base = [
+            make_staggered_ura(2, 2, lam),
+            make_sparse_upa(2, 2, lam),
+            ArrayLayout(np.array([[0, 0, 0], [0, lam / 3, 0], [0, 0, lam], [0, lam, lam]]), lam),
+        ]
+        shifted = [layout.with_wavelength(SPEED_OF_LIGHT / 3.5e9) for layout in base]
+        for layout in base + shifted + base[:1]:
+            h = subcarrier_channels(paths, layout, grid)
+            expected = evaluate_rate_scheme("ul-sic", h, config, summary_only=True).sum_rate
+            expected -= spacing_penalty(layout.positions, layout.wavelength, 50.0)
+            assert objective(layout) == expected
 
     def test_infeasible_seed_is_skipped(self, small_realization):
         scen, paths, grid, config = small_realization
