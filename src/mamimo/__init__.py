@@ -19,7 +19,6 @@ from .channels import (
     TapChannel,
     UserPaths,
     build_tap_channel,
-    narrowband_channel,
     path_loss,
     pulse_triangle,
     sample_user_positions,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -138,12 +138,10 @@ class ExperimentSpec:
         for name in ("subcarrier_counts", "user_counts", "rate_schemes", "array_schemes", "evms"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        for s in self.subcarrier_counts:
-            if s < 1:
-                raise ValueError("grid.subcarrier_counts entries must be >= 1")
-        for k in self.user_counts:
-            if k < 1:
-                raise ValueError("campaign.user_counts entries must be >= 1")
+        if any(s < 1 for s in self.subcarrier_counts):
+            raise ValueError("grid.subcarrier_counts entries must be >= 1")
+        if any(k < 1 for k in self.user_counts):
+            raise ValueError("campaign.user_counts entries must be >= 1")
         for scheme in self.rate_schemes:
             if scheme not in RATE_SCHEMES:
                 raise ValueError(f"rates.schemes entry {scheme!r} not in {RATE_SCHEMES}")
@@ -155,15 +153,11 @@ class ExperimentSpec:
         for pair in self.cross_pairs:
             if len(pair) != 2 or any(s not in RATE_SCHEMES for s in pair):
                 raise ValueError(f"campaign.cross_pairs entry {pair!r} must name two rate schemes")
-        for e in self.evms:
-            if not (0.0 <= e < 1.0):
-                raise ValueError("rates.evms entries must lie in [0, 1)")
-        if not self.noise_pw > 0:
-            raise ValueError("rates.noise_pw must be > 0")
-        if not self.ul_psd_mw_per_mhz > 0:
-            raise ValueError("rates.ul_psd_mw_per_mhz must be > 0")
-        if not self.dl_psd_mw_per_mhz > 0:
-            raise ValueError("rates.dl_psd_mw_per_mhz must be > 0")
+        if not all(0.0 <= e < 1.0 for e in self.evms):
+            raise ValueError("rates.evms entries must lie in [0, 1)")
+        for key in ("noise_pw", "ul_psd_mw_per_mhz", "dl_psd_mw_per_mhz"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"rates.{key} must be > 0")
         if not (0 < self.r_min_m < self.r_max_m):
             raise ValueError("scenario user radii must satisfy 0 < r_min_m < r_max_m")
         if self.m_rows < 1 or self.m_cols < 1:
@@ -176,6 +170,11 @@ class ExperimentSpec:
             raise ValueError("pso.particles must be >= 1")
         if self.pso_iterations < 0:
             raise ValueError("pso.iterations must be >= 0")
+        for key in ("inertia", "cognitive", "social", "velocity_clamp", "penalty_weight"):
+            if not getattr(self, f"pso_{key}") >= 0:
+                raise ValueError(f"pso.{key} must be >= 0")
+        if not all(f > 0 for f in self.fdd_eval_carriers_ghz):
+            raise ValueError("campaign.fdd_eval_carriers_ghz entries must be > 0")
         self.scenario()  # validates the remaining scenario fields
 
     # --- derived SI quantities -------------------------------------------------
@@ -245,7 +244,6 @@ class ExperimentSpec:
             cognitive=self.pso_cognitive,
             social=self.pso_social,
             velocity_clamp=self.pso_velocity_clamp,
-            penalty_weight=self.pso_penalty_weight,
         )
 
     def link_config(self, user_count: int, subcarriers: int, evm: float) -> ImpairedLinkConfig:
@@ -300,6 +298,17 @@ def build_fixed_layouts(spec: ExperimentSpec) -> dict[str, ArrayLayout]:
     return {name: fn(spec.m_rows, spec.m_cols, lam) for name, fn in FIXED_ARRAY_BUILDERS.items()}
 
 
+def _fdd_channels(
+    layout: ArrayLayout, paths: Sequence[UserPaths], grid: OfdmGrid, eval_carrier_hz: float
+) -> SubcarrierChannels:
+    """Channels of a placement at a shifted carrier frequency: the positions and
+    paths stay, the wavelength-dependent phases are re-derived."""
+    if not eval_carrier_hz > 0:
+        raise ValueError("evaluation carrier frequency must be positive")
+    shifted = layout.with_wavelength(SPEED_OF_LIGHT / eval_carrier_hz)
+    return subcarrier_channels(paths, shifted, grid)
+
+
 def fdd_evaluate(
     layout: ArrayLayout,
     paths: Sequence[UserPaths],
@@ -308,17 +317,8 @@ def fdd_evaluate(
     eval_carrier_hz: float,
     scheme: str,
 ) -> RateReport:
-    """Re-evaluate a placement at a shifted carrier frequency.
-
-    The antenna positions and the path geometry stay fixed; only the
-    wavelength-dependent phase signatures and carrier rotations are
-    re-derived at the evaluation frequency.
-    """
-    if not eval_carrier_hz > 0:
-        raise ValueError("evaluation carrier frequency must be positive")
-    shifted = layout.with_wavelength(SPEED_OF_LIGHT / eval_carrier_hz)
-    h = subcarrier_channels(paths, shifted, grid)
-    return evaluate_rate_scheme(scheme, h, config)
+    """Re-evaluate a placement at a shifted carrier frequency."""
+    return evaluate_rate_scheme(scheme, _fdd_channels(layout, paths, grid, eval_carrier_hz), config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,8 +380,7 @@ def run_swarm(
         objective,
         regions,
         lam,
-        spec.pso_config(),
-        np.random.default_rng(seed),
+        replace(spec.pso_config(), seed=seed),
         [fixed[STAGGERED_URA], fixed[SPARSE_UPA], fixed[COMPACT_UPA]],
     )
     key = f"r{index:04d}_k{users}_s{subcarriers}_evm{evm:g}_{scheme}"
@@ -495,10 +494,9 @@ def run_realization(spec: ExperimentSpec, index: int) -> RealizationOutput:
                     ]
                     for carrier_ghz in spec.fdd_eval_carriers_ghz:
                         for array, layout, swarm in eval_arrays:
+                            h = _fdd_channels(layout, paths, grid, carrier_ghz * 1e9)
                             for rate_scheme in spec.rate_schemes:
-                                report = fdd_evaluate(
-                                    layout, paths, grid, config, carrier_ghz * 1e9, rate_scheme
-                                )
+                                report = evaluate_rate_scheme(rate_scheme, h, config)
                                 rows.append(
                                     _row(*point, carrier_ghz, array, rate_scheme, report, swarm)
                                 )

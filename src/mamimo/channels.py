@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -388,65 +387,3 @@ def subcarrier_channels(
     """
     return ChannelModel(paths, grid, layout.wavelength).channels(layout.positions)
 
-
-def narrowband_channel(
-    paths: Sequence[UserPaths], layout: ArrayLayout, sync_offset: float | None = None
-) -> np.ndarray:
-    """Frequency-flat channel matrix (M, K): path sum without the FIR filter."""
-    if sync_offset is None:
-        sync_offset = min(float(p.delays.min()) for p in paths)
-    m = layout.antenna_count
-    h = np.empty((m, len(paths)), dtype=complex)
-    for k, user in enumerate(paths):
-        a = array_response(layout, user.azimuths, user.elevations)
-        weights = user.amplitudes * _carrier_phase(user.delays, sync_offset, layout.wavelength)
-        h[:, k] = a @ weights
-    return h
-
-
-def save_paths(paths: Sequence[UserPaths], path: str | Path) -> None:
-    """Write path records so a realization can be replayed exactly.
-
-    One line per path: user index, amplitude, delay, azimuth, elevation; the
-    user positions go into header comments.
-    """
-    lines = ["# user amplitude delay_s azimuth_rad elevation_rad"]
-    for k, user in enumerate(paths):
-        p = user.position
-        lines.append(f"# position {k} {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
-    for k, user in enumerate(paths):
-        for a, t, az, el in zip(user.amplitudes, user.delays, user.azimuths, user.elevations):
-            lines.append(f"{k} {float(a)!r} {float(t)!r} {float(az)!r} {float(el)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_paths(path: str | Path) -> list[UserPaths]:
-    """Read path records written by :func:`save_paths`."""
-    positions: dict[int, np.ndarray] = {}
-    records: dict[int, list[tuple[float, float, float, float]]] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if fields and fields[0] == "position":
-                positions[int(fields[1])] = np.array([float(v) for v in fields[2:5]])
-            continue
-        fields = line.split()
-        records.setdefault(int(fields[0]), []).append(
-            (float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4]))
-        )
-    users = []
-    for k in sorted(records):
-        arr = np.array(records[k])
-        users.append(
-            UserPaths(
-                arr[:, 0],
-                arr[:, 1],
-                arr[:, 2],
-                arr[:, 3],
-                positions.get(k, np.zeros(3)),
-            )
-        )
-    return users

@@ -140,15 +140,15 @@ def make_compact_upa(m_rows: int, m_cols: int, wavelength: float) -> ArrayLayout
     return ArrayLayout(_grid_positions(m_rows, m_cols, spacing, spacing), wavelength)
 
 
-def make_sparse_upa(
-    m_rows: int, m_cols: int, wavelength: float, spacing: float | None = None
-) -> ArrayLayout:
-    """Uniform planar array with large inter-element spacing (default 20*lambda/3)."""
+def _sparse_spacing(wavelength: float) -> float:
+    """Element spacing 20*lambda/3 of the sparse arrays."""
+    return 20.0 * wavelength / 3.0
+
+
+def make_sparse_upa(m_rows: int, m_cols: int, wavelength: float) -> ArrayLayout:
+    """Uniform planar array with large inter-element spacing, 20*lambda/3."""
     _check_grid_dims(m_rows, m_cols)
-    if spacing is None:
-        spacing = 20.0 * wavelength / 3.0
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    spacing = _sparse_spacing(wavelength)
     return ArrayLayout(_grid_positions(m_rows, m_cols, spacing, spacing), wavelength)
 
 
@@ -163,7 +163,7 @@ def make_staggered_ura(m_rows: int, m_cols: int, wavelength: float) -> ArrayLayo
     """
     _check_grid_dims(m_rows, m_cols)
     m = m_rows * m_cols
-    base = 20.0 * wavelength / 3.0
+    base = _sparse_spacing(wavelength)
     y_span = (m_cols - 1) * base
     z_span = (m_rows - 1) * base
     y_step = y_span / (m - 1) if m > 1 else 0.0
@@ -206,6 +206,11 @@ def min_pairwise_distance(positions: np.ndarray) -> float:
     return float(d.min()) if d.size else float("inf")
 
 
+def min_spacing(wavelength: float) -> float:
+    """Smallest pair distance that satisfies the half-wavelength constraint."""
+    return wavelength / 2.0 * (1.0 - SPACING_RTOL)
+
+
 def validate_layout(layout: ArrayLayout) -> LayoutReport:
     """Check mutual-coupling spacing and, if regions are present, membership.
 
@@ -213,7 +218,7 @@ def validate_layout(layout: ArrayLayout) -> LayoutReport:
     inspected.
     """
     min_d = min_pairwise_distance(layout.positions)
-    spacing_ok = min_d >= layout.wavelength / 2.0 * (1.0 - SPACING_RTOL)
+    spacing_ok = min_d >= min_spacing(layout.wavelength)
     region_ok = None
     if layout.regions is not None:
         region_ok = tuple(

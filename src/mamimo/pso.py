@@ -18,8 +18,8 @@ from .channels import ChannelModel, OfdmGrid, UserPaths, subcarrier_channels  # 
 from .geometry import (
     ArrayLayout,
     MoveRegion,
-    SPACING_RTOL,
     min_pairwise_distance,
+    min_spacing,
     pairwise_distances,
 )
 from .rates import ImpairedLinkConfig, evaluate_rate_scheme
@@ -37,7 +37,6 @@ class PsoConfig:
     cognitive: float = 1.4962
     social: float = 1.4962
     velocity_clamp: float = 0.5
-    penalty_weight: float = 1e3
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -45,7 +44,7 @@ class PsoConfig:
             raise ValueError("need at least one particle")
         if self.max_iterations < 0:
             raise ValueError("iteration count must be nonnegative")
-        for name in ("inertia", "cognitive", "social", "velocity_clamp", "penalty_weight"):
+        for name in ("inertia", "cognitive", "social", "velocity_clamp"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -83,11 +82,10 @@ def spacing_penalty(positions: np.ndarray, wavelength: float, weight: float = 1e
     the boundary up to representation rounding count as satisfied).
     """
     pair_dist = pairwise_distances(np.asarray(positions, dtype=float))
-    limit = wavelength / 2.0
-    violating = pair_dist < limit * (1.0 - SPACING_RTOL)
+    violating = pair_dist < min_spacing(wavelength)
     if not np.any(violating):
         return 0.0
-    gaps = limit - pair_dist[violating]
+    gaps = wavelength / 2.0 - pair_dist[violating]
     return float(weight * np.sum(gaps**2))
 
 
@@ -99,22 +97,16 @@ def _coords_to_layout(
     return ArrayLayout(positions, wavelength, regions)
 
 
-def _spacing_feasible(coords: np.ndarray, wavelength: float) -> bool:
-    positions = np.zeros((coords.shape[0], 3))
-    positions[:, 1:] = coords
-    return min_pairwise_distance(positions) >= wavelength / 2.0 * (1.0 - SPACING_RTOL)
-
-
 def pso_optimize(
     objective: Callable[[ArrayLayout], float],
     regions: Sequence[MoveRegion],
     wavelength: float,
     config: PsoConfig,
-    rng: np.random.Generator | None = None,
     seed_layouts: Iterable[ArrayLayout | np.ndarray] = (),
 ) -> OptimizationTrace:
     """Maximize `objective` over antenna placements, one antenna per region.
 
+    The random stream is `numpy.random.default_rng(config.seed)`.
     `seed_layouts` are placed into the initial swarm when they lie in the
     regions (after a clamp that only absorbs rounding) and satisfy the
     spacing constraint, so the result never scores below a feasible seed.
@@ -122,8 +114,7 @@ def pso_optimize(
     regions = tuple(regions)
     if not regions:
         raise ValueError("need at least one movement region")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     m = len(regions)
     n = config.particle_count
 
@@ -144,7 +135,7 @@ def pso_optimize(
         displacement = np.abs(clamped - coords)
         if np.any(displacement > 1e-9 * sides):
             continue  # seed lies outside its regions
-        if not _spacing_feasible(clamped, wavelength):
+        if min_pairwise_distance(clamped) < min_spacing(wavelength):
             continue
         positions[slot] = clamped
         slot += 1
@@ -166,7 +157,8 @@ def pso_optimize(
 
     def track_feasible(coords: np.ndarray, value: float) -> None:
         nonlocal feasible_val, feasible_pos
-        if value > feasible_val and _spacing_feasible(coords, wavelength):
+        # (M, 2) yz-coordinates: the common x = 0 adds nothing to a distance
+        if value > feasible_val and min_pairwise_distance(coords) >= min_spacing(wavelength):
             feasible_val = value
             feasible_pos = coords.copy()
 
@@ -210,7 +202,6 @@ def objective_adapter(
     config: ImpairedLinkConfig,
     *,
     penalty_weight: float = 1e3,
-    dpc_max_iterations: int = 100,
 ) -> Callable[[ArrayLayout], float]:
     """Objective closure for one fixed channel realization.
 
@@ -227,9 +218,7 @@ def objective_adapter(
         if model is None or model.wavelength != layout.wavelength:
             model = ChannelModel(paths, grid, layout.wavelength)
         h = model.channels(layout.positions)
-        report = evaluate_rate_scheme(
-            scheme, h, config, dpc_max_iterations=dpc_max_iterations, summary_only=True
-        )
+        report = evaluate_rate_scheme(scheme, h, config, summary_only=True)
         return report.sum_rate - spacing_penalty(
             layout.positions, layout.wavelength, penalty_weight
         )

@@ -24,6 +24,7 @@ ZERO_INTERFERENCE = "zero-interference"
 
 _LN2 = float(np.log(2.0))
 _DPC_REL_TOL = 1e-8  # DPC ascent stops once a step gains less than this, relatively
+_DPC_MAX_ITERATIONS = 500  # or after this many ascent steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +379,6 @@ def dl_dpc_sum_rate(
     channels: SubcarrierChannels,
     config: ImpairedLinkConfig,
     *,
-    max_iterations: int = 500,
     include_user_rates: bool = True,
 ) -> RateReport:
     """Downlink sum rate with dirty paper coding via the dual uplink problem.
@@ -413,7 +413,7 @@ def dl_dpc_sum_rate(
     d = np.full((s, k), total_power / (s * k))
     value = objective(d)
     step = total_power
-    for _ in range(max_iterations):
+    for _ in range(_DPC_MAX_ITERATIONS):
         grad = gradient(d)
         improved = False
         while step > 1e-14 * total_power:
@@ -454,7 +454,6 @@ def evaluate_rate_scheme(
     channels: SubcarrierChannels,
     config: ImpairedLinkConfig,
     *,
-    dpc_max_iterations: int = 500,
     summary_only: bool = False,
 ) -> RateReport:
     """Dispatch a rate scheme name in `RATE_SCHEMES` to its sum-rate computation.
@@ -469,10 +468,5 @@ def evaluate_rate_scheme(
     if scheme == DL_LIN:
         return dl_linear_sum_rate(channels, duality_precoders(channels, config), config)
     if scheme == DL_DPC:
-        return dl_dpc_sum_rate(
-            channels,
-            config,
-            max_iterations=dpc_max_iterations,
-            include_user_rates=not summary_only,
-        )
+        return dl_dpc_sum_rate(channels, config, include_user_rates=not summary_only)
     raise ValueError(f"unknown rate scheme {scheme!r}")

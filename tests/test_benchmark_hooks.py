@@ -1,9 +1,11 @@
-"""The benchmark's traced layers must see the calls a campaign makes.
+"""The benchmark's hooks and checker must keep working against the package.
 
 perfbench/tracing.py wraps module globals (for example
 `mamimo.campaign.evaluate_rate_scheme`). Code that reaches a layer around
 those names would silently zero the benchmark's per-layer metrics, so a
 small traced campaign must record a span for each hooked layer.
+perfbench/checks.py imports and calls package functions to re-score a
+campaign's rows; a workload campaign must pass it.
 """
 import sys
 from pathlib import Path
@@ -41,3 +43,16 @@ def test_traced_campaign_records_every_hooked_layer(tmp_path, monkeypatch):
         "pso.objective",
     ):
         assert calls.get(name, 0) > 0, name
+
+
+def test_checker_accepts_a_workload_campaign(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "checks", raising=False)
+    import checks
+
+    config = PERFBENCH / "workloads" / "swarm-narrow.yaml"
+    out = tmp_path / "out"
+    argv = ["simulate", "-c", str(config), "--set", "campaign.master_seed=1", "-o", str(out)]
+    assert mamimo.cli.main(argv) == 0
+    check = checks.CampaignCheck(config, checks.load_reference("swarm-narrow", config), 1)
+    assert check.failed_rows(out) == 0, check.errors

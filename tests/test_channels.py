@@ -13,12 +13,9 @@ from mamimo.channels import (
     ScenarioConfig,
     UserPaths,
     build_tap_channel,
-    load_paths,
-    narrowband_channel,
     path_loss,
     pulse_triangle,
     sample_user_positions,
-    save_paths,
     subcarrier_channels,
     subcarriers_from_taps,
     sync_and_tap_count,
@@ -394,33 +391,6 @@ class TestChannelModel:
             assert np.array_equal(subcarrier_channels(users, layout, grid).matrices, expected)
 
 
-class TestNarrowband:
-    def test_single_path(self):
-        layout = ArrayLayout(np.array([[0.0, 0.02, -0.01], [0.0, 0.0, 0.03]]), 0.1)
-        users = [single_path_user(0.6, 2e-6, azimuth=0.4, elevation=0.1)]
-        h = narrowband_channel(users, layout)
-        expected = 0.6 * array_response(layout, 0.4, 0.1)  # sync at own delay
-        np.testing.assert_allclose(h[:, 0], expected, rtol=1e-12)
-
-    def test_matches_single_subcarrier_for_common_delay(self):
-        layout = ArrayLayout(np.array([[0.0, 0.03, 0.01], [0.0, -0.01, 0.02]]), 0.1)
-        users = [
-            UserPaths([0.5, 0.2], [1e-6, 1e-6], [0.3, -0.4], [0.0, 0.1], np.zeros(3) + 1.0),
-            UserPaths([0.9], [1e-6], [-0.2], [0.0], np.zeros(3) + 1.0),
-        ]
-        h_nb = narrowband_channel(users, layout)
-        h_ofdm = subcarrier_channels(users, layout, OfdmGrid(1, 15e3))
-        np.testing.assert_allclose(h_nb, h_ofdm.matrices[0], rtol=1e-10)
-
-    def test_scalar_channel(self):
-        layout = ArrayLayout(np.zeros((1, 3)), 0.1)
-        users = [
-            UserPaths([0.5, 0.2], [1e-6, 1e-6], [0.3, -0.4], [0.0, 0.1], np.zeros(3) + 1.0)
-        ]
-        h = narrowband_channel(users, layout)
-        assert h[0, 0] == pytest.approx(0.7)  # common delay, zero carrier phase
-
-
 class TestPathLoss:
     def test_direct_at_one_meter(self):
         assert path_loss(1.0, los=True) == pytest.approx(10 ** (-3.018), rel=1e-12)
@@ -441,21 +411,6 @@ class TestPathLoss:
 
 
 class TestPathSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(11)
-        scen = ScenarioConfig()
-        users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 3)]
-        path = tmp_path / "paths.txt"
-        save_paths(users, path)
-        loaded = load_paths(path)
-        assert len(loaded) == 3
-        for a, b in zip(users, loaded):
-            np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-            np.testing.assert_array_equal(a.delays, b.delays)
-            np.testing.assert_array_equal(a.azimuths, b.azimuths)
-            np.testing.assert_array_equal(a.elevations, b.elevations)
-            np.testing.assert_array_equal(a.position, b.position)
-
     def test_user_paths_validation(self):
         with pytest.raises(ValueError):
             UserPaths([], [], [], [], np.zeros(3))

@@ -13,6 +13,8 @@ from mamimo.config import (
 from mamimo.campaign import ExperimentSpec
 from mamimo.geometry import load_layout
 
+PSO_COEFFICIENTS = ("inertia", "cognitive", "social", "velocity_clamp", "penalty_weight")
+
 TINY = {
     "arrays": {"m_rows": 2, "m_cols": 2},
     "campaign": {"realizations": 2, "user_counts": [2], "master_seed": 5},
@@ -53,6 +55,12 @@ class TestParseConfig:
             parse_config_dict({"rates": {"noise_pw": -1.0}})
         with pytest.raises(ConfigError, match="r_min_m"):
             parse_config_dict({"scenario": {"r_min_m": 500.0, "r_max_m": 300.0}})
+        for carriers in ([-3.5], [0.0], [3.5, 0.0]):
+            with pytest.raises(ConfigError, match="campaign.fdd_eval_carriers_ghz"):
+                parse_config_dict({"campaign": {"fdd_eval_carriers_ghz": carriers}})
+        for key in PSO_COEFFICIENTS:
+            with pytest.raises(ConfigError, match=f"pso.{key}"):
+                parse_config_dict({"pso": {key: -0.5}})
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="grid.subcarrier_counts"):
@@ -98,6 +106,15 @@ class TestCliCommands:
         path.write_text("rates:\n  noise_pw: -2\n")
         assert main(["validate-config", "-c", str(path)]) == 1
         assert "noise_pw" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        ["campaign.fdd_eval_carriers_ghz=[-3.5]", "campaign.fdd_eval_carriers_ghz=[0.0]"]
+        + [f"pso.{key}=-0.5" for key in PSO_COEFFICIENTS],
+    )
+    def test_validate_config_rejects_out_of_range(self, override, capsys):
+        assert main(["validate-config", "--set", override]) == 1
+        assert override.split("=")[0] in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["simulate"]) == 1  # missing --output

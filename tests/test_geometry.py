@@ -108,7 +108,7 @@ class TestGenerators:
         np.testing.assert_allclose(sorted(set(layout.positions[:, 2])), [-0.025, 0.025])
 
     def test_sparse_upa_aperture(self):
-        layout = make_sparse_upa(4, 4, LAM, 20 * LAM / 3)
+        layout = make_sparse_upa(4, 4, LAM)
         assert np.ptp(layout.positions[:, 1]) == pytest.approx(20 * LAM, rel=1e-12)
         assert np.ptp(layout.positions[:, 2]) == pytest.approx(20 * LAM, rel=1e-12)
 

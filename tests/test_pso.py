@@ -248,21 +248,23 @@ class TestObjectiveAdapter:
     def test_value_follows_each_layouts_wavelength(self, small_realization):
         # One adapter scores layouts at the carrier wavelength, then the same
         # positions at 3.5 GHz, then the carrier again; each value must be the
-        # one computed from scratch at that layout's own wavelength.
+        # full report's sum rate at that layout's own wavelength, so the swarm
+        # scores a layout exactly as its result row reports it.
         scen, paths, grid, config = small_realization
         lam = scen.wavelength
-        objective = objective_adapter("ul-sic", paths, grid, config, penalty_weight=50.0)
         base = [
             make_staggered_ura(2, 2, lam),
             make_sparse_upa(2, 2, lam),
             ArrayLayout(np.array([[0, 0, 0], [0, lam / 3, 0], [0, 0, lam], [0, lam, lam]]), lam),
         ]
         shifted = [layout.with_wavelength(SPEED_OF_LIGHT / 3.5e9) for layout in base]
-        for layout in base + shifted + base[:1]:
-            h = subcarrier_channels(paths, layout, grid)
-            expected = evaluate_rate_scheme("ul-sic", h, config, summary_only=True).sum_rate
-            expected -= spacing_penalty(layout.positions, layout.wavelength, 50.0)
-            assert objective(layout) == expected
+        for scheme in ("ul-sic", "dl-dpc"):
+            objective = objective_adapter(scheme, paths, grid, config, penalty_weight=50.0)
+            for layout in base + shifted + base[:1]:
+                h = subcarrier_channels(paths, layout, grid)
+                expected = evaluate_rate_scheme(scheme, h, config).sum_rate
+                expected -= spacing_penalty(layout.positions, layout.wavelength, 50.0)
+                assert objective(layout) == expected, scheme
 
     def test_infeasible_seed_is_skipped(self, small_realization):
         scen, paths, grid, config = small_realization
