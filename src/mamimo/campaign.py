@@ -57,10 +57,6 @@ FIXED_ARRAY_BUILDERS = {
 FIXED_ARRAYS = tuple(FIXED_ARRAY_BUILDERS)
 ARRAY_SCHEMES = (MOVABLE, ZERO_INTERFERENCE) + FIXED_ARRAYS
 
-PAPER_SCALE_REALIZATIONS = 100
-PAPER_SCALE_ITERATIONS = 100
-PAPER_SCALE_PARTICLES = 150
-
 
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable 64-bit stream seed from the master seed and a label tuple.
@@ -80,8 +76,9 @@ class ExperimentSpec:
 
     Fields carry the units of the config file (GHz, kHz, pW, mW/MHz) so the
     manifest round-trips exactly; SI values are derived through the builder
-    methods. Programmatic defaults are desk-scale; `paper_scale` switches the
-    Monte Carlo and swarm sizes to the full-study values.
+    methods. The defaults are those of an empty config file: the headline
+    simulation parameters with the paper's swarm (150 particles, 100
+    iterations) and 20 realizations.
     """
 
     scenario_kind: str = "los-dominant"
@@ -103,8 +100,6 @@ class ExperimentSpec:
     delay_stretch: float = 10.0
     los_pathloss_intercept_db: float = 30.18
     los_pathloss_slope_db: float = 26.0
-    nlos_pathloss_intercept_db: float = 34.53
-    nlos_pathloss_slope_db: float = 38.0
     normalized_gain: float = 1e-9
     spacing_khz: float = 15.0
     subcarrier_counts: tuple[int, ...] = (1,)
@@ -118,8 +113,8 @@ class ExperimentSpec:
     ul_psd_mw_per_mhz: float = 1.0
     dl_psd_mw_per_mhz: float = 20.0
     optimize_scheme: str | None = None
-    pso_particles: int = 50
-    pso_iterations: int = 30
+    pso_particles: int = 150
+    pso_iterations: int = 100
     pso_inertia: float = 0.7298
     pso_cognitive: float = 1.4962
     pso_social: float = 1.4962
@@ -128,7 +123,6 @@ class ExperimentSpec:
     realizations: int = 20
     user_counts: tuple[int, ...] = (10,)
     master_seed: int = 1
-    paper_scale: bool = False
     fdd_eval_carriers_ghz: tuple[float, ...] = ()
     cross_pairs: tuple[tuple[str, str], ...] = ()
 
@@ -202,9 +196,6 @@ class ExperimentSpec:
     def dl_total_power_w(self, subcarriers: int) -> float:
         return self.dl_psd_mw_per_mhz * 1e-9 * subcarriers * self.subcarrier_spacing_hz
 
-    def effective_realizations(self) -> int:
-        return PAPER_SCALE_REALIZATIONS if self.paper_scale else self.realizations
-
     def scenario(self) -> ScenarioConfig:
         return ScenarioConfig(
             kind=self.scenario_kind,
@@ -220,8 +211,6 @@ class ExperimentSpec:
             delay_stretch=self.delay_stretch,
             los_pathloss_intercept_db=self.los_pathloss_intercept_db,
             los_pathloss_slope_db=self.los_pathloss_slope_db,
-            nlos_pathloss_intercept_db=self.nlos_pathloss_intercept_db,
-            nlos_pathloss_slope_db=self.nlos_pathloss_slope_db,
             normalized_gain=self.normalized_gain,
             r_min=self.r_min_m,
             r_max=self.r_max_m,
@@ -235,11 +224,9 @@ class ExperimentSpec:
         return OfdmGrid(subcarriers, self.subcarrier_spacing_hz)
 
     def pso_config(self) -> PsoConfig:
-        particles = PAPER_SCALE_PARTICLES if self.paper_scale else self.pso_particles
-        iterations = PAPER_SCALE_ITERATIONS if self.paper_scale else self.pso_iterations
         return PsoConfig(
-            particle_count=particles,
-            max_iterations=iterations,
+            particle_count=self.pso_particles,
+            max_iterations=self.pso_iterations,
             inertia=self.pso_inertia,
             cognitive=self.pso_cognitive,
             social=self.pso_social,
@@ -511,7 +498,7 @@ def _run_realization_star(args) -> RealizationOutput:
 def run_campaign(spec: ExperimentSpec, workers: int = 1) -> CampaignResult:
     """Run all realizations; results are identical for any worker count."""
     spec.validate()
-    indices = range(spec.effective_realizations())
+    indices = range(spec.realizations)
     if workers <= 1:
         outputs = [run_realization(spec, i) for i in indices]
     else:
@@ -587,58 +574,36 @@ def aggregate(rows: Sequence[ResultRow]) -> dict:
     return {"series": series}
 
 
-_RESULT_HEADER = (
-    "realization,array_scheme,rate_scheme,optimized_for,subcarriers,"
-    "evm,users,carrier_ghz,channel_seed,pso_seed,sum_rate"
-)
+_KEY_HEADER = "realization,array_scheme,rate_scheme,optimized_for,subcarriers,evm,users,carrier_ghz"
+
+
+def _key_fields(r: ResultRow) -> list[str]:
+    """The leading columns that identify a row in both result tables."""
+    return [
+        str(r.realization),
+        r.array_scheme,
+        r.rate_scheme,
+        r.optimized_for or "",
+        str(r.subcarriers),
+        repr(r.evm),
+        str(r.users),
+        repr(r.carrier_ghz),
+    ]
 
 
 def write_results_csv(rows: Sequence[ResultRow], path: str | Path) -> None:
-    lines = [_RESULT_HEADER]
+    lines = [_KEY_HEADER + ",channel_seed,pso_seed,sum_rate"]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.realization),
-                    r.array_scheme,
-                    r.rate_scheme,
-                    r.optimized_for or "",
-                    str(r.subcarriers),
-                    repr(r.evm),
-                    str(r.users),
-                    repr(r.carrier_ghz),
-                    str(r.channel_seed),
-                    "" if r.pso_seed is None else str(r.pso_seed),
-                    repr(r.sum_rate),
-                ]
-            )
-        )
+        pso_seed = "" if r.pso_seed is None else str(r.pso_seed)
+        lines.append(",".join(_key_fields(r) + [str(r.channel_seed), pso_seed, repr(r.sum_rate)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_user_rates_csv(rows: Sequence[ResultRow], path: str | Path) -> None:
-    lines = [
-        "realization,array_scheme,rate_scheme,optimized_for,subcarriers,"
-        "evm,users,carrier_ghz,user,rate"
-    ]
+    lines = [_KEY_HEADER + ",user,rate"]
     for r in rows:
-        for u, rate in enumerate(r.per_user_rates):
-            lines.append(
-                ",".join(
-                    [
-                        str(r.realization),
-                        r.array_scheme,
-                        r.rate_scheme,
-                        r.optimized_for or "",
-                        str(r.subcarriers),
-                        repr(r.evm),
-                        str(r.users),
-                        repr(r.carrier_ghz),
-                        str(u),
-                        repr(rate),
-                    ]
-                )
-            )
+        key = ",".join(_key_fields(r))
+        lines.extend(f"{key},{u},{rate!r}" for u, rate in enumerate(r.per_user_rates))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -95,8 +95,6 @@ class ScenarioConfig:
     delay_stretch: float = 10.0
     los_pathloss_intercept_db: float = 30.18
     los_pathloss_slope_db: float = 26.0
-    nlos_pathloss_intercept_db: float = 34.53
-    nlos_pathloss_slope_db: float = 38.0
     normalized_gain: float = 1e-9
     r_min: float = 100.0
     r_max: float = 300.0
@@ -160,29 +158,11 @@ class SubcarrierChannels:
         return self.matrices.shape[2]
 
 
-def path_loss(
-    distance_3d: float,
-    los: bool = True,
-    *,
-    normalized_gain: float | None = None,
-    los_intercept_db: float = 30.18,
-    los_slope_db: float = 26.0,
-    nlos_intercept_db: float = 34.53,
-    nlos_slope_db: float = 38.0,
-) -> float:
-    """Linear power gain of a log-distance path-loss law.
-
-    With `normalized_gain` set, the distance dependence is dropped and the
-    constant gain is returned (rich-scattering mode).
-    """
+def path_loss(distance_3d: float, intercept_db: float, slope_db: float) -> float:
+    """Linear power gain of the log-distance law intercept + slope * log10(d)."""
     if not distance_3d > 0:
         raise ValueError(f"distance must be positive, got {distance_3d}")
-    if normalized_gain is not None:
-        return float(normalized_gain)
-    if los:
-        pl_db = los_intercept_db + los_slope_db * math.log10(distance_3d)
-    else:
-        pl_db = nlos_intercept_db + nlos_slope_db * math.log10(distance_3d)
+    pl_db = intercept_db + slope_db * math.log10(distance_3d)
     return float(10.0 ** (-pl_db / 10.0))
 
 
@@ -216,7 +196,8 @@ def synthesize_paths(
 
     Direct-path scenarios produce one direct path plus clusters of scattered
     paths around it; rich scattering produces many small clusters covering all
-    angles. Scattered delays are uniform in (tau_direct, stretch*tau_direct]
+    angles. Both draw cluster centres, per-path angle offsets and delays in the
+    same order. Scattered delays are uniform in (tau_direct, stretch*tau_direct]
     and the total scattered power relative to the direct-path (or normalized)
     gain is set by the Rice factor.
     """
@@ -224,75 +205,47 @@ def synthesize_paths(
     distance = float(np.linalg.norm(pos))
     if not distance > 0:
         raise ValueError("user cannot sit at the array origin")
-    los_azimuth = math.atan2(pos[1], pos[0])
-    los_elevation = math.asin(pos[2] / distance)
     tau_los = distance / SPEED_OF_LIGHT
     rice_linear = 10.0 ** (-scenario.rice_factor_db / 10.0)
 
     if scenario.kind == LOS_DOMINANT:
-        n_clusters = scenario.cluster_count
-        per_cluster = scenario.paths_per_cluster
-        n_scatter = n_clusters * per_cluster
-        centers_az = los_azimuth + rng.uniform(
-            -scenario.cluster_azimuth_spread, scenario.cluster_azimuth_spread, size=n_clusters
+        n_clusters, per_cluster = scenario.cluster_count, scenario.paths_per_cluster
+        los_azimuth = math.atan2(pos[1], pos[0])
+        los_elevation = math.asin(pos[2] / distance)
+        center = (los_azimuth, los_elevation)
+        half_width = (scenario.cluster_azimuth_spread, scenario.cluster_elevation_spread)
+        gain = path_loss(
+            distance, scenario.los_pathloss_intercept_db, scenario.los_pathloss_slope_db
         )
-        centers_el = np.clip(
-            los_elevation
-            + rng.uniform(
-                -scenario.cluster_elevation_spread,
-                scenario.cluster_elevation_spread,
-                size=n_clusters,
-            ),
-            -np.pi / 2,
-            np.pi / 2,
-        )
-        spread = scenario.path_angle_spread
-        az = np.repeat(centers_az, per_cluster) + rng.uniform(-spread, spread, size=n_scatter)
-        el = np.clip(
-            np.repeat(centers_el, per_cluster) + rng.uniform(-spread, spread, size=n_scatter),
-            -np.pi / 2,
-            np.pi / 2,
-        )
-        delays = tau_los + (scenario.delay_stretch - 1.0) * tau_los * (
-            1.0 - rng.uniform(size=n_scatter)
-        )
-        los_gain = path_loss(
-            distance,
-            los=True,
-            los_intercept_db=scenario.los_pathloss_intercept_db,
-            los_slope_db=scenario.los_pathloss_slope_db,
-        )
-        scatter_amp = math.sqrt(los_gain * rice_linear / n_scatter)
-        amplitudes = np.concatenate(([math.sqrt(los_gain)], np.full(n_scatter, scatter_amp)))
-        azimuths = np.concatenate(([los_azimuth], _wrap_angle(az)))
-        elevations = np.concatenate(([los_elevation], el))
-        all_delays = np.concatenate(([tau_los], delays))
-    elif scenario.kind == RICH_SCATTERING:
-        n_clusters = scenario.rich_cluster_count
-        per_cluster = scenario.rich_paths_per_cluster
-        n_scatter = n_clusters * per_cluster
-        centers_az = rng.uniform(-np.pi, np.pi, size=n_clusters)
-        centers_el = rng.uniform(-np.pi / 2, np.pi / 2, size=n_clusters)
-        spread = scenario.path_angle_spread
-        az = np.repeat(centers_az, per_cluster) + rng.uniform(-spread, spread, size=n_scatter)
-        el = np.clip(
-            np.repeat(centers_el, per_cluster) + rng.uniform(-spread, spread, size=n_scatter),
-            -np.pi / 2,
-            np.pi / 2,
-        )
-        delays = tau_los + (scenario.delay_stretch - 1.0) * tau_los * (
-            1.0 - rng.uniform(size=n_scatter)
-        )
-        reference_gain = scenario.normalized_gain
-        scatter_amp = math.sqrt(reference_gain * rice_linear / n_scatter)
-        amplitudes = np.full(n_scatter, scatter_amp)
-        azimuths = _wrap_angle(az)
-        elevations = el
-        all_delays = delays
-    else:  # pragma: no cover - guarded by ScenarioConfig
-        raise ValueError(f"unknown scenario kind {scenario.kind!r}")
-
-    return UserPaths(amplitudes, all_delays, azimuths, elevations, pos)
+    else:
+        n_clusters, per_cluster = scenario.rich_cluster_count, scenario.rich_paths_per_cluster
+        center, half_width = (0.0, 0.0), (np.pi, np.pi / 2)
+        gain = scenario.normalized_gain
+    n_scatter = n_clusters * per_cluster
+    centers_az = center[0] + rng.uniform(-half_width[0], half_width[0], size=n_clusters)
+    centers_el = np.clip(
+        center[1] + rng.uniform(-half_width[1], half_width[1], size=n_clusters),
+        -np.pi / 2,
+        np.pi / 2,
+    )
+    spread = scenario.path_angle_spread
+    az = np.repeat(centers_az, per_cluster) + rng.uniform(-spread, spread, size=n_scatter)
+    el = np.clip(
+        np.repeat(centers_el, per_cluster) + rng.uniform(-spread, spread, size=n_scatter),
+        -np.pi / 2,
+        np.pi / 2,
+    )
+    delays = tau_los + (scenario.delay_stretch - 1.0) * tau_los * (
+        1.0 - rng.uniform(size=n_scatter)
+    )
+    amplitudes = np.full(n_scatter, math.sqrt(gain * rice_linear / n_scatter))
+    azimuths = _wrap_angle(az)
+    if scenario.kind == LOS_DOMINANT:
+        amplitudes = np.concatenate(([math.sqrt(gain)], amplitudes))
+        azimuths = np.concatenate(([los_azimuth], azimuths))
+        el = np.concatenate(([los_elevation], el))
+        delays = np.concatenate(([tau_los], delays))
+    return UserPaths(amplitudes, delays, azimuths, el, pos)
 
 
 def sync_and_tap_count(paths: Sequence[UserPaths], grid: OfdmGrid) -> tuple[float, int]:

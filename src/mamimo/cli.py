@@ -47,8 +47,8 @@ def _load_spec(args) -> "ExperimentSpec":
     return parse_config(getattr(args, "config", None), overrides)
 
 
-def _cmd_simulate(args) -> int:
-    spec = _load_spec(args)
+def _run_and_write(spec: "ExperimentSpec", args) -> int:
+    """Run the campaign of `spec` and write its manifest and outputs."""
     result = run_campaign(spec, workers=args.workers)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -59,19 +59,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _cmd_simulate(args) -> int:
+    return _run_and_write(_load_spec(args), args)
+
+
 def _cmd_sweep(args) -> int:
-    overrides = _parse_overrides(args.set or [])
-    values = yaml.safe_load("[" + args.values + "]")
-    overrides[args.axis] = values
-    spec = parse_config(args.config, overrides)
-    result = run_campaign(spec, workers=args.workers)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_manifest(spec, outdir / "manifest.yaml")
-    write_campaign_outputs(result, outdir)
-    if args.verbose:
-        print(f"swept {args.axis} over {values}: {len(result.rows)} rows in {outdir}")
-    return 0
+    overrides = _parse_overrides(args.set)
+    overrides[args.axis] = yaml.safe_load("[" + args.values + "]")
+    return _run_and_write(parse_config(args.config, overrides), args)
 
 
 def _cmd_optimize(args) -> int:

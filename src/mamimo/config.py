@@ -7,7 +7,6 @@ resolved config, so parsing a manifest reproduces the spec exactly.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -29,12 +28,6 @@ def _float(v: Any) -> float:
 def _int(v: Any) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"expected an integer, got {v!r}")
-    return v
-
-
-def _bool(v: Any) -> bool:
-    if not isinstance(v, bool):
-        raise ConfigError(f"expected a boolean, got {v!r}")
     return v
 
 
@@ -101,8 +94,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "delay_stretch": ("delay_stretch", _float),
         "los_pathloss_intercept_db": ("los_pathloss_intercept_db", _float),
         "los_pathloss_slope_db": ("los_pathloss_slope_db", _float),
-        "nlos_pathloss_intercept_db": ("nlos_pathloss_intercept_db", _float),
-        "nlos_pathloss_slope_db": ("nlos_pathloss_slope_db", _float),
         "normalized_gain": ("normalized_gain", _float),
     },
     "grid": {
@@ -136,20 +127,10 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "realizations": ("realizations", _int),
         "user_counts": ("user_counts", _int_tuple),
         "master_seed": ("master_seed", _int),
-        "paper_scale": ("paper_scale", _bool),
         "fdd_eval_carriers_ghz": ("fdd_eval_carriers_ghz", _float_tuple),
         "cross_pairs": ("cross_pairs", _pair_tuple),
     },
 }
-
-# Config-file defaults follow the headline simulation parameters (150-particle
-# swarm, 100 iterations); the dataclass defaults stay desk-scale for tests.
-_FILE_DEFAULTS = {"pso_particles": 150, "pso_iterations": 100}
-
-
-def default_file_spec() -> ExperimentSpec:
-    return replace(ExperimentSpec(), **_FILE_DEFAULTS)
-
 
 def apply_overrides(data: dict, overrides: dict[str, Any]) -> dict:
     """Apply dotted `section.key` overrides onto a raw config mapping."""
@@ -193,7 +174,7 @@ def parse_config_dict(data: dict | None) -> ExperimentSpec:
                 raise ConfigError(f"{section}.{key}: {exc}") from None
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    spec = replace(default_file_spec(), **fields)
+    spec = ExperimentSpec(**fields)
     try:
         spec.validate()
     except ValueError as exc:

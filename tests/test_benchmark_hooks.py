@@ -50,9 +50,12 @@ def test_checker_accepts_a_workload_campaign(tmp_path, monkeypatch):
     monkeypatch.delitem(sys.modules, "checks", raising=False)
     import checks
 
-    config = PERFBENCH / "workloads" / "swarm-narrow.yaml"
-    out = tmp_path / "out"
-    argv = ["simulate", "-c", str(config), "--set", "campaign.master_seed=1", "-o", str(out)]
-    assert mamimo.cli.main(argv) == 0
-    check = checks.CampaignCheck(config, checks.load_reference("swarm-narrow", config), 1)
-    assert check.failed_rows(out) == 0, check.errors
+    # swarm-narrow covers los-dominant draws, FDD and a cross pair;
+    # swarm-wideband-dpc the dl-dpc rows; eval-sweep the rich-scattering draws.
+    for workload in ("swarm-narrow", "swarm-wideband-dpc", "eval-sweep"):
+        config = PERFBENCH / "workloads" / f"{workload}.yaml"
+        out = tmp_path / workload
+        argv = ["simulate", "-c", str(config), "--set", "campaign.master_seed=1", "-o", str(out)]
+        assert mamimo.cli.main(argv) == 0
+        check = checks.CampaignCheck(config, checks.load_reference(workload, config), 1)
+        assert check.failed_rows(out) == 0, (workload, check.errors)

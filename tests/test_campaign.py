@@ -3,8 +3,10 @@ import pytest
 
 import mamimo.campaign
 from mamimo.campaign import (
+    STAGGERED_URA,
     ExperimentSpec,
     aggregate,
+    build_fixed_layouts,
     derive_seed,
     draw_realization,
     empirical_cdf,
@@ -25,7 +27,7 @@ from mamimo.rates import (
     ul_sic_sum_rate,
     zero_interference_bound,
 )
-from mamimo.config import parse_config_dict
+from mamimo.config import parse_config_dict, spec_to_config_dict
 
 
 def tiny_spec(**overrides):
@@ -410,12 +412,30 @@ class TestCampaign:
         with pytest.raises(ValueError):
             tiny_spec(evms=(1.0,)).validate()
 
-    def test_paper_scale_flag(self):
-        spec = tiny_spec(paper_scale=True)
-        assert spec.effective_realizations() == 100
-        pso = spec.pso_config()
-        assert pso.particle_count == 150
-        assert pso.max_iterations == 100
+    def test_file_and_programmatic_defaults_agree(self):
+        assert parse_config_dict({}) == ExperimentSpec()
+
+    def test_every_scenario_key_reaches_the_channels(self):
+        # Bump each scenario key in turn; the staggered URA's channels must
+        # change under at least one scenario kind, or the key reaches nothing.
+        defaults = spec_to_config_dict(ExperimentSpec())["scenario"]
+
+        def channels(kind, overrides):
+            spec = parse_config_dict({"scenario": {"kind": kind, **overrides}})
+            realization = draw_realization(spec, 0, 3)
+            layout = build_fixed_layouts(spec)[STAGGERED_URA]
+            return subcarrier_channels(realization.paths, layout, spec.grid(4)).matrices
+
+        kinds = ("los-dominant", "rich-scattering")
+        reference = {kind: channels(kind, {}) for kind in kinds}
+        unused = []
+        for key, default in defaults.items():
+            if key == "kind":
+                continue
+            bumped = default + 1 if isinstance(default, int) else default * 1.1
+            if all(np.array_equal(reference[k], channels(k, {key: bumped})) for k in kinds):
+                unused.append(key)
+        assert unused == [], f"scenario keys that leave the channels unchanged: {unused}"
 
     def test_table_defaults_via_config(self):
         spec = parse_config_dict({})

@@ -393,21 +393,17 @@ class TestChannelModel:
 
 class TestPathLoss:
     def test_direct_at_one_meter(self):
-        assert path_loss(1.0, los=True) == pytest.approx(10 ** (-3.018), rel=1e-12)
+        assert path_loss(1.0, 30.18, 26.0) == pytest.approx(10 ** (-3.018), rel=1e-12)
 
     def test_nlos_slope(self):
-        ratio = path_loss(240.0, los=False) / path_loss(120.0, los=False)
+        ratio = path_loss(240.0, 34.53, 38.0) / path_loss(120.0, 34.53, 38.0)
         assert 10 * np.log10(ratio) == pytest.approx(-38 * np.log10(2), rel=1e-9)
-
-    def test_normalized_mode_ignores_distance(self):
-        assert path_loss(10.0, normalized_gain=5e-10) == 5e-10
-        assert path_loss(250.0, normalized_gain=5e-10) == 5e-10
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
-            path_loss(0.0)
+            path_loss(0.0, 30.18, 26.0)
         with pytest.raises(ValueError):
-            path_loss(-3.0, los=False)
+            path_loss(-3.0, 34.53, 38.0)
 
 
 class TestPathSerialization:

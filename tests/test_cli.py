@@ -45,10 +45,26 @@ class TestParseConfig:
 
     def test_unknown_keys_listed(self):
         with pytest.raises(ConfigError) as err:
-            parse_config_dict({"scenario": {"frobnicate": 1}, "turbo": {"x": 2}})
+            parse_config_dict(
+                {
+                    "scenario": {
+                        "frobnicate": 1,
+                        "nlos_pathloss_intercept_db": 34.53,
+                        "nlos_pathloss_slope_db": 38.0,
+                    },
+                    "campaign": {"paper_scale": True},
+                    "turbo": {"x": 2},
+                }
+            )
         message = str(err.value)
-        assert "scenario.frobnicate" in message
-        assert "turbo" in message
+        for name in (
+            "scenario.frobnicate",
+            "scenario.nlos_pathloss_intercept_db",
+            "scenario.nlos_pathloss_slope_db",
+            "campaign.paper_scale",
+            "turbo",
+        ):
+            assert name in message
 
     def test_out_of_range_names_constraint(self):
         with pytest.raises(ConfigError, match="noise_pw"):
@@ -65,8 +81,8 @@ class TestParseConfig:
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="grid.subcarrier_counts"):
             parse_config_dict({"grid": {"subcarrier_counts": 7}})
-        with pytest.raises(ConfigError, match="campaign.paper_scale"):
-            parse_config_dict({"campaign": {"paper_scale": "yes please"}})
+        with pytest.raises(ConfigError, match="rates.optimize_scheme"):
+            parse_config_dict({"rates": {"optimize_scheme": 3}})
 
     def test_round_trip_identity(self):
         spec = parse_config_dict(
