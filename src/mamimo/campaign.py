@@ -167,6 +167,9 @@ class ExperimentSpec:
         for key in ("inertia", "cognitive", "social", "velocity_clamp", "penalty_weight"):
             if not getattr(self, f"pso_{key}") >= 0:
                 raise ValueError(f"pso.{key} must be >= 0")
+        for key in ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"scenario.{key} must be >= 1")
         if not all(f > 0 for f in self.fdd_eval_carriers_ghz):
             raise ValueError("campaign.fdd_eval_carriers_ghz entries must be > 0")
         self.scenario()  # validates the remaining scenario fields

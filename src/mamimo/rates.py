@@ -388,26 +388,36 @@ def dl_dpc_sum_rate(
     `config.total_power`, using projected gradient ascent with backtracking
     from the uniform allocation. The uniform allocation is feasible, so the
     result never falls below it.
+
+    The ascent works on the (S, K, K) Gram matrices G = H^H H, formed once:
+    the objective scales G by sqrt(d) on both sides, and by the push-through
+    identity H^H (sigma^2 I + H D H^H)^-1 H = (sigma^2 I + G D)^-1 G the
+    gradient is the diagonal of K x K solves. The antenna count M enters
+    only through that one Gram product.
     """
     if config.total_power is None:
         raise ValueError("config.total_power must be set for downlink schemes")
     total_power = config.total_power
     h = channels.matrices
-    s, m, k = h.shape
+    s, _, k = h.shape
     sigma2 = config.noise_variance
     resid = 1.0 - config.kappa
-    eye_m = np.eye(m)
+    eye_k = np.eye(k)
+    gram = np.einsum("smk,smj->skj", h.conj(), h)
+
+    def scaled(d: np.ndarray) -> np.ndarray:
+        amplitude = np.sqrt(d)
+        return gram * (amplitude[:, :, None] * amplitude[:, None, :])
 
     def objective(d: np.ndarray) -> float:
-        return float(_sic_gap(_gram(h, d), config.kappa, sigma2).mean())
+        return float(_sic_gap(scaled(d), config.kappa, sigma2).mean())
 
     def gradient(d: np.ndarray) -> np.ndarray:
-        cov = np.einsum("smk,snk,sk->smn", h, h.conj(), d)
-        x = np.linalg.solve(sigma2 * eye_m + cov, h)
-        g = np.einsum("smk,smk->sk", h.conj(), x).real
+        gd = gram * d[:, None, :]
+        g = np.diagonal(np.linalg.solve(sigma2 * eye_k + gd, gram), axis1=1, axis2=2).real
         if resid > 0.0:
-            y = np.linalg.solve(sigma2 * eye_m + resid * cov, h)
-            g = g - resid * np.einsum("smk,smk->sk", h.conj(), y).real
+            y = np.linalg.solve(sigma2 * eye_k + resid * gd, gram)
+            g = g - resid * np.diagonal(y, axis1=1, axis2=2).real
         return g / (s * _LN2)
 
     d = np.full((s, k), total_power / (s * k))
@@ -431,9 +441,9 @@ def dl_dpc_sum_rate(
         if gain < _DPC_REL_TOL * max(abs(value), 1.0):
             break
 
-    gram = _gram(h, d)
-    per_user = _sic_user_rates(gram, config.kappa, sigma2, None) if include_user_rates else None
-    return _report(DL_DPC, per_user, _sic_gap(gram, config.kappa, sigma2))
+    best = scaled(d)
+    per_user = _sic_user_rates(best, config.kappa, sigma2, None) if include_user_rates else None
+    return _report(DL_DPC, per_user, _sic_gap(best, config.kappa, sigma2))
 
 
 def zero_interference_bound(

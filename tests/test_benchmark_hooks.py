@@ -22,6 +22,7 @@ TINY = {
     "pso": {"particles": 3, "iterations": 1},
     "rates": {"schemes": ["ul-sic", "ul-lin"], "optimize_scheme": "ul-sic"},
 }
+TINY_DPC = {**TINY, "rates": {"schemes": ["dl-dpc", "dl-lin"], "optimize_scheme": "dl-dpc"}}
 
 
 def test_traced_campaign_records_every_hooked_layer(tmp_path, monkeypatch):
@@ -29,20 +30,28 @@ def test_traced_campaign_records_every_hooked_layer(tmp_path, monkeypatch):
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     import tracing
 
-    config = tmp_path / "tiny.yaml"
-    config.write_text(yaml.safe_dump(TINY))
-    tracer = tracing.Tracer()
-    argv = ["simulate", "-c", str(config), "-o", str(tmp_path / "out")]
-    assert tracer.run(mamimo.cli.main, argv) == 0
-    calls, _, _ = tracer.totals()
-    for name in (
-        "rates.ul-sic.objective",
-        "rates.ul-lin.report",
-        "campaign.zero_interference_bound",
-        "channels.subcarrier_channels",
-        "pso.objective",
-    ):
-        assert calls.get(name, 0) > 0, name
+    runs = (
+        (
+            TINY,
+            (
+                "rates.ul-sic.objective",
+                "rates.ul-lin.report",
+                "campaign.zero_interference_bound",
+                "channels.subcarrier_channels",
+                "pso.objective",
+            ),
+        ),
+        (TINY_DPC, ("rates.dl-dpc.objective", "rates.dl-dpc.report", "rates.dl-lin.report")),
+    )
+    for i, (spec, names) in enumerate(runs):
+        config = tmp_path / f"tiny{i}.yaml"
+        config.write_text(yaml.safe_dump(spec))
+        tracer = tracing.Tracer()
+        argv = ["simulate", "-c", str(config), "-o", str(tmp_path / f"out{i}")]
+        assert tracer.run(mamimo.cli.main, argv) == 0
+        calls, _, _ = tracer.totals()
+        for name in names:
+            assert calls.get(name, 0) > 0, name
 
 
 def test_checker_accepts_a_workload_campaign(tmp_path, monkeypatch):

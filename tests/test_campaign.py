@@ -415,6 +415,10 @@ class TestCampaign:
     def test_file_and_programmatic_defaults_agree(self):
         assert parse_config_dict({}) == ExperimentSpec()
 
+    def test_scenario_defaults_agree(self):
+        # ScenarioConfig keeps its own copy of every scenario default.
+        assert ScenarioConfig() == ExperimentSpec().scenario()
+
     def test_every_scenario_key_reaches_the_channels(self):
         # Bump each scenario key in turn; the staggered URA's channels must
         # change under at least one scenario kind, or the key reaches nothing.

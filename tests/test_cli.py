@@ -14,6 +14,7 @@ from mamimo.campaign import ExperimentSpec
 from mamimo.geometry import load_layout
 
 PSO_COEFFICIENTS = ("inertia", "cognitive", "social", "velocity_clamp", "penalty_weight")
+SCENARIO_COUNTS = ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster")
 
 TINY = {
     "arrays": {"m_rows": 2, "m_cols": 2},
@@ -77,6 +78,10 @@ class TestParseConfig:
         for key in PSO_COEFFICIENTS:
             with pytest.raises(ConfigError, match=f"pso.{key}"):
                 parse_config_dict({"pso": {key: -0.5}})
+        for key in SCENARIO_COUNTS:
+            for count in (0, -1):
+                with pytest.raises(ConfigError, match=f"scenario.{key}"):
+                    parse_config_dict({"scenario": {key: count}})
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="grid.subcarrier_counts"):
@@ -126,7 +131,8 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "override",
         ["campaign.fdd_eval_carriers_ghz=[-3.5]", "campaign.fdd_eval_carriers_ghz=[0.0]"]
-        + [f"pso.{key}=-0.5" for key in PSO_COEFFICIENTS],
+        + [f"pso.{key}=-0.5" for key in PSO_COEFFICIENTS]
+        + [f"scenario.{key}=0" for key in SCENARIO_COUNTS],
     )
     def test_validate_config_rejects_out_of_range(self, override, capsys):
         assert main(["validate-config", "--set", override]) == 1

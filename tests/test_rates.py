@@ -21,6 +21,7 @@ from mamimo.rates import (
     ul_sic_per_user_rates,
     ul_sic_sum_rate,
 )
+from mamimo.rates import _DPC_MAX_ITERATIONS, _DPC_REL_TOL, _LN2, _gram, _project_budget, _sic_gap
 
 
 def random_channels(rng, subcarriers, antennas, users):
@@ -43,6 +44,55 @@ def sic_eigenvalue_oracle(channels, config):
             - np.log2(1.0 + resid * eig / config.noise_variance)
         )
     return total / channels.subcarrier_count
+
+
+def mm_dpc_oracle(channels, config):
+    """DPC sum rate by the same ascent in M x M covariance form.
+
+    The gradient solves with sigma^2 I + H D H^H, the form `dl_dpc_sum_rate`
+    replaces by K x K Gram solves.
+    """
+    total_power = config.total_power
+    h = channels.matrices
+    s, m, k = h.shape
+    sigma2 = config.noise_variance
+    resid = 1.0 - config.kappa
+    eye_m = np.eye(m)
+
+    def objective(d: np.ndarray) -> float:
+        return float(_sic_gap(_gram(h, d), config.kappa, sigma2).mean())
+
+    def gradient(d: np.ndarray) -> np.ndarray:
+        cov = np.einsum("smk,snk,sk->smn", h, h.conj(), d)
+        x = np.linalg.solve(sigma2 * eye_m + cov, h)
+        g = np.einsum("smk,smk->sk", h.conj(), x).real
+        if resid > 0.0:
+            y = np.linalg.solve(sigma2 * eye_m + resid * cov, h)
+            g = g - resid * np.einsum("smk,smk->sk", h.conj(), y).real
+        return g / (s * _LN2)
+
+    d = np.full((s, k), total_power / (s * k))
+    value = objective(d)
+    step = total_power
+    for _ in range(_DPC_MAX_ITERATIONS):
+        grad = gradient(d)
+        improved = False
+        while step > 1e-14 * total_power:
+            candidate = _project_budget(d + step * grad, total_power)
+            candidate_value = objective(candidate)
+            if candidate_value > value:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        gain = candidate_value - value
+        d, value = candidate, candidate_value
+        step *= 2.0
+        if gain < _DPC_REL_TOL * max(abs(value), 1.0):
+            break
+
+    return float(_sic_gap(_gram(h, d), config.kappa, sigma2).mean())
 
 
 class TestConfig:
@@ -489,6 +539,34 @@ class TestDpc:
             lin = dl_linear_sum_rate(channels, duality_precoders(channels, cfg), cfg).sum_rate
             dpc = dl_dpc_sum_rate(channels, cfg).sum_rate
             assert dpc >= lin - 1e-10
+
+    @pytest.mark.parametrize("users", [4, 16, 20])
+    @pytest.mark.parametrize("subcarriers", [1, 8])
+    def test_matches_covariance_form_oracle(self, users, subcarriers):
+        # 16 antennas: fewer, as many and more users than antennas. The two
+        # ascents may stop on different passes, hence the stop tolerance.
+        rng = np.random.default_rng(100 * users + subcarriers)
+        channels = random_channels(rng, subcarriers, 16, users)
+        total = float(users * subcarriers)
+        for evm in (0.0, 0.02, 0.3):
+            for noise in (1e-6, 1e-3, 1.0, 1e2):
+                cfg = ImpairedLinkConfig.uniform(users, subcarriers, 1.0, evm, noise, total_power=total)
+                expected = mm_dpc_oracle(channels, cfg)
+                value = dl_dpc_sum_rate(channels, cfg).sum_rate
+                assert value == pytest.approx(expected, rel=_DPC_REL_TOL), (evm, noise)
+
+    def test_more_users_than_antennas(self):
+        rng = np.random.default_rng(29)
+        s, m, k, evm = 8, 16, 20, 0.02
+        channels = random_channels(rng, s, m, k)
+        total = float(s * k)
+        cfg = ImpairedLinkConfig.uniform(k, s, 1.0, evm, 1.0, total_power=total)
+        report = dl_dpc_sum_rate(channels, cfg)
+        assert report.per_user_rates.sum() == pytest.approx(report.sum_rate, rel=0, abs=1e-12)
+        uniform_cfg = ImpairedLinkConfig.uniform(k, s, total / (s * k), evm, 1.0)
+        assert report.sum_rate >= ul_sic_sum_rate(channels, uniform_cfg).sum_rate - 1e-12
+        lin = dl_linear_sum_rate(channels, duality_precoders(channels, cfg), cfg).sum_rate
+        assert report.sum_rate >= lin - 1e-10
 
     def test_rejects_nonpositive_budget(self):
         rng = np.random.default_rng(27)
