@@ -16,14 +16,11 @@ from .channels import (
     OfdmGrid,
     ScenarioConfig,
     SubcarrierChannels,
-    TapChannel,
     UserPaths,
-    build_tap_channel,
     path_loss,
     pulse_triangle,
     sample_user_positions,
     subcarrier_channels,
-    subcarriers_from_taps,
     sync_and_tap_count,
     synthesize_paths,
 )
@@ -55,20 +52,14 @@ from .pso import (
 from .rates import (
     RATE_SCHEMES,
     ImpairedLinkConfig,
-    PrecoderSet,
     RateReport,
-    disturbance_covariance,
     dl_dpc_sum_rate,
-    dl_linear_sinr,
     dl_linear_sum_rate,
     duality_precoders,
     evaluate_rate_scheme,
     high_snr_ceiling,
     logdet_hpd,
-    mmse_combiner,
-    ul_linear_sinr,
     ul_linear_sum_rate,
-    ul_sic_per_user_rates,
     ul_sic_sum_rate,
     zero_interference_bound,
 )

@@ -154,6 +154,16 @@ class ExperimentSpec:
                 raise ValueError(f"rates.{key} must be > 0")
         if not (0 < self.r_min_m < self.r_max_m):
             raise ValueError("scenario user radii must satisfy 0 < r_min_m < r_max_m")
+        if not self.azimuth_min_rad <= self.azimuth_max_rad:
+            raise ValueError("scenario.azimuth_min_rad must be <= scenario.azimuth_max_rad")
+        for key in ("carrier_ghz", "normalized_gain"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"scenario.{key} must be > 0")
+        if not self.delay_stretch >= 1:
+            raise ValueError("scenario.delay_stretch must be >= 1")
+        for key in ("cluster_azimuth_spread_deg", "cluster_elevation_spread_deg", "path_angle_spread_deg"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"scenario.{key} must be >= 0")
         if self.m_rows < 1 or self.m_cols < 1:
             raise ValueError("arrays.m_rows and arrays.m_cols must be >= 1")
         if not self.region_side_wavelengths > 0:
@@ -172,7 +182,7 @@ class ExperimentSpec:
                 raise ValueError(f"scenario.{key} must be >= 1")
         if not all(f > 0 for f in self.fdd_eval_carriers_ghz):
             raise ValueError("campaign.fdd_eval_carriers_ghz entries must be > 0")
-        self.scenario()  # validates the remaining scenario fields
+        self.scenario()  # validates scenario.kind
 
     # --- derived SI quantities -------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 Users are dropped in a polar sector on the ground, each user gets a set of
 far-field paths (a direct path plus scattering clusters, or pure rich
-scattering), and the paths are turned into discrete-time taps and
-per-subcarrier frequency-domain channel matrices.
+scattering), and the paths are turned into per-subcarrier frequency-domain
+channel matrices.
 """
 from __future__ import annotations
 
@@ -13,7 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, ArrayLayout, array_response, wave_vector
+# array_response stays a module global although nothing here calls it:
+# perfbench/tracing.py wraps `mamimo.channels.array_response`.
+from .geometry import SPEED_OF_LIGHT, ArrayLayout, array_response, wave_vector  # noqa: F401
 
 LOS_DOMINANT = "los-dominant"
 RICH_SCATTERING = "rich-scattering"
@@ -79,29 +81,30 @@ class ScenarioConfig:
 
     Angles are radians and distances meters; `normalized_gain` replaces the
     log-distance path loss in the rich-scattering mode so that receive SNRs
-    stay comparable to the direct-path scenario.
+    stay comparable to the direct-path scenario. `ExperimentSpec.scenario()`
+    builds one from the config keys and holds the defaults.
     """
 
-    kind: str = LOS_DOMINANT
-    carrier_hz: float = 3e9
-    rice_factor_db: float = 10.0
-    cluster_count: int = 6
-    paths_per_cluster: int = 20
-    cluster_azimuth_spread: float = math.radians(40.0)
-    cluster_elevation_spread: float = math.radians(20.0)
-    path_angle_spread: float = math.radians(5.0)
-    rich_cluster_count: int = 100
-    rich_paths_per_cluster: int = 2
-    delay_stretch: float = 10.0
-    los_pathloss_intercept_db: float = 30.18
-    los_pathloss_slope_db: float = 26.0
-    normalized_gain: float = 1e-9
-    r_min: float = 100.0
-    r_max: float = 300.0
-    azimuth_min: float = -math.pi / 3.0
-    azimuth_max: float = math.pi / 3.0
-    bs_height: float = 4.0
-    user_height: float = 1.25
+    kind: str
+    carrier_hz: float
+    rice_factor_db: float
+    cluster_count: int
+    paths_per_cluster: int
+    cluster_azimuth_spread: float
+    cluster_elevation_spread: float
+    path_angle_spread: float
+    rich_cluster_count: int
+    rich_paths_per_cluster: int
+    delay_stretch: float
+    los_pathloss_intercept_db: float
+    los_pathloss_slope_db: float
+    normalized_gain: float
+    r_min: float
+    r_max: float
+    azimuth_min: float
+    azimuth_max: float
+    bs_height: float
+    user_height: float
 
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
@@ -116,23 +119,6 @@ class ScenarioConfig:
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
-
-
-@dataclass(frozen=True, eq=False)
-class TapChannel:
-    """Discrete-time FIR representation of all users' channels.
-
-    `taps[k, l]` is the M-vector of user k at tap l; the receiver is
-    synchronized to the fastest path via `sync_offset`.
-    """
-
-    taps: np.ndarray  # (K, T+1, M) complex
-    sync_offset: float  # seconds
-    tap_count: int  # T
-
-    def __post_init__(self) -> None:
-        if self.taps.ndim != 3 or self.taps.shape[1] != self.tap_count + 1:
-            raise ValueError("taps must have shape (K, T+1, M)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,33 +249,10 @@ def _carrier_phase(delays: np.ndarray, eta: float, wavelength: float) -> np.ndar
     return np.exp(-2j * np.pi * SPEED_OF_LIGHT * (delays - eta) / wavelength)
 
 
-def build_tap_channel(
-    paths: Sequence[UserPaths], layout: ArrayLayout, grid: OfdmGrid
-) -> TapChannel:
-    """Materialize the per-user FIR taps h_k[l] = sum_n b_{k,n}[l] a(angles_n)."""
-    eta, n_taps = sync_and_tap_count(paths, grid)
-    ells = np.arange(n_taps + 1)
-    taps = np.empty((len(paths), n_taps + 1, layout.antenna_count), dtype=complex)
-    for k, user in enumerate(paths):
-        a = array_response(layout, user.azimuths, user.elevations)  # (M, N)
-        x = grid.subcarrier_count * grid.subcarrier_spacing * (user.delays - eta)
-        weights = user.amplitudes * _carrier_phase(user.delays, eta, layout.wavelength)
-        b = weights[:, None] * pulse_triangle(ells[None, :] - x[:, None])  # (N, T+1)
-        taps[k] = (a @ b).T
-    return TapChannel(taps, eta, n_taps)
-
-
 def _dft_matrix(n_taps: int, subcarriers: int) -> np.ndarray:
     ells = np.arange(n_taps + 1)
     nus = np.arange(subcarriers)
     return np.exp(-2j * np.pi * np.outer(ells, nus) / subcarriers)  # (T+1, S)
-
-
-def subcarriers_from_taps(tap_channel: TapChannel, grid: OfdmGrid) -> SubcarrierChannels:
-    """Frequency-domain channels obtained by transforming materialized taps."""
-    dft = _dft_matrix(tap_channel.tap_count, grid.subcarrier_count)
-    matrices = np.einsum("klm,ls->smk", tap_channel.taps, dft)
-    return SubcarrierChannels(np.ascontiguousarray(matrices))
 
 
 class ChannelModel:

@@ -89,43 +89,24 @@ class ImpairedLinkConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class PrecoderSet:
-    """Downlink precoding vectors, one M-vector per user and subcarrier."""
-
-    vectors: np.ndarray  # (S, M, K)
-
-    def __post_init__(self) -> None:
-        if self.vectors.ndim != 3:
-            raise ValueError("precoders must have shape (S, M, K)")
-
-    @property
-    def total_power_used(self) -> float:
-        return float(np.sum(np.abs(self.vectors) ** 2))
-
-
-@dataclass(frozen=True, eq=False)
 class RateReport:
     """Rates of one scheme on one channel instance.
 
     `sum_rate` is the mean over subcarriers of the per-subcarrier user sums.
     For the SIC and DPC schemes the per-user split uses the ascending decode
     order and sums to `sum_rate` up to rounding. Reports produced on a hot
-    path may omit the per-user breakdowns. Non-finite rates are rejected.
+    path may omit `per_user_rates`. Non-finite rates are rejected.
     """
 
     scheme: str
     sum_rate: float
     per_user_rates: np.ndarray | None  # (K,)
-    per_subcarrier_rates: np.ndarray  # (S,)
-    per_user_per_subcarrier: np.ndarray | None = None  # (S, K)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.sum_rate):
             raise ValueError(f"{self.scheme} sum_rate is not finite")
-        for name in ("per_user_rates", "per_subcarrier_rates", "per_user_per_subcarrier"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value).all():
-                raise ValueError(f"{self.scheme} {name} is not finite")
+        if self.per_user_rates is not None and not np.isfinite(self.per_user_rates).all():
+            raise ValueError(f"{self.scheme} per_user_rates is not finite")
 
 
 def _report(
@@ -139,8 +120,6 @@ def _report(
         scheme=scheme,
         sum_rate=float(per_subcarrier.mean()),
         per_user_rates=None if rates is None else rates.mean(axis=0),
-        per_subcarrier_rates=per_subcarrier,
-        per_user_per_subcarrier=rates,
     )
 
 
@@ -200,49 +179,6 @@ def _sic_user_rates(
     return rates
 
 
-def disturbance_covariance(
-    h: np.ndarray, powers: np.ndarray, kappa: float, noise_variance: float, k: int
-) -> np.ndarray:
-    """Covariance of everything user k's combiner must suppress on one subcarrier.
-
-    Other users' full signals, the distortion of user k itself, and thermal
-    noise: sum_{i != k} p_i h_i h_i^H + (1-kappa) p_k h_k h_k^H + sigma^2 I.
-    """
-    m = h.shape[0]
-    scaled = h * np.sqrt(np.asarray(powers, dtype=float))
-    others = scaled.copy()
-    others[:, k] = 0.0
-    q = others @ others.conj().T
-    if kappa < 1.0:
-        hk = scaled[:, k]
-        q = q + (1.0 - kappa) * np.outer(hk, hk.conj())
-    return q + noise_variance * np.eye(m)
-
-
-def mmse_combiner(
-    h: np.ndarray, powers: np.ndarray, kappa: float, noise_variance: float, k: int
-) -> np.ndarray:
-    """SINR-optimal receive combiner for user k (any rescaling is equivalent)."""
-    q = disturbance_covariance(h, powers, kappa, noise_variance, k)
-    return np.linalg.solve(q, h[:, k])
-
-
-def ul_linear_sinr(
-    w: np.ndarray, h: np.ndarray, powers: np.ndarray, kappa: float, noise_variance: float, k: int
-) -> float:
-    """Uplink SINR of combiner w for user k on one subcarrier."""
-    w = np.asarray(w)
-    wnorm2 = float(np.real(w.conj() @ w))
-    if wnorm2 == 0.0:
-        raise ValueError("combiner must be nonzero")
-    powers = np.asarray(powers, dtype=float)
-    cross = np.abs(w.conj() @ h) ** 2 * powers
-    own = float(cross[k])
-    interference = float(cross.sum()) - own
-    denom = interference + (1.0 - kappa) * own + noise_variance * wnorm2
-    return kappa * own / denom
-
-
 def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) -> np.ndarray:
     """MMSE-combining SINRs for all users and subcarriers at once, shape (S, K).
 
@@ -285,21 +221,6 @@ def ul_sic_sum_rate(
     return _report(UL_SIC, per_user, _sic_gap(gram, config.kappa, config.noise_variance))
 
 
-def ul_sic_per_user_rates(
-    channels: SubcarrierChannels,
-    config: ImpairedLinkConfig,
-    decode_order: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Per-user SIC rates for a given decode order, averaged over subcarriers.
-
-    Users decoded later see less residual data interference; distortion noise
-    of every user remains because it is uncorrelated with the decoded data.
-    For any decode order and EVM the user rates sum to the SIC sum rate.
-    """
-    gram = _gram(channels.matrices, config.powers)
-    return _sic_user_rates(gram, config.kappa, config.noise_variance, decode_order).mean(axis=0)
-
-
 def high_snr_ceiling(user_count: int, evm: float) -> float:
     """Sum-rate ceiling K*log2(1/EVM^2) reached as transmit power grows."""
     if not (0.0 < evm < 1.0):
@@ -307,28 +228,13 @@ def high_snr_ceiling(user_count: int, evm: float) -> float:
     return user_count * float(np.log2(1.0 / evm**2))
 
 
-def dl_linear_sinr(
-    precoders: np.ndarray, h: np.ndarray, k: int, kappa: float, noise_variance: float
-) -> float:
-    """Downlink SINR of user k for one subcarrier's precoding matrix (M, K)."""
-    gains = np.abs(h[:, k].conj() @ precoders) ** 2  # (K,)
-    own = float(gains[k])
-    interference = float(gains.sum()) - own
-    return kappa * own / (interference + (1.0 - kappa) * own + noise_variance)
-
-
 def dl_linear_sum_rate(
-    channels: SubcarrierChannels, precoders: PrecoderSet, config: ImpairedLinkConfig
+    channels: SubcarrierChannels, config: ImpairedLinkConfig
 ) -> RateReport:
-    """Downlink sum rate with linear precoding under the total power budget."""
-    if config.total_power is not None:
-        used = precoders.total_power_used
-        if used > config.total_power * (1.0 + 1e-9):
-            raise ValueError(
-                f"precoders use {used} W, exceeding the budget {config.total_power} W"
-            )
+    """Downlink sum rate with the uplink/downlink duality precoders."""
     h = channels.matrices
-    gains = np.abs(np.einsum("smk,smi->ski", h.conj(), precoders.vectors)) ** 2  # (S, K, K)
+    precoders = duality_precoders(channels, config)
+    gains = np.abs(np.einsum("smk,smi->ski", h.conj(), precoders)) ** 2  # (S, K, K)
     own = np.diagonal(gains, axis1=1, axis2=2)  # (S, K)
     interference = gains.sum(axis=2) - own
     sinr = config.kappa * own / (interference + (1.0 - config.kappa) * own + config.noise_variance)
@@ -338,8 +244,8 @@ def dl_linear_sum_rate(
 def duality_precoders(
     channels: SubcarrierChannels,
     config: ImpairedLinkConfig,
-) -> PrecoderSet:
-    """Downlink precoders pointing along the uplink MMSE combining directions.
+) -> np.ndarray:
+    """Downlink precoders pointing along the uplink MMSE combining directions, (S, M, K).
 
     User k's MMSE direction Q_k^-1 h_k, with Q_k its disturbance covariance,
     is parallel to Q^-1 h_k for the full received covariance
@@ -357,7 +263,7 @@ def duality_precoders(
     directions = w / np.linalg.norm(w, axis=1, keepdims=True)
     shares = config.powers / config.powers.sum()
     q_power = config.total_power * shares  # (S, K)
-    return PrecoderSet(directions * np.sqrt(q_power)[:, None, :])
+    return directions * np.sqrt(q_power)[:, None, :]
 
 
 def _project_budget(x: np.ndarray, budget: float) -> np.ndarray:
@@ -476,7 +382,7 @@ def evaluate_rate_scheme(
     if scheme == UL_SIC:
         return ul_sic_sum_rate(channels, config, include_user_rates=not summary_only)
     if scheme == DL_LIN:
-        return dl_linear_sum_rate(channels, duality_precoders(channels, config), config)
+        return dl_linear_sum_rate(channels, config)
     if scheme == DL_DPC:
         return dl_dpc_sum_rate(channels, config, include_user_rates=not summary_only)
     raise ValueError(f"unknown rate scheme {scheme!r}")

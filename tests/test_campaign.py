@@ -16,13 +16,11 @@ from mamimo.campaign import (
     run_swarm,
     write_campaign_outputs,
 )
-from mamimo.channels import OfdmGrid, ScenarioConfig, sample_user_positions, subcarrier_channels, synthesize_paths
+from mamimo.channels import OfdmGrid, sample_user_positions, subcarrier_channels, synthesize_paths
 from mamimo.geometry import make_staggered_ura
 from mamimo.rates import (
     ImpairedLinkConfig,
     evaluate_rate_scheme,
-    mmse_combiner,
-    ul_linear_sinr,
     ul_linear_sum_rate,
     ul_sic_sum_rate,
     zero_interference_bound,
@@ -50,7 +48,7 @@ def tiny_spec(**overrides):
 @pytest.fixture(scope="module")
 def instance():
     rng = np.random.default_rng(5)
-    scen = ScenarioConfig()
+    scen = ExperimentSpec().scenario()
     positions = sample_user_positions(rng, scen, 3)
     paths = [synthesize_paths(rng, scen, p) for p in positions]
     layout = make_staggered_ura(2, 2, scen.wavelength)
@@ -288,7 +286,7 @@ class TestFdd:
     def test_same_frequency_is_identity(self, instance):
         channels, config = instance
         rng = np.random.default_rng(6)
-        scen = ScenarioConfig()
+        scen = ExperimentSpec().scenario()
         paths = [
             synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)
         ]
@@ -301,7 +299,7 @@ class TestFdd:
 
     def test_positions_unchanged_and_sequence_produced(self):
         rng = np.random.default_rng(7)
-        scen = ScenarioConfig()
+        scen = ExperimentSpec().scenario()
         paths = [
             synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)
         ]
@@ -318,7 +316,7 @@ class TestFdd:
 
     def test_invalid_frequency_rejected(self, instance):
         rng = np.random.default_rng(8)
-        scen = ScenarioConfig()
+        scen = ExperimentSpec().scenario()
         paths = [synthesize_paths(rng, scen, sample_user_positions(rng, scen, 1)[0])]
         layout = make_staggered_ura(2, 2, scen.wavelength)
         cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 1.0)
@@ -414,10 +412,6 @@ class TestCampaign:
 
     def test_file_and_programmatic_defaults_agree(self):
         assert parse_config_dict({}) == ExperimentSpec()
-
-    def test_scenario_defaults_agree(self):
-        # ScenarioConfig keeps its own copy of every scenario default.
-        assert ScenarioConfig() == ExperimentSpec().scenario()
 
     def test_every_scenario_key_reaches_the_channels(self):
         # Bump each scenario key in turn; the staggered URA's channels must

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,17 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from mamimo.campaign import ExperimentSpec
 from mamimo.channels import (
     ChannelModel,
     OfdmGrid,
-    ScenarioConfig,
     UserPaths,
-    build_tap_channel,
     path_loss,
     pulse_triangle,
     sample_user_positions,
     subcarrier_channels,
-    subcarriers_from_taps,
     sync_and_tap_count,
     synthesize_paths,
 )
@@ -28,6 +26,9 @@ from mamimo.geometry import (
     make_move_regions,
     make_staggered_ura,
 )
+from oracles import build_tap_channel, subcarriers_from_taps
+
+DEFAULT_SCENARIO = ExperimentSpec().scenario()
 
 
 @dataclass(frozen=True)
@@ -98,19 +99,19 @@ class TestPulse:
 class TestUserDrop:
     def test_radius_bounds(self):
         rng = np.random.default_rng(0)
-        pos = sample_user_positions(rng, ScenarioConfig(), 2000)
+        pos = sample_user_positions(rng, DEFAULT_SCENARIO, 2000)
         radii = np.hypot(pos[:, 0], pos[:, 1])
         assert radii.min() >= 100.0
         assert radii.max() <= 300.0
 
     def test_height_offset(self):
         rng = np.random.default_rng(0)
-        pos = sample_user_positions(rng, ScenarioConfig(), 1)[0]
+        pos = sample_user_positions(rng, DEFAULT_SCENARIO, 1)[0]
         assert pos[2] == pytest.approx(1.25 - 4.0)
 
     def test_degenerate_angle_interval(self):
         rng = np.random.default_rng(1)
-        scen = ScenarioConfig(azimuth_min=0.0, azimuth_max=0.0)
+        scen = replace(DEFAULT_SCENARIO, azimuth_min=0.0, azimuth_max=0.0)
         pos = sample_user_positions(rng, scen, 50)
         np.testing.assert_allclose(pos[:, 1], 0.0, atol=1e-9)
         assert np.all(pos[:, 0] > 0)
@@ -118,7 +119,7 @@ class TestUserDrop:
     def test_squared_radius_uniform(self):
         # Inverse-CDF sampling makes r^2 uniform on [r_min^2, r_max^2].
         rng = np.random.default_rng(7)
-        pos = sample_user_positions(rng, ScenarioConfig(), 100_000)
+        pos = sample_user_positions(rng, DEFAULT_SCENARIO, 100_000)
         r2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
         result = stats.kstest(r2, "uniform", args=(100.0**2, 300.0**2 - 100.0**2))
         assert result.pvalue > 0.01
@@ -127,18 +128,18 @@ class TestUserDrop:
 class TestSynthesizePaths:
     def test_los_dominant_path_count(self):
         rng = np.random.default_rng(0)
-        user = synthesize_paths(rng, ScenarioConfig(), np.array([200.0, 50.0, -2.75]))
+        user = synthesize_paths(rng, DEFAULT_SCENARIO, np.array([200.0, 50.0, -2.75]))
         assert user.n_paths == 121
 
     def test_rich_scattering_path_count(self):
         rng = np.random.default_rng(0)
-        scen = ScenarioConfig(kind="rich-scattering", rice_factor_db=0.0)
+        scen = replace(DEFAULT_SCENARIO, kind="rich-scattering", rice_factor_db=0.0)
         user = synthesize_paths(rng, scen, np.array([200.0, 50.0, -2.75]))
         assert user.n_paths == 200
 
     def test_rice_power_split(self):
         rng = np.random.default_rng(3)
-        scen = ScenarioConfig(rice_factor_db=10.0)
+        scen = replace(DEFAULT_SCENARIO, rice_factor_db=10.0)
         position = np.array([150.0, -60.0, -2.75])
         user = synthesize_paths(rng, scen, position)
         los_power = user.amplitudes[0] ** 2
@@ -147,7 +148,9 @@ class TestSynthesizePaths:
 
     def test_rich_total_power_is_normalized(self):
         rng = np.random.default_rng(3)
-        scen = ScenarioConfig(kind="rich-scattering", rice_factor_db=0.0, normalized_gain=2e-9)
+        scen = replace(
+            DEFAULT_SCENARIO, kind="rich-scattering", rice_factor_db=0.0, normalized_gain=2e-9
+        )
         near = synthesize_paths(rng, scen, np.array([110.0, 0.0, -2.75]))
         far = synthesize_paths(rng, scen, np.array([290.0, 0.0, -2.75]))
         assert np.sum(near.amplitudes**2) == pytest.approx(2e-9, rel=1e-12)
@@ -156,7 +159,7 @@ class TestSynthesizePaths:
     def test_first_path_is_direct(self):
         rng = np.random.default_rng(5)
         position = np.array([120.0, 90.0, -2.75])
-        user = synthesize_paths(rng, ScenarioConfig(), position)
+        user = synthesize_paths(rng, DEFAULT_SCENARIO, position)
         distance = np.linalg.norm(position)
         assert user.delays[0] == pytest.approx(distance / SPEED_OF_LIGHT, rel=1e-12)
         assert user.azimuths[0] == pytest.approx(np.arctan2(90.0, 120.0))
@@ -164,28 +167,28 @@ class TestSynthesizePaths:
     def test_scattered_delay_window(self):
         rng = np.random.default_rng(5)
         position = np.array([120.0, 90.0, -2.75])
-        user = synthesize_paths(rng, ScenarioConfig(), position)
+        user = synthesize_paths(rng, DEFAULT_SCENARIO, position)
         tau = user.delays[0]
         assert np.all(user.delays[1:] > tau)
         assert np.all(user.delays[1:] <= 10.0 * tau)
 
     def test_elevation_clamped(self):
         rng = np.random.default_rng(5)
-        scen = ScenarioConfig(kind="rich-scattering")
+        scen = replace(DEFAULT_SCENARIO, kind="rich-scattering")
         user = synthesize_paths(rng, scen, np.array([120.0, 90.0, -2.75]))
         assert np.all(np.abs(user.elevations) <= np.pi / 2)
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(kind="tropospheric")
+            replace(DEFAULT_SCENARIO, kind="tropospheric")
 
     def test_narrowband_kind_rejected(self):
         # "narrowband" was an alias of the los-dominant model and is no longer a kind.
         with pytest.raises(ValueError, match="los-dominant"):
-            ScenarioConfig(kind="narrowband")
+            replace(DEFAULT_SCENARIO, kind="narrowband")
 
     def test_determinism(self):
-        scen = ScenarioConfig()
+        scen = DEFAULT_SCENARIO
         position = np.array([200.0, 10.0, -2.75])
         a = synthesize_paths(np.random.default_rng(42), scen, position)
         b = synthesize_paths(np.random.default_rng(42), scen, position)
@@ -260,7 +263,7 @@ class TestTapChannel:
 
     def test_shapes_for_multiple_users(self):
         rng = np.random.default_rng(0)
-        scen = ScenarioConfig()
+        scen = DEFAULT_SCENARIO
         layout = make_staggered_ura(2, 2, scen.wavelength)
         users = [
             synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 3)
@@ -293,7 +296,7 @@ class TestTapChannel:
         # Every tap is the sum over paths of the scalar tap coefficient times
         # the path's array response.
         rng = np.random.default_rng(4)
-        scen = ScenarioConfig()
+        scen = DEFAULT_SCENARIO
         layout = make_staggered_ura(2, 2, scen.wavelength)
         users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)]
         grid = OfdmGrid(16, 15e3)
@@ -311,7 +314,7 @@ class TestTapChannel:
 class TestSubcarrierChannels:
     def test_single_subcarrier_is_tap_sum(self):
         rng = np.random.default_rng(1)
-        scen = ScenarioConfig()
+        scen = DEFAULT_SCENARIO
         layout = make_staggered_ura(2, 2, scen.wavelength)
         users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)]
         grid = OfdmGrid(1, 15e3)
@@ -324,7 +327,7 @@ class TestSubcarrierChannels:
     @pytest.mark.parametrize("subcarriers", [1, 16, 64])
     def test_tap_route_matches_direct_route(self, subcarriers):
         rng = np.random.default_rng(subcarriers)
-        scen = ScenarioConfig()
+        scen = DEFAULT_SCENARIO
         layout = make_staggered_ura(2, 2, scen.wavelength)
         users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)]
         grid = OfdmGrid(subcarriers, 15e3)
@@ -344,7 +347,7 @@ class TestSubcarrierChannels:
 
     def test_regenerating_with_larger_grid_keeps_paths(self):
         rng = np.random.default_rng(2)
-        scen = ScenarioConfig()
+        scen = DEFAULT_SCENARIO
         user = synthesize_paths(rng, scen, np.array([150.0, 20.0, -2.75]))
         before = user.amplitudes.copy()
         layout = make_staggered_ura(2, 2, scen.wavelength)
@@ -375,7 +378,7 @@ class TestChannelModel:
     @pytest.mark.parametrize("subcarriers", [1, 16])
     def test_bits_match_per_user_formula(self, kind, subcarriers):
         rng = np.random.default_rng(subcarriers)
-        scen = ScenarioConfig(kind=kind)
+        scen = replace(DEFAULT_SCENARIO, kind=kind)
         lam = scen.wavelength
         users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 3)]
         grid = OfdmGrid(subcarriers, 15e3)

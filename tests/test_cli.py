@@ -15,6 +15,16 @@ from mamimo.geometry import load_layout
 
 PSO_COEFFICIENTS = ("inertia", "cognitive", "social", "velocity_clamp", "penalty_weight")
 SCENARIO_COUNTS = ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster")
+SCENARIO_SPREADS = ("cluster_azimuth_spread_deg", "cluster_elevation_spread_deg", "path_angle_spread_deg")
+# Scenario values each rejected alone; azimuth_min_rad = 2 exceeds the default
+# azimuth_max_rad of pi/3.
+SCENARIO_OUT_OF_RANGE = [
+    ("normalized_gain", 0.0),
+    ("normalized_gain", -1.0),
+    ("azimuth_min_rad", 2.0),
+    ("carrier_ghz", 0.0),
+    ("delay_stretch", 0.5),
+] + [(key, -1.0) for key in SCENARIO_SPREADS]
 
 TINY = {
     "arrays": {"m_rows": 2, "m_cols": 2},
@@ -82,6 +92,15 @@ class TestParseConfig:
             for count in (0, -1):
                 with pytest.raises(ConfigError, match=f"scenario.{key}"):
                     parse_config_dict({"scenario": {key: count}})
+        for key, value in SCENARIO_OUT_OF_RANGE:
+            with pytest.raises(ConfigError, match=f"scenario.{key}"):
+                parse_config_dict({"scenario": {key: value}})
+        with pytest.raises(ConfigError, match="scenario.azimuth_min_rad"):
+            parse_config_dict(
+                {"scenario": {"kind": "rich-scattering", "azimuth_min_rad": 2.0, "azimuth_max_rad": 1.0}}
+            )
+        for key in SCENARIO_SPREADS:
+            assert getattr(parse_config_dict({"scenario": {key: 0.0}}), key) == 0.0
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="grid.subcarrier_counts"):
@@ -132,7 +151,8 @@ class TestCliCommands:
         "override",
         ["campaign.fdd_eval_carriers_ghz=[-3.5]", "campaign.fdd_eval_carriers_ghz=[0.0]"]
         + [f"pso.{key}=-0.5" for key in PSO_COEFFICIENTS]
-        + [f"scenario.{key}=0" for key in SCENARIO_COUNTS],
+        + [f"scenario.{key}=0" for key in SCENARIO_COUNTS]
+        + [f"scenario.{key}={value}" for key, value in SCENARIO_OUT_OF_RANGE],
     )
     def test_validate_config_rejects_out_of_range(self, override, capsys):
         assert main(["validate-config", "--set", override]) == 1

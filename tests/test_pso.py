@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mamimo.campaign import ExperimentSpec
 from mamimo.channels import (
     OfdmGrid,
-    ScenarioConfig,
     sample_user_positions,
     subcarrier_channels,
     synthesize_paths,
@@ -156,7 +156,7 @@ class TestPsoOptimize:
 
 @pytest.fixture(scope="module")
 def small_realization():
-    scen = ScenarioConfig()
+    scen = ExperimentSpec().scenario()
     rng = np.random.default_rng(17)
     positions = sample_user_positions(rng, scen, 4)
     paths = [synthesize_paths(rng, scen, p) for p in positions]

@@ -6,22 +6,31 @@ from hypothesis import strategies as st
 from mamimo.channels import SubcarrierChannels
 from mamimo.rates import (
     ImpairedLinkConfig,
-    PrecoderSet,
     RateReport,
-    disturbance_covariance,
     dl_dpc_sum_rate,
-    dl_linear_sinr,
     dl_linear_sum_rate,
     duality_precoders,
     high_snr_ceiling,
     logdet_hpd,
-    mmse_combiner,
-    ul_linear_sinr,
     ul_linear_sum_rate,
-    ul_sic_per_user_rates,
     ul_sic_sum_rate,
 )
-from mamimo.rates import _DPC_MAX_ITERATIONS, _DPC_REL_TOL, _LN2, _gram, _project_budget, _sic_gap
+from mamimo.rates import (
+    _DPC_MAX_ITERATIONS,
+    _DPC_REL_TOL,
+    _LN2,
+    _gram,
+    _project_budget,
+    _sic_gap,
+    _sic_user_rates,
+)
+from oracles import (
+    disturbance_covariance,
+    dl_linear_sinr,
+    mmse_combiner,
+    ul_linear_sinr,
+    ul_sic_per_user_rates,
+)
 
 
 def random_channels(rng, subcarriers, antennas, users):
@@ -249,10 +258,7 @@ class TestUplinkLinearSumRate:
         channels = random_channels(rng, 3, 4, 2)
         cfg = ImpairedLinkConfig.uniform(2, 3, 1.0, 0.1, 0.5)
         report = ul_linear_sum_rate(channels, cfg)
-        assert report.sum_rate == pytest.approx(report.per_subcarrier_rates.mean(), rel=1e-12)
-        assert report.per_subcarrier_rates == pytest.approx(
-            report.per_user_per_subcarrier.sum(axis=1)
-        )
+        assert report.sum_rate == pytest.approx(report.per_user_rates.sum(), rel=1e-12)
 
 
 class TestRateReport:
@@ -260,19 +266,11 @@ class TestRateReport:
         "field, value",
         [
             ("sum_rate", np.nan),
-            ("per_subcarrier_rates", np.array([1.0, np.inf])),
             ("per_user_rates", np.array([np.nan, 1.0])),
-            ("per_user_per_subcarrier", np.array([[1.0, -np.inf]])),
         ],
     )
     def test_rejects_non_finite_rates(self, field, value):
-        fields = dict(
-            scheme="ul-lin",
-            sum_rate=2.0,
-            per_user_rates=np.array([1.0, 1.0]),
-            per_subcarrier_rates=np.array([2.0, 2.0]),
-            per_user_per_subcarrier=np.array([[1.0, 1.0]]),
-        )
+        fields = dict(scheme="ul-lin", sum_rate=2.0, per_user_rates=np.array([1.0, 1.0]))
         RateReport(**fields)
         fields[field] = value
         with pytest.raises(ValueError, match=field):
@@ -340,11 +338,15 @@ class TestSicPerUser:
                 per_user = ul_sic_per_user_rates(channels, cfg, decode_order=order)
                 total = ul_sic_sum_rate(channels, cfg).sum_rate
                 assert per_user.sum() == pytest.approx(total, rel=1e-12)
+                # Per subcarrier too: the split SIC and DPC reports share.
+                gram = _gram(channels.matrices, cfg.powers)
+                np.testing.assert_allclose(
+                    _sic_user_rates(gram, cfg.kappa, 0.4, order).sum(axis=1),
+                    _sic_gap(gram, cfg.kappa, 0.4),
+                    rtol=1e-12,
+                )
                 dpc = dl_dpc_sum_rate(channels, cfg)
                 assert dpc.per_user_rates.sum() == pytest.approx(dpc.sum_rate, rel=1e-12)
-                assert dpc.per_user_per_subcarrier.sum(axis=1) == pytest.approx(
-                    dpc.per_subcarrier_rates, rel=1e-12
-                )
 
     def test_last_decoded_sees_no_interference_when_ideal(self):
         rng = np.random.default_rng(13)
@@ -422,23 +424,48 @@ class TestDownlinkLinear:
     def test_scalar_sum_rate(self):
         h = SubcarrierChannels(np.full((1, 1, 1), 1.2 + 0j))
         cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 0.5, total_power=4.0)
-        precoders = PrecoderSet(np.full((1, 1, 1), 2.0 + 0j))
-        report = dl_linear_sum_rate(h, precoders, cfg)
+        report = dl_linear_sum_rate(h, cfg)
         assert report.sum_rate == pytest.approx(np.log2(1 + 4.0 * 1.2**2 / 0.5), rel=1e-12)
 
-    def test_zero_precoders_zero_rate(self):
-        rng = np.random.default_rng(18)
-        channels = random_channels(rng, 2, 3, 2)
-        cfg = ImpairedLinkConfig.uniform(2, 2, 1.0, 0.1, 0.5, total_power=1.0)
-        report = dl_linear_sum_rate(channels, PrecoderSet(np.zeros((2, 3, 2), complex)), cfg)
-        assert report.sum_rate == 0.0
 
-    def test_budget_violation_rejected(self):
-        rng = np.random.default_rng(19)
-        channels = random_channels(rng, 1, 2, 1)
-        cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 0.5, total_power=0.5)
-        with pytest.raises(ValueError):
-            dl_linear_sum_rate(channels, PrecoderSet(np.ones((1, 2, 1), complex)), cfg)
+@pytest.mark.parametrize("evm", [0.0, 0.1])
+@pytest.mark.parametrize("antennas, users", [(6, 3), (4, 4), (3, 5)])
+@pytest.mark.parametrize("subcarriers", [1, 3])
+class TestLinearSchemesMatchScalarOracles:
+    # The batched schemes against log2(1 + SINR) of the per-user scalar forms,
+    # with unequal powers. At S = 1 the per-user rates are the per-subcarrier
+    # rates; at S = 3 they are their means over subcarriers.
+    def instance(self, evm, antennas, users, subcarriers):
+        rng = np.random.default_rng([antennas, users, subcarriers, int(100 * evm)])
+        channels = random_channels(rng, subcarriers, antennas, users)
+        powers = rng.uniform(0.2, 2.0, size=(subcarriers, users))
+        return channels, ImpairedLinkConfig(powers, evm, 0.3, total_power=4.0)
+
+    def test_uplink_mmse(self, evm, antennas, users, subcarriers):
+        channels, cfg = self.instance(evm, antennas, users, subcarriers)
+        rates = np.empty((subcarriers, users))
+        for nu in range(subcarriers):
+            h, p = channels.matrices[nu], cfg.powers[nu]
+            for k in range(users):
+                w = mmse_combiner(h, p, cfg.kappa, cfg.noise_variance, k)
+                sinr = ul_linear_sinr(w, h, p, cfg.kappa, cfg.noise_variance, k)
+                rates[nu, k] = np.log2(1 + sinr)
+        report = ul_linear_sum_rate(channels, cfg)
+        np.testing.assert_allclose(report.per_user_rates, rates.mean(axis=0), rtol=1e-10)
+        assert report.sum_rate == pytest.approx(rates.sum(axis=1).mean(), rel=1e-10)
+
+    def test_downlink_duality(self, evm, antennas, users, subcarriers):
+        channels, cfg = self.instance(evm, antennas, users, subcarriers)
+        precoders = duality_precoders(channels, cfg)
+        rates = np.empty((subcarriers, users))
+        for nu in range(subcarriers):
+            h = channels.matrices[nu]
+            for k in range(users):
+                sinr = dl_linear_sinr(precoders[nu], h, k, cfg.kappa, cfg.noise_variance)
+                rates[nu, k] = np.log2(1 + sinr)
+        report = dl_linear_sum_rate(channels, cfg)
+        np.testing.assert_allclose(report.per_user_rates, rates.mean(axis=0), rtol=1e-10)
+        assert report.sum_rate == pytest.approx(rates.sum(axis=1).mean(), rel=1e-10)
 
 
 class TestDuality:
@@ -446,8 +473,7 @@ class TestDuality:
         rng = np.random.default_rng(20)
         channels = random_channels(rng, 1, 4, 1)
         cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 0.3, total_power=2.0)
-        precoders = duality_precoders(channels, cfg)
-        p = precoders.vectors[0, :, 0]
+        p = duality_precoders(channels, cfg)[0, :, 0]
         h = channels.matrices[0][:, 0]
         cos = abs(p.conj() @ h) / (np.linalg.norm(p) * np.linalg.norm(h))
         assert cos == pytest.approx(1.0, abs=1e-12)
@@ -458,7 +484,7 @@ class TestDuality:
         channels = random_channels(rng, 3, 4, 2)
         cfg = ImpairedLinkConfig.uniform(2, 3, 1.0, 0.1, 0.3, total_power=5.0)
         precoders = duality_precoders(channels, cfg)
-        assert precoders.total_power_used == pytest.approx(5.0, rel=1e-9)
+        assert np.sum(np.abs(precoders) ** 2) == pytest.approx(5.0, rel=1e-9)
 
     def test_orthogonal_channels_match_uplink_sinrs(self):
         # With orthogonal user channels and matched powers the downlink SINRs
@@ -473,7 +499,7 @@ class TestDuality:
         for k in range(2):
             w = mmse_combiner(h[0], np.full(2, rho), 1.0, 0.3, k)
             ul = ul_linear_sinr(w, h[0], np.full(2, rho), 1.0, 0.3, k)
-            dl = dl_linear_sinr(precoders.vectors[0], h[0], k, 1.0, 0.3)
+            dl = dl_linear_sinr(precoders[0], h[0], k, 1.0, 0.3)
             assert dl == pytest.approx(ul, rel=1e-12)
 
 
@@ -485,7 +511,7 @@ class TestDuality:
         channels = random_channels(rng, s, m, k)
         powers = rng.uniform(0.5, 2.0, size=(s, k))
         cfg = ImpairedLinkConfig(powers, 0.1, 0.3, total_power=4.0)
-        vectors = duality_precoders(channels, cfg).vectors
+        vectors = duality_precoders(channels, cfg)
         for nu in range(s):
             for user in range(k):
                 w = mmse_combiner(channels.matrices[nu], powers[nu], cfg.kappa, 0.3, user)
@@ -536,7 +562,7 @@ class TestDpc:
             cfg = ImpairedLinkConfig.uniform(
                 k, s, 1.0, float(rng.uniform(0, 0.4)), 0.5, total_power=float(rng.uniform(1, 10))
             )
-            lin = dl_linear_sum_rate(channels, duality_precoders(channels, cfg), cfg).sum_rate
+            lin = dl_linear_sum_rate(channels, cfg).sum_rate
             dpc = dl_dpc_sum_rate(channels, cfg).sum_rate
             assert dpc >= lin - 1e-10
 
@@ -565,7 +591,7 @@ class TestDpc:
         assert report.per_user_rates.sum() == pytest.approx(report.sum_rate, rel=0, abs=1e-12)
         uniform_cfg = ImpairedLinkConfig.uniform(k, s, total / (s * k), evm, 1.0)
         assert report.sum_rate >= ul_sic_sum_rate(channels, uniform_cfg).sum_rate - 1e-12
-        lin = dl_linear_sum_rate(channels, duality_precoders(channels, cfg), cfg).sum_rate
+        lin = dl_linear_sum_rate(channels, cfg).sum_rate
         assert report.sum_rate >= lin - 1e-10
 
     def test_rejects_nonpositive_budget(self):
