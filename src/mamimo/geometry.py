@@ -5,6 +5,7 @@ on the coordinate origin. Lengths are in meters, angles in radians.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,8 +198,16 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Condensed upper-triangle pairwise Euclidean distances."""
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    iu = np.triu_indices(positions.shape[0], k=1)
-    return dist[iu]
+    return dist[_upper_pairs(positions.shape[0])]
+
+
+@functools.cache
+def _upper_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major indices of the pairs i < j among `count` antennas, built once per count."""
+    rows, cols = np.triu_indices(count, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def min_pairwise_distance(positions: np.ndarray) -> float:

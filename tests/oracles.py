@@ -22,7 +22,7 @@ from mamimo.channels import (
     sync_and_tap_count,
 )
 from mamimo.geometry import ArrayLayout, array_response
-from mamimo.rates import ImpairedLinkConfig, _gram, _sic_user_rates
+from mamimo.rates import ImpairedLinkConfig, _gram, logdet_hpd
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +117,25 @@ def ul_sic_per_user_rates(
 
     Users decoded later see less residual data interference; distortion noise
     of every user remains because it is uncorrelated with the decoded data.
-    For any decode order and EVM the user rates sum to the SIC sum rate.
+    Decoding a user drops its weight in the received covariance from 1 to
+    1 - kappa. For any decode order and EVM the user rates sum to the SIC sum
+    rate.
     """
     gram = _gram(channels.matrices, config.powers)
-    return _sic_user_rates(gram, config.kappa, config.noise_variance, decode_order).mean(axis=0)
+    s, k, _ = gram.shape
+    order = np.arange(k) if decode_order is None else np.asarray(decode_order, dtype=int)
+    if sorted(order.tolist()) != list(range(k)):
+        raise ValueError(f"decode order must be a permutation of 0..{k - 1}")
+    eye = np.eye(k)
+    amplitude = np.ones(k)
+    previous = logdet_hpd(eye + gram / config.noise_variance)
+    rates = np.empty((s, k))
+    for user in order:
+        amplitude[user] = np.sqrt(1.0 - config.kappa)
+        current = logdet_hpd(eye + gram * np.outer(amplitude, amplitude) / config.noise_variance)
+        rates[:, user] = previous - current
+        previous = current
+    return rates.mean(axis=0)
 
 
 def dl_linear_sinr(

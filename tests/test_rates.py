@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mamimo.channels import SubcarrierChannels
+import mamimo.rates as rates_module
+from mamimo.campaign import SPARSE_UPA, STAGGERED_URA, build_fixed_layouts, draw_realization
+from mamimo.channels import ChannelModel, SubcarrierChannels
+from mamimo.config import parse_config
 from mamimo.rates import (
     ImpairedLinkConfig,
     RateReport,
@@ -102,6 +107,91 @@ def mm_dpc_oracle(channels, config):
             break
 
     return float(_sic_gap(_gram(h, d), config.kappa, sigma2).mean())
+
+
+def budget_start_dpc(channels, config, include_user_rates=True):
+    """The Gram-form DPC ascent with its line search started at the whole budget.
+
+    This is `dl_dpc_sum_rate` before its first trial step was scaled to the
+    gradient: no stationary stop either, and the report evaluates the final
+    allocation once more. `_sic_gap` is looked up on the module so that a
+    patched counter sees these calls too.
+    """
+    total_power = config.total_power
+    h = channels.matrices
+    s, _, k = h.shape
+    sigma2 = config.noise_variance
+    resid = 1.0 - config.kappa
+    eye_k = np.eye(k)
+    gram = np.einsum("smk,smj->skj", h.conj(), h)
+
+    def scaled(d: np.ndarray) -> np.ndarray:
+        amplitude = np.sqrt(d)
+        return gram * (amplitude[:, :, None] * amplitude[:, None, :])
+
+    def objective(d: np.ndarray) -> float:
+        return float(rates_module._sic_gap(scaled(d), config.kappa, sigma2).mean())
+
+    def gradient(d: np.ndarray) -> np.ndarray:
+        gd = gram * d[:, None, :]
+        g = np.diagonal(np.linalg.solve(sigma2 * eye_k + gd, gram), axis1=1, axis2=2).real
+        if resid > 0.0:
+            y = np.linalg.solve(sigma2 * eye_k + resid * gd, gram)
+            g = g - resid * np.diagonal(y, axis1=1, axis2=2).real
+        return g / (s * _LN2)
+
+    d = np.full((s, k), total_power / (s * k))
+    value = objective(d)
+    step = total_power
+    for _ in range(_DPC_MAX_ITERATIONS):
+        grad = gradient(d)
+        improved = False
+        while step > 1e-14 * total_power:
+            candidate = _project_budget(d + step * grad, total_power)
+            candidate_value = objective(candidate)
+            if candidate_value > value:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        gain = candidate_value - value
+        d, value = candidate, candidate_value
+        step *= 2.0
+        if gain < _DPC_REL_TOL * max(abs(value), 1.0):
+            break
+
+    best = scaled(d)
+    per_user = None
+    if include_user_rates:
+        per_user = _sic_user_rates(best, config.kappa, sigma2).mean(axis=0)
+    return float(rates_module._sic_gap(best, config.kappa, sigma2).mean()), per_user
+
+
+@pytest.fixture(scope="module")
+def workload_dpc_channels():
+    """Channels of the swarm-wideband-dpc workload's first realization at
+    master seed 1 (S = 50, K = 10, M = 16) on two of the swarm's seed layouts."""
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+    spec = parse_config(workloads / "swarm-wideband-dpc.yaml", {"campaign.master_seed": 1})
+    realization = draw_realization(spec, 0, 10)
+    model = ChannelModel(realization.paths, spec.grid(50), spec.scenario().wavelength)
+    layouts = build_fixed_layouts(spec)
+    return spec, [model.channels(layouts[name].positions) for name in (SPARSE_UPA, STAGGERED_URA)]
+
+
+@pytest.fixture
+def sic_gap_calls(monkeypatch):
+    """Counter of `_sic_gap` calls, the DPC objective's one evaluation."""
+    counter = {"calls": 0}
+    inner = rates_module._sic_gap
+
+    def counted(*args):
+        counter["calls"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(rates_module, "_sic_gap", counted)
+    return counter
 
 
 class TestConfig:
@@ -341,7 +431,19 @@ class TestSicPerUser:
                 # Per subcarrier too: the split SIC and DPC reports share.
                 gram = _gram(channels.matrices, cfg.powers)
                 np.testing.assert_allclose(
-                    _sic_user_rates(gram, cfg.kappa, 0.4, order).sum(axis=1),
+                    [
+                        ul_sic_per_user_rates(
+                            SubcarrierChannels(channels.matrices[nu : nu + 1]),
+                            ImpairedLinkConfig(cfg.powers[nu : nu + 1], evm, 0.4),
+                            decode_order=order,
+                        ).sum()
+                        for nu in range(s)
+                    ],
+                    _sic_gap(gram, cfg.kappa, 0.4),
+                    rtol=1e-12,
+                )
+                np.testing.assert_allclose(
+                    _sic_user_rates(gram, cfg.kappa, 0.4).sum(axis=1),
                     _sic_gap(gram, cfg.kappa, 0.4),
                     rtol=1e-12,
                 )
@@ -593,6 +695,66 @@ class TestDpc:
         assert report.sum_rate >= ul_sic_sum_rate(channels, uniform_cfg).sum_rate - 1e-12
         lin = dl_linear_sum_rate(channels, cfg).sum_rate
         assert report.sum_rate >= lin - 1e-10
+
+    @pytest.mark.parametrize("evm", [0.02, 0.1])
+    def test_equals_budget_start_ascent_on_workload_channels(self, workload_dpc_channels, evm):
+        # The gradient-scaled first step skips only trial steps the budget
+        # start rejects, so every accepted step and every output bit agree.
+        spec, instances = workload_dpc_channels
+        config = spec.link_config(10, 50, evm)
+        for channels in instances:
+            expected_sum, expected_users = budget_start_dpc(channels, config)
+            full = dl_dpc_sum_rate(channels, config)
+            assert full.sum_rate == expected_sum
+            assert np.array_equal(full.per_user_rates, expected_users)
+            summary = dl_dpc_sum_rate(channels, config, include_user_rates=False)
+            assert summary.sum_rate == expected_sum
+            assert summary.per_user_rates is None
+
+    @pytest.mark.parametrize("evm", [0.02, 0.1])
+    @pytest.mark.parametrize("include_user_rates", [False, True])
+    def test_fewer_objective_evaluations_than_budget_start(
+        self, workload_dpc_channels, sic_gap_calls, evm, include_user_rates
+    ):
+        spec, instances = workload_dpc_channels
+        config = spec.link_config(10, 50, evm)
+        for channels in instances:
+            sic_gap_calls["calls"] = 0
+            budget_start_dpc(channels, config, include_user_rates)
+            before = sic_gap_calls["calls"]
+            sic_gap_calls["calls"] = 0
+            dl_dpc_sum_rate(channels, config, include_user_rates=include_user_rates)
+            assert sic_gap_calls["calls"] <= before - 12, (before, sic_gap_calls["calls"])
+
+    def test_single_user_single_subcarrier_stops_at_once(self, sic_gap_calls):
+        # The whole budget on the one entry is a fixed point of the projected
+        # step: the ascent stops on its first candidate without evaluating it.
+        rng = np.random.default_rng(23)
+        channels = random_channels(rng, 1, 4, 1)
+        cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.1, 0.3, total_power=2.5)
+        report = dl_dpc_sum_rate(channels, cfg)
+        assert sic_gap_calls["calls"] == 1
+        whole_budget = _gram(channels.matrices, np.full((1, 1), 2.5))
+        assert report.sum_rate == _sic_gap(whole_budget, cfg.kappa, 0.3)[0]
+
+    def test_all_zero_channels_give_zero_rate(self):
+        # A zero gradient keeps the whole budget as the first step.
+        channels = SubcarrierChannels(np.zeros((3, 4, 2), dtype=complex))
+        cfg = ImpairedLinkConfig.uniform(2, 3, 1.0, 0.02, 1.0, total_power=6.0)
+        report = dl_dpc_sum_rate(channels, cfg)
+        assert report.sum_rate == 0.0
+        assert np.array_equal(report.per_user_rates, np.zeros(2))
+
+    def test_summary_equals_full_report_sum_rate(self, workload_dpc_channels):
+        spec, instances = workload_dpc_channels
+        rng = np.random.default_rng(30)
+        cases = [(channels, spec.link_config(10, 50, 0.02)) for channels in instances]
+        for evm in (0.0, 0.1):
+            cfg = ImpairedLinkConfig.uniform(3, 4, 1.0, evm, 0.5, total_power=12.0)
+            cases.append((random_channels(rng, 4, 6, 3), cfg))
+        for channels, cfg in cases:
+            full = dl_dpc_sum_rate(channels, cfg).sum_rate
+            assert dl_dpc_sum_rate(channels, cfg, include_user_rates=False).sum_rate == full
 
     def test_rejects_nonpositive_budget(self):
         rng = np.random.default_rng(27)
