@@ -255,10 +255,76 @@ def _dft_matrix(n_taps: int, subcarriers: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(ells, nus) / subcarriers)  # (T+1, S)
 
 
+# Unit phasors exp(j x) from a table of T = 4096 libm phasors exp(2 pi j i/T)
+# and a Taylor rotation by the remainder |r| <= pi/T = 7.7e-4, where the
+# first dropped terms, r^5/120 (sine) and r^6/720 (cosine), are below 3e-18.
+# On 16 x 1,210 phases (2-core VM, numpy 2.4.6) this takes about 300 us
+# against 950 us for numpy's complex exp, which runs scalar libm per element.
+_PHASOR_TABLE_SIZE = 4096  # a power of two, so masking an index is the modulo
+_PHASOR_STEP = 2.0 * np.pi / _PHASOR_TABLE_SIZE
+_PHASOR_TABLE = np.exp(1j * _PHASOR_STEP * np.arange(_PHASOR_TABLE_SIZE))
+# Beyond 2^40 rad the table index would approach the int64 range of the
+# float -> intp cast, which overflows silently; such phases are rejected.
+_PHASE_LIMIT = 2.0**40
+# Elements per pass. Every op runs in place on one block's scratch, 24 bytes
+# an element, which at 4096 elements stays well below glibc's 128 KiB mmap
+# threshold: larger scratch is mapped afresh on each call and faults its
+# pages in. On the same VM, in-process swarm-narrow campaigns (best of 3)
+# took 1.48-1.54 s with 4096, 1.55-1.60 s with 8192 and 1.52-1.61 s with
+# 16384 elements, the latter at 0.6 MB more peak RSS.
+_PHASOR_BLOCK = 4096
+
+
+def _unit_phasors(phase: np.ndarray) -> np.ndarray:
+    """exp(1j * phase) from vector numpy ops, without libm's scalar exp.
+
+    Contract: |result - exp(1j x)| <= 4 * 2^-52 * (1 + |x|) per element,
+    the size of the rounding already present in the phase x = p . k, and
+    |result| = 1 within a few ulp. A phase that is not finite or exceeds
+    _PHASE_LIMIT in magnitude raises ValueError.
+    """
+    phase = np.asarray(phase, dtype=float)
+    if not (phase.min() >= -_PHASE_LIMIT and phase.max() <= _PHASE_LIMIT):
+        raise ValueError(f"phases must be finite and within +-{_PHASE_LIMIT:g} rad")
+    out = np.empty(phase.shape, dtype=complex)
+    flat_in = phase.reshape(-1)
+    flat_out = out.reshape(-1)
+    block = min(_PHASOR_BLOCK, flat_in.size)
+    table_buf = np.empty(block, dtype=complex)
+    real_buf = table_buf.view(float)  # two real rows, free until the table gather
+    index_buf = np.empty(block, dtype=np.intp)
+    for start in range(0, flat_in.size, block):
+        x = flat_in[start:start + block]
+        o = flat_out[start:start + block]
+        n = x.shape[0]
+        r, r2, idx, rot = real_buf[:n], real_buf[n:2 * n], index_buf[:n], table_buf[:n]
+        np.multiply(x, _PHASOR_TABLE_SIZE / (2.0 * np.pi), out=r)
+        np.rint(r, out=r)
+        np.copyto(idx, r, casting="unsafe")
+        # Masking the signed index is the modulo T; take(mode="wrap") is
+        # about thirty times slower.
+        idx &= _PHASOR_TABLE_SIZE - 1
+        r *= _PHASOR_STEP
+        np.subtract(x, r, out=r)
+        np.multiply(r, r, out=r2)
+        sin, cos = o.imag, o.real
+        np.multiply(r2, -1.0 / 6.0, out=sin)
+        sin += 1.0
+        sin *= r
+        np.multiply(r2, 1.0 / 24.0, out=cos)
+        cos -= 0.5
+        cos *= r2
+        cos += 1.0
+        _PHASOR_TABLE.take(idx, out=rot)
+        o *= rot
+    return out
+
+
 class ChannelModel:
     """Layout-independent channel factors of one realization at one wavelength.
 
-    Per user it holds the wave vectors (3, N), the complex path gains
+    It holds every user's wave vectors side by side (3, N_1 + ... + N_K),
+    and per user the column slice of its paths, the complex path gains
     (amplitude times carrier rotation, (N,)) and the real pulse-filter matrix
     (N, T+1); one DFT matrix (T+1, S) is shared. Only the phase signature
     exp(j p.k) depends on the antenna positions, so a placement search builds
@@ -270,25 +336,39 @@ class ChannelModel:
         ells = np.arange(n_taps + 1)
         self.wavelength = wavelength
         self.dft = _dft_matrix(n_taps, grid.subcarrier_count)
-        self.users: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.waves = wave_vector(
+            np.concatenate([user.azimuths for user in paths]),
+            np.concatenate([user.elevations for user in paths]),
+            wavelength,
+        )
+        self.users: list[tuple[slice, np.ndarray, np.ndarray]] = []
+        start = 0
         for user in paths:
             x = grid.subcarrier_count * grid.subcarrier_spacing * (user.delays - eta)
             self.users.append((
-                wave_vector(user.azimuths, user.elevations, wavelength),
+                slice(start, start + user.n_paths),
                 user.amplitudes * _carrier_phase(user.delays, eta, wavelength),
                 pulse_triangle(ells[None, :] - x[:, None]),
             ))
+            start += user.n_paths
 
     def channels(self, positions: np.ndarray) -> SubcarrierChannels:
         """(S, M, K) channels of antennas at `positions` (M, 3), in meters.
 
-        The per-path subcarrier weights are formed on each call rather than
-        stored, which keeps the model at O(N (T+1)) per user.
+        The phase signatures of all users' paths come from one
+        :func:`_unit_phasors` pass over the (M, N_1 + ... + N_K) phases, in
+        blocks of a fixed 4096 elements. Per-user calls would be dominated by
+        per-op overhead: on 16 x 121 phases the kernel gains only 1.35x over
+        libm. Each entry is within sum_n |w_n| 4 2^-52 (1 + |p . k_n|) of the
+        libm formula, w_n being path n's subcarrier weight, and phases beyond
+        2^40 rad raise ValueError. The per-path weights are formed on each
+        call rather than stored, which keeps the model at O(N (T+1)) per user.
         """
+        phasors = _unit_phasors(positions @ self.waves)
         matrices = np.empty((self.dft.shape[1], positions.shape[0], len(self.users)), dtype=complex)
-        for k, (waves, gains, pulses) in enumerate(self.users):
+        for k, (cols, gains, pulses) in enumerate(self.users):
             weights = gains[:, None] * (pulses @ self.dft)  # (N, S)
-            matrices[:, :, k] = (np.exp(1j * (positions @ waves)) @ weights).T
+            matrices[:, :, k] = (phasors[:, cols] @ weights).T
         return SubcarrierChannels(matrices)
 
 

@@ -7,6 +7,7 @@ resolved config, so parsing a manifest reproduces the spec exactly.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Any
 
@@ -20,9 +21,17 @@ class ConfigError(ValueError):
 
 
 def _float(v: Any) -> float:
+    """Every float key, scalar or list entry, passes here: NaN and infinities
+    would slip through the range checks' comparisons and fail only mid-run."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        value = float(v)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {v!r}")
+    return value
 
 
 def _int(v: Any) -> int:

@@ -9,6 +9,8 @@ from scipy import stats
 
 from mamimo.campaign import ExperimentSpec
 from mamimo.channels import (
+    _PHASE_LIMIT,
+    _PHASOR_TABLE_SIZE,
     ChannelModel,
     OfdmGrid,
     UserPaths,
@@ -18,6 +20,7 @@ from mamimo.channels import (
     subcarrier_channels,
     sync_and_tap_count,
     synthesize_paths,
+    _unit_phasors,
 )
 from mamimo.geometry import (
     SPEED_OF_LIGHT,
@@ -25,6 +28,7 @@ from mamimo.geometry import (
     array_response,
     make_move_regions,
     make_staggered_ura,
+    wave_vector,
 )
 from oracles import build_tap_channel, subcarriers_from_taps
 
@@ -356,42 +360,138 @@ class TestSubcarrierChannels:
         np.testing.assert_array_equal(user.amplitudes, before)
 
 
-def per_user_reference(paths, layout, grid):
-    """The per-user channel formula: array response times per-path weights."""
+def per_user_factors(paths, layout, grid):
+    """Per user: the libm array response (M, N) and the per-path subcarrier
+    weights (N, S)."""
     eta, n_taps = sync_and_tap_count(paths, grid)
     s = grid.subcarrier_count
     ells = np.arange(n_taps + 1)
     dft = np.exp(-2j * np.pi * np.outer(ells, np.arange(s)) / s)
-    matrices = np.empty((s, layout.antenna_count, len(paths)), dtype=complex)
-    for k, user in enumerate(paths):
+    for user in paths:
         a = array_response(layout, user.azimuths, user.elevations)
         x = s * grid.subcarrier_spacing * (user.delays - eta)
         filt = pulse_triangle(ells[None, :] - x[:, None]) @ dft
         phase = np.exp(-2j * np.pi * SPEED_OF_LIGHT * (user.delays - eta) / layout.wavelength)
-        weights = (user.amplitudes * phase)[:, None] * filt
+        yield a, (user.amplitudes * phase)[:, None] * filt
+
+
+def per_user_reference(paths, layout, grid):
+    """The per-user channel formula: array response times per-path weights."""
+    matrices = np.empty((grid.subcarrier_count, layout.antenna_count, len(paths)), dtype=complex)
+    for k, (a, weights) in enumerate(per_user_factors(paths, layout, grid)):
         matrices[:, :, k] = (a @ weights).T
     return matrices
+
+
+def phasor_bound(phase):
+    """The `_unit_phasors` contract: 4 * 2^-52 * (1 + |x|) per phase x."""
+    return 4 * 2.0**-52 * (1.0 + np.abs(phase))
+
+
+def phasor_contract_bound(paths, layout, grid):
+    """Per channel entry, sum_n |w_n| times the phasor bound of path n's phase:
+    how far the model may sit from `per_user_reference`."""
+    bound = np.empty((grid.subcarrier_count, layout.antenna_count, len(paths)))
+    for k, (user, (_, weights)) in enumerate(zip(paths, per_user_factors(paths, layout, grid))):
+        phase = layout.positions @ wave_vector(user.azimuths, user.elevations, layout.wavelength)
+        bound[:, :, k] = (phasor_bound(phase) @ np.abs(weights)).T
+    return bound
+
+
+def random_movable_layouts(rng, lam, count):
+    """Random 2x2 movable layouts inside their move regions."""
+    regions = make_move_regions(2, 2, 5 * lam)
+    lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
+    for _ in range(count):
+        positions = np.zeros((4, 3))
+        positions[:, 1:] = lo + rng.uniform(size=(4, 2)) * 5 * lam
+        yield ArrayLayout(positions, lam, regions)
+
+
+STEP = 2 * np.pi / _PHASOR_TABLE_SIZE
+# Table points k*step, rint half-step ties (k + 1/2)*step and their float
+# neighbours, signed zeros, +-pi and the limit itself.
+SPECIAL_PHASES = [0.0, -0.0, np.pi, -np.pi, _PHASE_LIMIT, -_PHASE_LIMIT] + [
+    x
+    for k in (-4097, -1, 1, 7, 2048, 4096, 10**6, 2**30)
+    for y in (k * STEP, (k + 0.5) / (_PHASOR_TABLE_SIZE / (2 * np.pi)))
+    for x in (y, np.nextafter(y, -np.inf), np.nextafter(y, np.inf))
+]
+
+
+class TestUnitPhasors:
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-_PHASE_LIMIT, _PHASE_LIMIT),
+                st.floats(-100.0, 100.0),
+                st.sampled_from(SPECIAL_PHASES),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=300)
+    def test_within_contract_of_libm(self, phases):
+        x = np.array(phases)
+        assert np.all(np.abs(_unit_phasors(x) - np.exp(1j * x)) <= phasor_bound(x))
+
+    def test_blocks_and_shape(self):
+        # Several fixed-size blocks plus a partial one, in a 2-D array.
+        x = np.random.default_rng(0).uniform(-300.0, 300.0, size=(7, 2345))
+        got = _unit_phasors(x)
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - np.exp(1j * x)) <= phasor_bound(x))
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= 4 * 2.0**-52
+
+    def test_unit_modulus(self):
+        x = np.array(SPECIAL_PHASES + list(np.linspace(-1e6, 1e6, 10_001)))
+        assert np.max(np.abs(np.abs(_unit_phasors(x)) - 1.0)) <= 4 * 2.0**-52
+
+    @pytest.mark.parametrize(
+        "bad", [np.nextafter(_PHASE_LIMIT, np.inf), -2 * _PHASE_LIMIT, 1e300, np.inf, -np.inf, np.nan]
+    )
+    def test_out_of_range_raises(self, bad):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            _unit_phasors(np.array([[0.5, 1.0], [bad, 2.0]]))
 
 
 class TestChannelModel:
     @pytest.mark.parametrize("kind", ["los-dominant", "rich-scattering"])
     @pytest.mark.parametrize("subcarriers", [1, 16])
-    def test_bits_match_per_user_formula(self, kind, subcarriers):
+    def test_matches_per_user_formula_within_phasor_contract(self, kind, subcarriers):
+        # `subcarrier_channels` is the model itself (one code path, same
+        # bits); the libm per-user formula differs by the phasor contract.
         rng = np.random.default_rng(subcarriers)
         scen = replace(DEFAULT_SCENARIO, kind=kind)
         lam = scen.wavelength
         users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 3)]
         grid = OfdmGrid(subcarriers, 15e3)
         model = ChannelModel(users, grid, lam)
-        regions = make_move_regions(2, 2, 5 * lam)
-        lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
-        for _ in range(5):
-            positions = np.zeros((4, 3))
-            positions[:, 1:] = lo + rng.uniform(size=(4, 2)) * 5 * lam
-            layout = ArrayLayout(positions, lam, regions)
-            expected = per_user_reference(users, layout, grid)
-            assert np.array_equal(model.channels(layout.positions).matrices, expected)
-            assert np.array_equal(subcarrier_channels(users, layout, grid).matrices, expected)
+        for layout in random_movable_layouts(rng, lam, 5):
+            got = model.channels(layout.positions).matrices
+            assert np.array_equal(subcarrier_channels(users, layout, grid).matrices, got)
+            error = np.abs(got - per_user_reference(users, layout, grid))
+            assert np.all(error <= phasor_contract_bound(users, layout, grid))
+
+    @pytest.mark.parametrize("subcarriers", [1, 16])
+    def test_unequal_path_counts(self, subcarriers):
+        # Users of 1, 2 and 121 paths share one phase matrix; each must read
+        # back its own columns.
+        rng = np.random.default_rng(11)
+        lam = DEFAULT_SCENARIO.wavelength
+        full = [synthesize_paths(rng, DEFAULT_SCENARIO, p)
+                for p in sample_user_positions(rng, DEFAULT_SCENARIO, 3)]
+        users = [
+            UserPaths(u.amplitudes[:n], u.delays[:n], u.azimuths[:n], u.elevations[:n], u.position)
+            for u, n in zip(full, (1, 2, 121))
+        ]
+        grid = OfdmGrid(subcarriers, 15e3)
+        model = ChannelModel(users, grid, lam)
+        for layout in random_movable_layouts(rng, lam, 3):
+            got = model.channels(layout.positions).matrices
+            error = np.abs(got - per_user_reference(users, layout, grid))
+            assert np.all(error <= phasor_contract_bound(users, layout, grid))
 
 
 class TestPathLoss:

@@ -25,6 +25,23 @@ SCENARIO_OUT_OF_RANGE = [
     ("carrier_ghz", 0.0),
     ("delay_stretch", 0.5),
 ] + [(key, -1.0) for key in SCENARIO_SPREADS]
+# Non-finite floats that the range checks' comparisons let through, so that a
+# run failed later with an error that did not name the key.
+NON_FINITE = [
+    ("scenario.rice_factor_db", ".nan"),
+    ("scenario.rice_factor_db", "-.inf"),
+    ("scenario.los_pathloss_slope_db", ".nan"),
+    ("scenario.los_pathloss_intercept_db", ".nan"),
+    ("scenario.bs_height_m", ".nan"),
+    ("scenario.user_height_m", ".inf"),
+    ("scenario.delay_stretch", ".inf"),
+    ("scenario.carrier_ghz", ".inf"),
+    ("scenario.r_max_m", ".inf"),
+    ("arrays.region_side_wavelengths", ".inf"),
+    ("grid.spacing_khz", ".inf"),
+    ("rates.noise_pw", ".inf"),
+    ("campaign.fdd_eval_carriers_ghz", "[3.5, .inf]"),
+]
 
 TINY = {
     "arrays": {"m_rows": 2, "m_cols": 2},
@@ -99,6 +116,12 @@ class TestParseConfig:
             parse_config_dict(
                 {"scenario": {"kind": "rich-scattering", "azimuth_min_rad": 2.0, "azimuth_max_rad": 1.0}}
             )
+        for dotted, value in NON_FINITE:
+            section, key = dotted.split(".")
+            with pytest.raises(ConfigError, match=f"{dotted}: expected a finite number"):
+                parse_config_dict({section: {key: yaml.safe_load(value)}})
+        with pytest.raises(ConfigError, match="scenario.carrier_ghz: expected a finite number"):
+            parse_config_dict({"scenario": {"carrier_ghz": 10**400}})  # no float holds it
         for key in SCENARIO_SPREADS:
             assert getattr(parse_config_dict({"scenario": {key: 0.0}}), key) == 0.0
 
@@ -152,7 +175,8 @@ class TestCliCommands:
         ["campaign.fdd_eval_carriers_ghz=[-3.5]", "campaign.fdd_eval_carriers_ghz=[0.0]"]
         + [f"pso.{key}=-0.5" for key in PSO_COEFFICIENTS]
         + [f"scenario.{key}=0" for key in SCENARIO_COUNTS]
-        + [f"scenario.{key}={value}" for key, value in SCENARIO_OUT_OF_RANGE],
+        + [f"scenario.{key}={value}" for key, value in SCENARIO_OUT_OF_RANGE]
+        + [f"{key}={value}" for key, value in NON_FINITE],
     )
     def test_validate_config_rejects_out_of_range(self, override, capsys):
         assert main(["validate-config", "--set", override]) == 1
