@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .channels import (
+    LOS_DOMINANT,
+    SCENARIO_KINDS,
     OfdmGrid,
     ScenarioConfig,
     SubcarrierChannels,
@@ -70,119 +73,114 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest, "little")
 
 
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
+_RATE_PAIR = (lambda p: len(p) == 2 and all(s in RATE_SCHEMES for s in p), "two rate schemes")
+
+
+def _one_of(choices: tuple[str, ...]):
+    return (lambda v: v in choices, f"one of {choices}")
+
+
+def _key(name: str, default, check=None, swept: bool = False):
+    """Declare a config key on its spec field: the dotted `section.key` name,
+    the default, the (predicate, text) range check of each value (of each
+    entry, for a list), and whether the list is a sweep axis (non-empty)."""
+    return field(default=default, metadata={"key": name, "check": check, "swept": swept})
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved campaign description.
+    """Fully resolved campaign description, and the config-file schema.
 
-    Fields carry the units of the config file (GHz, kHz, pW, mW/MHz) so the
-    manifest round-trips exactly; SI values are derived through the builder
-    methods. The defaults are those of an empty config file: the headline
-    simulation parameters with the paper's swarm (150 particles, 100
-    iterations) and 20 realizations.
+    Each field declares its config key once, through `_key`: the dotted
+    `section.key` name that `mamimo.config` parses and emits, the default,
+    and the range check that `validate` applies. Fields carry the units of
+    the config file (GHz, kHz, pW, mW/MHz) so the manifest round-trips
+    exactly; SI values are derived through the builder methods. The defaults
+    are those of an empty config file: the headline simulation parameters
+    with the paper's swarm (150 particles, 100 iterations) and 20
+    realizations.
     """
 
-    scenario_kind: str = "los-dominant"
-    carrier_ghz: float = 3.0
-    rice_factor_db: float = 10.0
-    r_min_m: float = 100.0
-    r_max_m: float = 300.0
-    azimuth_min_rad: float = -np.pi / 3
-    azimuth_max_rad: float = np.pi / 3
-    bs_height_m: float = 4.0
-    user_height_m: float = 1.25
-    cluster_count: int = 6
-    paths_per_cluster: int = 20
-    cluster_azimuth_spread_deg: float = 40.0
-    cluster_elevation_spread_deg: float = 20.0
-    path_angle_spread_deg: float = 5.0
-    rich_cluster_count: int = 100
-    rich_paths_per_cluster: int = 2
-    delay_stretch: float = 10.0
-    los_pathloss_intercept_db: float = 30.18
-    los_pathloss_slope_db: float = 26.0
-    normalized_gain: float = 1e-9
-    spacing_khz: float = 15.0
-    subcarrier_counts: tuple[int, ...] = (1,)
-    array_schemes: tuple[str, ...] = ARRAY_SCHEMES
-    m_rows: int = 4
-    m_cols: int = 4
-    region_side_wavelengths: float = 5.0
-    rate_schemes: tuple[str, ...] = (UL_SIC,)
-    evms: tuple[float, ...] = (0.02,)
-    noise_pw: float = 3.98
-    ul_psd_mw_per_mhz: float = 1.0
-    dl_psd_mw_per_mhz: float = 20.0
-    optimize_scheme: str | None = None
-    pso_particles: int = 150
-    pso_iterations: int = 100
-    pso_inertia: float = 0.7298
-    pso_cognitive: float = 1.4962
-    pso_social: float = 1.4962
-    pso_velocity_clamp: float = 0.5
-    pso_penalty_weight: float = 1e3
-    realizations: int = 20
-    user_counts: tuple[int, ...] = (10,)
-    master_seed: int = 1
-    fdd_eval_carriers_ghz: tuple[float, ...] = ()
-    cross_pairs: tuple[tuple[str, str], ...] = ()
+    scenario_kind: str = _key("scenario.kind", LOS_DOMINANT, _one_of(SCENARIO_KINDS))
+    carrier_ghz: float = _key("scenario.carrier_ghz", 3.0, _POSITIVE)
+    rice_factor_db: float = _key("scenario.rice_factor_db", 10.0)
+    r_min_m: float = _key("scenario.r_min_m", 100.0, _POSITIVE)
+    r_max_m: float = _key("scenario.r_max_m", 300.0)
+    azimuth_min_rad: float = _key("scenario.azimuth_min_rad", -np.pi / 3)
+    azimuth_max_rad: float = _key("scenario.azimuth_max_rad", np.pi / 3)
+    bs_height_m: float = _key("scenario.bs_height_m", 4.0)
+    user_height_m: float = _key("scenario.user_height_m", 1.25)
+    cluster_count: int = _key("scenario.cluster_count", 6, _AT_LEAST_ONE)
+    paths_per_cluster: int = _key("scenario.paths_per_cluster", 20, _AT_LEAST_ONE)
+    cluster_azimuth_spread_deg: float = _key("scenario.cluster_azimuth_spread_deg", 40.0, _NONNEGATIVE)
+    cluster_elevation_spread_deg: float = _key(
+        "scenario.cluster_elevation_spread_deg", 20.0, _NONNEGATIVE
+    )
+    path_angle_spread_deg: float = _key("scenario.path_angle_spread_deg", 5.0, _NONNEGATIVE)
+    rich_cluster_count: int = _key("scenario.rich_cluster_count", 100, _AT_LEAST_ONE)
+    rich_paths_per_cluster: int = _key("scenario.rich_paths_per_cluster", 2, _AT_LEAST_ONE)
+    delay_stretch: float = _key("scenario.delay_stretch", 10.0, _AT_LEAST_ONE)
+    los_pathloss_intercept_db: float = _key("scenario.los_pathloss_intercept_db", 30.18)
+    los_pathloss_slope_db: float = _key("scenario.los_pathloss_slope_db", 26.0)
+    normalized_gain: float = _key("scenario.normalized_gain", 1e-9, _POSITIVE)
+    spacing_khz: float = _key("grid.spacing_khz", 15.0, _POSITIVE)
+    subcarrier_counts: tuple[int, ...] = _key(
+        "grid.subcarrier_counts", (1,), _AT_LEAST_ONE, swept=True
+    )
+    array_schemes: tuple[str, ...] = _key(
+        "arrays.schemes", ARRAY_SCHEMES, _one_of(ARRAY_SCHEMES), swept=True
+    )
+    m_rows: int = _key("arrays.m_rows", 4, _AT_LEAST_ONE)
+    m_cols: int = _key("arrays.m_cols", 4, _AT_LEAST_ONE)
+    region_side_wavelengths: float = _key("arrays.region_side_wavelengths", 5.0, _POSITIVE)
+    rate_schemes: tuple[str, ...] = _key(
+        "rates.schemes", (UL_SIC,), _one_of(RATE_SCHEMES), swept=True
+    )
+    evms: tuple[float, ...] = _key("rates.evms", (0.02,), _UNIT_INTERVAL, swept=True)
+    noise_pw: float = _key("rates.noise_pw", 3.98, _POSITIVE)
+    ul_psd_mw_per_mhz: float = _key("rates.ul_psd_mw_per_mhz", 1.0, _POSITIVE)
+    dl_psd_mw_per_mhz: float = _key("rates.dl_psd_mw_per_mhz", 20.0, _POSITIVE)
+    optimize_scheme: str | None = _key("rates.optimize_scheme", None, _one_of(RATE_SCHEMES))
+    pso_particles: int = _key("pso.particles", 150, _AT_LEAST_ONE)
+    pso_iterations: int = _key("pso.iterations", 100, _NONNEGATIVE)
+    pso_inertia: float = _key("pso.inertia", 0.7298, _NONNEGATIVE)
+    pso_cognitive: float = _key("pso.cognitive", 1.4962, _NONNEGATIVE)
+    pso_social: float = _key("pso.social", 1.4962, _NONNEGATIVE)
+    pso_velocity_clamp: float = _key("pso.velocity_clamp", 0.5, _NONNEGATIVE)
+    pso_penalty_weight: float = _key("pso.penalty_weight", 1e3, _NONNEGATIVE)
+    realizations: int = _key("campaign.realizations", 20, _AT_LEAST_ONE)
+    user_counts: tuple[int, ...] = _key("campaign.user_counts", (10,), _AT_LEAST_ONE, swept=True)
+    master_seed: int = _key("campaign.master_seed", 1)
+    fdd_eval_carriers_ghz: tuple[float, ...] = _key("campaign.fdd_eval_carriers_ghz", (), _POSITIVE)
+    cross_pairs: tuple[tuple[str, str], ...] = _key("campaign.cross_pairs", (), _RATE_PAIR)
 
     def validate(self) -> None:
-        if self.realizations < 1:
-            raise ValueError("campaign.realizations must be >= 1")
-        for name in ("subcarrier_counts", "user_counts", "rate_schemes", "array_schemes", "evms"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if any(s < 1 for s in self.subcarrier_counts):
-            raise ValueError("grid.subcarrier_counts entries must be >= 1")
-        if any(k < 1 for k in self.user_counts):
-            raise ValueError("campaign.user_counts entries must be >= 1")
-        for scheme in self.rate_schemes:
-            if scheme not in RATE_SCHEMES:
-                raise ValueError(f"rates.schemes entry {scheme!r} not in {RATE_SCHEMES}")
-        for scheme in self.array_schemes:
-            if scheme not in ARRAY_SCHEMES:
-                raise ValueError(f"arrays.schemes entry {scheme!r} not in {ARRAY_SCHEMES}")
-        if self.optimize_scheme is not None and self.optimize_scheme not in RATE_SCHEMES:
-            raise ValueError(f"rates.optimize_scheme {self.optimize_scheme!r} not in {RATE_SCHEMES}")
-        for pair in self.cross_pairs:
-            if len(pair) != 2 or any(s not in RATE_SCHEMES for s in pair):
-                raise ValueError(f"campaign.cross_pairs entry {pair!r} must name two rate schemes")
-        if not all(0.0 <= e < 1.0 for e in self.evms):
-            raise ValueError("rates.evms entries must lie in [0, 1)")
-        for key in ("noise_pw", "ul_psd_mw_per_mhz", "dl_psd_mw_per_mhz"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"rates.{key} must be > 0")
-        if not (0 < self.r_min_m < self.r_max_m):
-            raise ValueError("scenario user radii must satisfy 0 < r_min_m < r_max_m")
+        """Check each field against its declaration, then the two relations
+        between fields. Every error names the config key."""
+        for f in fields(self):
+            key, check = f.metadata["key"], f.metadata["check"]
+            is_list = f.type.startswith("tuple")
+            values = getattr(self, f.name) if is_list else (getattr(self, f.name),)
+            if f.metadata["swept"] and not values:
+                raise ValueError(f"{key} must be non-empty")
+            if f.type in ("float", "tuple[float, ...]"):
+                for v in values:
+                    if not math.isfinite(v):
+                        raise ValueError(f"{key}: expected a finite number, got {v!r}")
+            if check is not None:
+                ok, text = check
+                for v in values:
+                    if v is not None and not ok(v):
+                        entries = " entries" if is_list else ""
+                        raise ValueError(f"{key}{entries} must be {text}, got {v!r}")
+        if not self.r_min_m < self.r_max_m:
+            raise ValueError("scenario.r_min_m must be < scenario.r_max_m")
         if not self.azimuth_min_rad <= self.azimuth_max_rad:
             raise ValueError("scenario.azimuth_min_rad must be <= scenario.azimuth_max_rad")
-        for key in ("carrier_ghz", "normalized_gain"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"scenario.{key} must be > 0")
-        if not self.delay_stretch >= 1:
-            raise ValueError("scenario.delay_stretch must be >= 1")
-        for key in ("cluster_azimuth_spread_deg", "cluster_elevation_spread_deg", "path_angle_spread_deg"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"scenario.{key} must be >= 0")
-        if self.m_rows < 1 or self.m_cols < 1:
-            raise ValueError("arrays.m_rows and arrays.m_cols must be >= 1")
-        if not self.region_side_wavelengths > 0:
-            raise ValueError("arrays.region_side_wavelengths must be > 0")
-        if not self.spacing_khz > 0:
-            raise ValueError("grid.spacing_khz must be > 0")
-        if self.pso_particles < 1:
-            raise ValueError("pso.particles must be >= 1")
-        if self.pso_iterations < 0:
-            raise ValueError("pso.iterations must be >= 0")
-        for key in ("inertia", "cognitive", "social", "velocity_clamp", "penalty_weight"):
-            if not getattr(self, f"pso_{key}") >= 0:
-                raise ValueError(f"pso.{key} must be >= 0")
-        for key in ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"scenario.{key} must be >= 1")
-        if not all(f > 0 for f in self.fdd_eval_carriers_ghz):
-            raise ValueError("campaign.fdd_eval_carriers_ghz entries must be > 0")
-        self.scenario()  # validates scenario.kind
 
     # --- derived SI quantities -------------------------------------------------
 
@@ -511,8 +509,10 @@ def _run_realization_star(args) -> RealizationOutput:
 def run_campaign(spec: ExperimentSpec, workers: int = 1) -> CampaignResult:
     """Run all realizations; results are identical for any worker count."""
     spec.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     indices = range(spec.realizations)
-    if workers <= 1:
+    if workers == 1:
         outputs = [run_realization(spec, i) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=workers) as executor:

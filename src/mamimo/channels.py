@@ -135,14 +135,6 @@ class SubcarrierChannels:
     def subcarrier_count(self) -> int:
         return self.matrices.shape[0]
 
-    @property
-    def antenna_count(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def user_count(self) -> int:
-        return self.matrices.shape[2]
-
 
 def path_loss(distance_3d: float, intercept_db: float, slope_db: float) -> float:
     """Linear power gain of the log-distance law intercept + slope * log10(d)."""

@@ -11,8 +11,9 @@ from pathlib import Path
 import yaml
 
 from .campaign import (
-    FIXED_ARRAY_BUILDERS,
     FIXED_ARRAYS,
+    ExperimentSpec,
+    build_fixed_layouts,
     draw_realization,
     run_campaign,
     run_swarm,
@@ -20,7 +21,7 @@ from .campaign import (
     write_trace_csv,
 )
 from .config import ConfigError, emit_manifest, parse_config, write_manifest
-from .geometry import SPEED_OF_LIGHT, save_layout
+from .geometry import save_layout
 
 
 class _UsageError(Exception):
@@ -42,12 +43,19 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
-def _load_spec(args) -> "ExperimentSpec":
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
+def _load_spec(args) -> ExperimentSpec:
     overrides = _parse_overrides(getattr(args, "set", []) or [])
     return parse_config(getattr(args, "config", None), overrides)
 
 
-def _run_and_write(spec: "ExperimentSpec", args) -> int:
+def _run_and_write(spec: ExperimentSpec, args) -> int:
     """Run the campaign of `spec` and write its manifest and outputs."""
     result = run_campaign(spec, workers=args.workers)
     outdir = Path(args.output)
@@ -93,8 +101,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_export_layout(args) -> int:
-    wavelength = SPEED_OF_LIGHT / (args.carrier_ghz * 1e9)
-    layout = FIXED_ARRAY_BUILDERS[args.array](args.rows, args.cols, wavelength)
+    overrides = {"arrays.m_rows": args.rows, "arrays.m_cols": args.cols,
+                 "scenario.carrier_ghz": args.carrier_ghz}
+    layout = build_fixed_layouts(parse_config(None, overrides))[args.array]
     save_layout(layout, args.output)
     print(f"wrote {args.array} ({layout.antenna_count} antennas) to {args.output}")
     return 0
@@ -119,7 +128,8 @@ def _build_parser() -> _Parser:
 
     def add_campaign(p):
         add_common(p)
-        p.add_argument("--workers", type=int, default=1, help="parallel realization workers")
+        p.add_argument("--workers", type=_worker_count, default=1,
+                       help="parallel realization workers (>= 1)")
 
     p_sim = sub.add_parser("simulate", help="run the configured campaign")
     add_campaign(p_sim)
@@ -139,9 +149,10 @@ def _build_parser() -> _Parser:
 
     p_exp = sub.add_parser("export-layout", help="write a benchmark array layout file")
     p_exp.add_argument("--array", choices=FIXED_ARRAYS, required=True)
-    p_exp.add_argument("--rows", type=int, default=4)
-    p_exp.add_argument("--cols", type=int, default=4)
-    p_exp.add_argument("--carrier-ghz", type=float, default=3.0)
+    defaults = ExperimentSpec()
+    p_exp.add_argument("--rows", type=int, default=defaults.m_rows)
+    p_exp.add_argument("--cols", type=int, default=defaults.m_cols)
+    p_exp.add_argument("--carrier-ghz", type=float, default=defaults.carrier_ghz)
     p_exp.add_argument("-o", "--output", required=True, help="output file")
     p_exp.set_defaults(func=_cmd_export_layout)
 

@@ -2,11 +2,14 @@
 
 The file format is nested key/value text with one section per subsystem
 (scenario, grid, arrays, rates, pso, campaign). Keys carry explicit units
-(carrier_ghz, noise_pw, ul_psd_mw_per_mhz, ...). A manifest is simply a fully
-resolved config, so parsing a manifest reproduces the spec exactly.
+(carrier_ghz, noise_pw, ul_psd_mw_per_mhz, ...). The schema is read off the
+`ExperimentSpec` field declarations, which hold each key's name, default and
+range. A manifest is simply a fully resolved config, so parsing a manifest
+reproduces the spec exactly.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 from typing import Any
@@ -21,17 +24,14 @@ class ConfigError(ValueError):
 
 
 def _float(v: Any) -> float:
-    """Every float key, scalar or list entry, passes here: NaN and infinities
-    would slip through the range checks' comparisons and fail only mid-run."""
+    """Type check only: `ExperimentSpec.validate` rejects NaN and infinities,
+    so parsed and Python-built specs fail alike, naming the key."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"expected a number, got {v!r}")
     try:
-        value = float(v)
+        return float(v)
     except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {v!r}")
-    return value
+        return math.inf
 
 
 def _int(v: Any) -> int:
@@ -52,94 +52,40 @@ def _opt_str(v: Any) -> str | None:
     return _str(v)
 
 
-def _float_tuple(v: Any) -> tuple[float, ...]:
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"expected a list, got {v!r}")
-    return tuple(_float(x) for x in v)
+def _tuple_of(convert):
+    def convert_list(v: Any) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"expected a list, got {v!r}")
+        return tuple(convert(x) for x in v)
+
+    return convert_list
 
 
-def _int_tuple(v: Any) -> tuple[int, ...]:
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"expected a list, got {v!r}")
-    return tuple(_int(x) for x in v)
+def _pair(v: Any) -> tuple[str, str]:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ConfigError(f"cross pair {v!r} must have exactly two entries")
+    return (_str(v[0]), _str(v[1]))
 
 
-def _str_tuple(v: Any) -> tuple[str, ...]:
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"expected a list, got {v!r}")
-    return tuple(_str(x) for x in v)
-
-
-def _pair_tuple(v: Any) -> tuple[tuple[str, str], ...]:
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"expected a list of [optimize, evaluate] pairs, got {v!r}")
-    pairs = []
-    for item in v:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigError(f"cross pair {item!r} must have exactly two entries")
-        pairs.append((_str(item[0]), _str(item[1])))
-    return tuple(pairs)
-
-
-# section -> config key -> (spec field, converter)
-_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
-    "scenario": {
-        "kind": ("scenario_kind", _str),
-        "carrier_ghz": ("carrier_ghz", _float),
-        "rice_factor_db": ("rice_factor_db", _float),
-        "r_min_m": ("r_min_m", _float),
-        "r_max_m": ("r_max_m", _float),
-        "azimuth_min_rad": ("azimuth_min_rad", _float),
-        "azimuth_max_rad": ("azimuth_max_rad", _float),
-        "bs_height_m": ("bs_height_m", _float),
-        "user_height_m": ("user_height_m", _float),
-        "cluster_count": ("cluster_count", _int),
-        "paths_per_cluster": ("paths_per_cluster", _int),
-        "cluster_azimuth_spread_deg": ("cluster_azimuth_spread_deg", _float),
-        "cluster_elevation_spread_deg": ("cluster_elevation_spread_deg", _float),
-        "path_angle_spread_deg": ("path_angle_spread_deg", _float),
-        "rich_cluster_count": ("rich_cluster_count", _int),
-        "rich_paths_per_cluster": ("rich_paths_per_cluster", _int),
-        "delay_stretch": ("delay_stretch", _float),
-        "los_pathloss_intercept_db": ("los_pathloss_intercept_db", _float),
-        "los_pathloss_slope_db": ("los_pathloss_slope_db", _float),
-        "normalized_gain": ("normalized_gain", _float),
-    },
-    "grid": {
-        "spacing_khz": ("spacing_khz", _float),
-        "subcarrier_counts": ("subcarrier_counts", _int_tuple),
-    },
-    "arrays": {
-        "schemes": ("array_schemes", _str_tuple),
-        "m_rows": ("m_rows", _int),
-        "m_cols": ("m_cols", _int),
-        "region_side_wavelengths": ("region_side_wavelengths", _float),
-    },
-    "rates": {
-        "schemes": ("rate_schemes", _str_tuple),
-        "evms": ("evms", _float_tuple),
-        "noise_pw": ("noise_pw", _float),
-        "ul_psd_mw_per_mhz": ("ul_psd_mw_per_mhz", _float),
-        "dl_psd_mw_per_mhz": ("dl_psd_mw_per_mhz", _float),
-        "optimize_scheme": ("optimize_scheme", _opt_str),
-    },
-    "pso": {
-        "particles": ("pso_particles", _int),
-        "iterations": ("pso_iterations", _int),
-        "inertia": ("pso_inertia", _float),
-        "cognitive": ("pso_cognitive", _float),
-        "social": ("pso_social", _float),
-        "velocity_clamp": ("pso_velocity_clamp", _float),
-        "penalty_weight": ("pso_penalty_weight", _float),
-    },
-    "campaign": {
-        "realizations": ("realizations", _int),
-        "user_counts": ("user_counts", _int_tuple),
-        "master_seed": ("master_seed", _int),
-        "fdd_eval_carriers_ghz": ("fdd_eval_carriers_ghz", _float_tuple),
-        "cross_pairs": ("cross_pairs", _pair_tuple),
-    },
+# spec field annotation -> converter of a raw config value
+_CONVERTERS = {
+    "float": _float,
+    "int": _int,
+    "str": _str,
+    "str | None": _opt_str,
+    "tuple[float, ...]": _tuple_of(_float),
+    "tuple[int, ...]": _tuple_of(_int),
+    "tuple[str, ...]": _tuple_of(_str),
+    "tuple[tuple[str, str], ...]": _tuple_of(_pair),
 }
+
+# section -> config key -> (spec field, converter), from the fields' declarations;
+# a field type without a converter fails here, at import
+_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {}
+for _field in dataclasses.fields(ExperimentSpec):
+    _section, _name = _field.metadata["key"].split(".")
+    _SCHEMA.setdefault(_section, {})[_name] = (_field.name, _CONVERTERS[_field.type])
+
 
 def apply_overrides(data: dict, overrides: dict[str, Any]) -> dict:
     """Apply dotted `section.key` overrides onto a raw config mapping."""

@@ -246,18 +246,16 @@ def save_layout(layout: ArrayLayout, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_layout(path: str | Path, wavelength: float | None = None) -> ArrayLayout:
-    """Read a layout written by :func:`save_layout`.
-
-    The wavelength is taken from the file header unless explicitly given.
-    """
+def load_layout(path: str | Path) -> ArrayLayout:
+    """Read a layout written by :func:`save_layout`, wavelength from its header."""
+    wavelength = None
     rows = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if "wavelength_m" in line and wavelength is None:
+            if "wavelength_m" in line:
                 wavelength = float(line.split("=", 1)[1])
             continue
         fields = line.split()
@@ -265,7 +263,7 @@ def load_layout(path: str | Path, wavelength: float | None = None) -> ArrayLayou
             raise ValueError(f"malformed layout line: {line!r}")
         rows.append((int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])))
     if wavelength is None:
-        raise ValueError("wavelength not found in file header and not provided")
+        raise ValueError("wavelength not found in file header")
     rows.sort(key=lambda r: r[0])
     positions = np.array([[x, y, z] for _, x, y, z in rows])
     return ArrayLayout(positions, wavelength)

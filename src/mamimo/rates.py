@@ -63,14 +63,6 @@ class ImpairedLinkConfig:
     def kappa(self) -> float:
         return 1.0 - self.evm**2
 
-    @property
-    def user_count(self) -> int:
-        return self.powers.shape[1]
-
-    @property
-    def subcarrier_count(self) -> int:
-        return self.powers.shape[0]
-
     @classmethod
     def uniform(
         cls,

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +47,16 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def non_finite_specs():
+    """(dotted key, spec) with NaN, +inf or -inf in each float or float-list
+    field, one field at a time; new keys are covered as they are declared."""
+    for f in dataclasses.fields(ExperimentSpec):
+        if f.type in ("float", "tuple[float, ...]"):
+            for bad in (math.nan, math.inf, -math.inf):
+                value = (bad,) if f.type.startswith("tuple") else bad
+                yield f.metadata["key"], tiny_spec(**{f.name: value})
 
 
 @pytest.fixture(scope="module")
@@ -409,6 +423,28 @@ class TestCampaign:
             tiny_spec(rate_schemes=("ul-zf",)).validate()
         with pytest.raises(ValueError):
             tiny_spec(evms=(1.0,)).validate()
+
+    def test_non_finite_floats_name_the_key(self):
+        checked = 0
+        for key, spec in non_finite_specs():
+            with pytest.raises(ValueError, match=f"{re.escape(key)}: expected a finite number"):
+                spec.validate()
+            checked += 1
+        assert checked >= 3 * 27  # 25 float keys and 2 float lists
+
+    def test_non_finite_floats_stop_the_campaign_before_any_realization(self, monkeypatch):
+        def realization_ran(*args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(mamimo.campaign, "run_realization", realization_ran)
+        for key, spec in non_finite_specs():
+            with pytest.raises(ValueError, match=re.escape(key)):
+                run_campaign(spec)
+
+    def test_worker_count_below_one_rejected(self):
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                run_campaign(tiny_spec(), workers=workers)
 
     def test_file_and_programmatic_defaults_agree(self):
         assert parse_config_dict({}) == ExperimentSpec()

@@ -43,6 +43,15 @@ NON_FINITE = [
     ("campaign.fdd_eval_carriers_ghz", "[3.5, .inf]"),
 ]
 
+# The five sweep axes: an empty list leaves nothing to run.
+SWEPT_LISTS = (
+    "grid.subcarrier_counts",
+    "arrays.schemes",
+    "rates.schemes",
+    "rates.evms",
+    "campaign.user_counts",
+)
+
 TINY = {
     "arrays": {"m_rows": 2, "m_cols": 2},
     "campaign": {"realizations": 2, "user_counts": [2], "master_seed": 5},
@@ -124,6 +133,10 @@ class TestParseConfig:
             parse_config_dict({"scenario": {"carrier_ghz": 10**400}})  # no float holds it
         for key in SCENARIO_SPREADS:
             assert getattr(parse_config_dict({"scenario": {key: 0.0}}), key) == 0.0
+        for dotted in SWEPT_LISTS:
+            section, key = dotted.split(".")
+            with pytest.raises(ConfigError, match=f"{dotted} must be non-empty"):
+                parse_config_dict({section: {key: []}})
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="grid.subcarrier_counts"):
@@ -176,7 +189,8 @@ class TestCliCommands:
         + [f"pso.{key}=-0.5" for key in PSO_COEFFICIENTS]
         + [f"scenario.{key}=0" for key in SCENARIO_COUNTS]
         + [f"scenario.{key}={value}" for key, value in SCENARIO_OUT_OF_RANGE]
-        + [f"{key}={value}" for key, value in NON_FINITE],
+        + [f"{key}={value}" for key, value in NON_FINITE]
+        + [f"{key}=[]" for key in SWEPT_LISTS],
     )
     def test_validate_config_rejects_out_of_range(self, override, capsys):
         assert main(["validate-config", "--set", override]) == 1
@@ -186,6 +200,18 @@ class TestCliCommands:
         assert main(["simulate"]) == 1  # missing --output
         # optimize runs one swarm in-process and takes no worker count
         assert main(["optimize", "-o", str(tmp_path / "opt"), "--workers", "2"]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_is_usage_error(self, tmp_path, command, workers, capsys):
+        config = self.write_tiny(tmp_path)
+        outdir = tmp_path / "out"
+        argv = [command, "-c", str(config), "-o", str(outdir), "--workers", workers]
+        if command == "sweep":
+            argv += ["--axis", "rates.evms", "--values", "0.02"]
+        assert main(argv) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_unknown_command_exit_code(self):
         assert main(["frobnicate"]) == 1
@@ -283,3 +309,18 @@ class TestCliCommands:
         ys = np.sort(layout.positions[:, 1])
         steps = np.diff(ys)
         np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["--carrier-ghz", "0"], "scenario.carrier_ghz"),
+            (["--carrier-ghz", "nan"], "scenario.carrier_ghz"),
+            (["--carrier-ghz", "-3"], "scenario.carrier_ghz"),
+            (["--rows", "0"], "arrays.m_rows"),
+        ],
+    )
+    def test_export_layout_bad_argument_is_config_error(self, tmp_path, args, key, capsys):
+        out = tmp_path / "layout.txt"
+        assert main(["export-layout", "--array", "staggered-ura", "-o", str(out), *args]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()

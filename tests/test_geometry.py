@@ -227,10 +227,8 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.positions, layout.positions)
         assert loaded.wavelength == layout.wavelength
 
-    def test_explicit_wavelength_overrides_missing_header(self, tmp_path):
+    def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bare.txt"
         path.write_text("0 0.0 1.0 2.0\n")
-        loaded = load_layout(path, wavelength=0.2)
-        assert loaded.wavelength == 0.2
         with pytest.raises(ValueError):
             load_layout(path)
