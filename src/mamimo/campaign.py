@@ -11,6 +11,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -101,8 +102,8 @@ class ExperimentSpec:
     the config file (GHz, kHz, pW, mW/MHz) so the manifest round-trips
     exactly; SI values are derived through the builder methods. The defaults
     are those of an empty config file: the headline simulation parameters
-    with the paper's swarm (150 particles, 100 iterations) and 20
-    realizations.
+    with the paper's swarm (`PsoConfig`'s defaults: 150 particles, 100
+    iterations) and 20 realizations.
     """
 
     scenario_kind: str = _key("scenario.kind", LOS_DOMINANT, _one_of(SCENARIO_KINDS))
@@ -145,12 +146,12 @@ class ExperimentSpec:
     ul_psd_mw_per_mhz: float = _key("rates.ul_psd_mw_per_mhz", 1.0, _POSITIVE)
     dl_psd_mw_per_mhz: float = _key("rates.dl_psd_mw_per_mhz", 20.0, _POSITIVE)
     optimize_scheme: str | None = _key("rates.optimize_scheme", None, _one_of(RATE_SCHEMES))
-    pso_particles: int = _key("pso.particles", 150, _AT_LEAST_ONE)
-    pso_iterations: int = _key("pso.iterations", 100, _NONNEGATIVE)
-    pso_inertia: float = _key("pso.inertia", 0.7298, _NONNEGATIVE)
-    pso_cognitive: float = _key("pso.cognitive", 1.4962, _NONNEGATIVE)
-    pso_social: float = _key("pso.social", 1.4962, _NONNEGATIVE)
-    pso_velocity_clamp: float = _key("pso.velocity_clamp", 0.5, _NONNEGATIVE)
+    pso_particles: int = _key("pso.particles", PsoConfig.particle_count, _AT_LEAST_ONE)
+    pso_iterations: int = _key("pso.iterations", PsoConfig.max_iterations, _NONNEGATIVE)
+    pso_inertia: float = _key("pso.inertia", PsoConfig.inertia, _NONNEGATIVE)
+    pso_cognitive: float = _key("pso.cognitive", PsoConfig.cognitive, _NONNEGATIVE)
+    pso_social: float = _key("pso.social", PsoConfig.social, _NONNEGATIVE)
+    pso_velocity_clamp: float = _key("pso.velocity_clamp", PsoConfig.velocity_clamp, _NONNEGATIVE)
     pso_penalty_weight: float = _key("pso.penalty_weight", 1e3, _NONNEGATIVE)
     realizations: int = _key("campaign.realizations", 20, _AT_LEAST_ONE)
     user_counts: tuple[int, ...] = _key("campaign.user_counts", (10,), _AT_LEAST_ONE, swept=True)
@@ -159,8 +160,9 @@ class ExperimentSpec:
     cross_pairs: tuple[tuple[str, str], ...] = _key("campaign.cross_pairs", (), _RATE_PAIR)
 
     def validate(self) -> None:
-        """Check each field against its declaration, then the two relations
-        between fields. Every error names the config key."""
+        """Check each field against its declaration and each list for repeated
+        entries, then the two relations between fields. Every error names the
+        config key."""
         for f in fields(self):
             key, check = f.metadata["key"], f.metadata["check"]
             is_list = f.type.startswith("tuple")
@@ -177,6 +179,9 @@ class ExperimentSpec:
                     if v is not None and not ok(v):
                         entries = " entries" if is_list else ""
                         raise ValueError(f"{key}{entries} must be {text}, got {v!r}")
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"{key} entries must be distinct, got {v!r} twice")
         if not self.r_min_m < self.r_max_m:
             raise ValueError("scenario.r_min_m must be < scenario.r_max_m")
         if not self.azimuth_min_rad <= self.azimuth_max_rad:
@@ -277,15 +282,9 @@ class ResultRow:
 
 
 @dataclass(frozen=True, eq=False)
-class RealizationOutput:
-    rows: tuple[ResultRow, ...]
-    traces: dict[str, OptimizationTrace]
-    layouts: dict[str, ArrayLayout]
-
-
-@dataclass(frozen=True, eq=False)
 class CampaignResult:
-    spec: ExperimentSpec
+    """Rows, swarm traces and layouts of one realization or of a whole campaign."""
+
     rows: tuple[ResultRow, ...]
     traces: dict[str, OptimizationTrace]
     layouts: dict[str, ArrayLayout]
@@ -296,17 +295,6 @@ def build_fixed_layouts(spec: ExperimentSpec) -> dict[str, ArrayLayout]:
     return {name: fn(spec.m_rows, spec.m_cols, lam) for name, fn in FIXED_ARRAY_BUILDERS.items()}
 
 
-def _fdd_channels(
-    layout: ArrayLayout, paths: Sequence[UserPaths], grid: OfdmGrid, eval_carrier_hz: float
-) -> SubcarrierChannels:
-    """Channels of a placement at a shifted carrier frequency: the positions and
-    paths stay, the wavelength-dependent phases are re-derived."""
-    if not eval_carrier_hz > 0:
-        raise ValueError("evaluation carrier frequency must be positive")
-    shifted = layout.with_wavelength(SPEED_OF_LIGHT / eval_carrier_hz)
-    return subcarrier_channels(paths, shifted, grid)
-
-
 def fdd_evaluate(
     layout: ArrayLayout,
     paths: Sequence[UserPaths],
@@ -315,8 +303,12 @@ def fdd_evaluate(
     eval_carrier_hz: float,
     scheme: str,
 ) -> RateReport:
-    """Re-evaluate a placement at a shifted carrier frequency."""
-    return evaluate_rate_scheme(scheme, _fdd_channels(layout, paths, grid, eval_carrier_hz), config)
+    """Re-evaluate a placement at a shifted carrier frequency: the positions and
+    paths stay, the wavelength-dependent phases are re-derived."""
+    if not eval_carrier_hz > 0:
+        raise ValueError("evaluation carrier frequency must be positive")
+    shifted = layout.with_wavelength(SPEED_OF_LIGHT / eval_carrier_hz)
+    return evaluate_rate_scheme(scheme, subcarrier_channels(paths, shifted, grid), config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,6 +329,16 @@ class Swarm:
     key: str  # stem of the trace file and, prefixed with "movable_", of the layout file
     seed: int
     trace: OptimizationTrace
+
+
+@dataclass(frozen=True, eq=False)
+class Placement:
+    """One array of a sweep point: its layout, the swarm that found it (None
+    for a fixed array) and its channels at the home carrier."""
+
+    layout: ArrayLayout
+    swarm: Swarm | None
+    channels: SubcarrierChannels
 
 
 def draw_realization(spec: ExperimentSpec, index: int, users: int) -> Realization:
@@ -385,47 +387,28 @@ def run_swarm(
     return Swarm(scheme, key, seed, trace)
 
 
-def _row(
-    realization: Realization,
-    subcarriers: int,
-    evm: float,
-    carrier_ghz: float,
-    array: str,
-    rate_scheme: str,
-    report: RateReport,
-    swarm: Swarm | None = None,
-) -> ResultRow:
-    return ResultRow(
-        realization=realization.index,
-        array_scheme=array,
-        rate_scheme=rate_scheme,
-        optimized_for=None if swarm is None else swarm.scheme,
-        subcarriers=subcarriers,
-        evm=evm,
-        users=realization.users,
-        carrier_ghz=carrier_ghz,
-        channel_seed=realization.channel_seed,
-        pso_seed=None if swarm is None else swarm.seed,
-        sum_rate=report.sum_rate,
-        per_user_rates=tuple(float(r) for r in report.per_user_rates),
-    )
-
-
-def run_realization(spec: ExperimentSpec, index: int) -> RealizationOutput:
+def run_realization(spec: ExperimentSpec, index: int) -> CampaignResult:
     """Draw one channel realization and evaluate every requested combination.
 
     At each sweep point every distinct optimizing scheme (the main one and
-    those of the cross pairs) runs one swarm. Its layout serves the movable
-    rows, each cross pair optimizing that scheme and, for the main scheme,
-    the FDD rows.
+    those of the cross pairs) runs one swarm, and one placement table maps
+    each array name to its layout, its swarm and its channels: the fixed
+    arrays of `arrays.schemes` in config order, `movable` for the main
+    swarm and `movable/<scheme>` for each other optimizing scheme. The rows
+    read that table in the order factorial (arrays x rate schemes), the
+    zero-interference bound, cross pairs, then FDD (carrier x [movable,
+    fixed arrays] x rate schemes).
     """
-    fixed_layouts = build_fixed_layouts(spec)
     main_scheme = spec.resolved_optimize_scheme()
     swarm_schemes: tuple[str, ...] = ()
     if MOVABLE in spec.array_schemes or spec.cross_pairs or spec.fdd_eval_carriers_ghz:
         swarm_schemes = tuple(dict.fromkeys([main_scheme] + [opt for opt, _ in spec.cross_pairs]))
 
-    fixed = {name: fixed_layouts[name] for name in spec.array_schemes if name in fixed_layouts}
+    def placement_name(scheme: str) -> str:
+        return MOVABLE if scheme == main_scheme else f"{MOVABLE}/{scheme}"
+
+    all_fixed = build_fixed_layouts(spec)
+    fixed = {name: all_fixed[name] for name in spec.array_schemes if name in all_fixed}
     rows: list[ResultRow] = []
     traces: dict[str, OptimizationTrace] = {}
     layouts: dict[str, ArrayLayout] = dict(fixed)
@@ -435,75 +418,63 @@ def run_realization(spec: ExperimentSpec, index: int) -> RealizationOutput:
         paths = realization.paths
         for subcarriers in spec.subcarrier_counts:
             grid = spec.grid(subcarriers)
-            fixed_channels = {
-                name: subcarrier_channels(paths, layout, grid)
-                for name, layout in fixed_layouts.items()
-                if name in spec.array_schemes
+            fixed_table = {
+                name: Placement(layout, None, subcarrier_channels(paths, layout, grid))
+                for name, layout in fixed.items()
             }
             for evm in spec.evms:
                 config = spec.link_config(users, subcarriers, evm)
-                point = (realization, subcarriers, evm)
-                swarms = {s: run_swarm(spec, realization, subcarriers, evm, s) for s in swarm_schemes}
-                movable_channels: dict[str, SubcarrierChannels] = {}
-                for scheme, swarm in swarms.items():
+                swarms = [run_swarm(spec, realization, subcarriers, evm, s) for s in swarm_schemes]
+                table = dict(fixed_table)
+                for swarm in swarms:
+                    layout = swarm.trace.best_layout
                     traces[swarm.key] = swarm.trace
-                    layouts[f"{MOVABLE}_{swarm.key}"] = swarm.trace.best_layout
-                    movable_channels[scheme] = subcarrier_channels(paths, swarm.trace.best_layout, grid)
-                main_swarm = swarms.get(main_scheme)
-                channels_by_array = dict(fixed_channels)
-                if main_swarm is not None:
-                    channels_by_array[MOVABLE] = movable_channels[main_scheme]
+                    layouts[f"{MOVABLE}_{swarm.key}"] = layout
+                    table[placement_name(swarm.scheme)] = Placement(
+                        layout, swarm, subcarrier_channels(paths, layout, grid)
+                    )
 
-                for array in spec.array_schemes:
-                    if array == ZERO_INTERFERENCE:
-                        continue
-                    swarm = main_swarm if array == MOVABLE else None
+                def row(array, rate_scheme, report, swarm=None, carrier_ghz=spec.carrier_ghz):
+                    return ResultRow(
+                        index, array, rate_scheme, swarm and swarm.scheme, subcarriers, evm, users,
+                        carrier_ghz, realization.channel_seed, swarm and swarm.seed,
+                        report.sum_rate, tuple(float(r) for r in report.per_user_rates),
+                    )
+
+                for array in (a for a in spec.array_schemes if a != ZERO_INTERFERENCE):
+                    placement = table[array]
                     for rate_scheme in spec.rate_schemes:
-                        report = evaluate_rate_scheme(rate_scheme, channels_by_array[array], config)
-                        rows.append(_row(*point, spec.carrier_ghz, array, rate_scheme, report, swarm))
+                        report = evaluate_rate_scheme(rate_scheme, placement.channels, config)
+                        rows.append(row(array, rate_scheme, report, placement.swarm))
 
                 if ZERO_INTERFERENCE in spec.array_schemes:
                     # The analytic bound depends on the layout through the channel
-                    # norms; taking the max over every evaluated layout, each
-                    # swarm's included, keeps it an upper bound for every scheme
-                    # row of this sweep point.
-                    bound_channels = list(fixed_channels.values()) + list(movable_channels.values())
-                    if not bound_channels:
-                        bound_channels = [
-                            subcarrier_channels(paths, fixed_layouts[STAGGERED_URA], grid)
-                        ]
+                    # norms; the max over every placement of the table, each swarm's
+                    # included, bounds every scheme row of this sweep point.
+                    bound_channels = [p.channels for p in table.values()] or [
+                        subcarrier_channels(paths, all_fixed[STAGGERED_URA], grid)
+                    ]
                     reports = [zero_interference_bound(h, config) for h in bound_channels]
                     best = max(reports, key=lambda r: r.sum_rate)
                     for rate_scheme in spec.rate_schemes:
                         if rate_scheme in (UL_LIN, UL_SIC):
-                            rows.append(
-                                _row(*point, spec.carrier_ghz, ZERO_INTERFERENCE, rate_scheme, best)
-                            )
+                            rows.append(row(ZERO_INTERFERENCE, rate_scheme, best))
 
                 for opt_scheme, rate_scheme in spec.cross_pairs:
-                    report = evaluate_rate_scheme(rate_scheme, movable_channels[opt_scheme], config)
-                    rows.append(
-                        _row(*point, spec.carrier_ghz, MOVABLE, rate_scheme, report, swarms[opt_scheme])
-                    )
+                    placement = table[placement_name(opt_scheme)]
+                    report = evaluate_rate_scheme(rate_scheme, placement.channels, config)
+                    rows.append(row(MOVABLE, rate_scheme, report, placement.swarm))
 
-                if spec.fdd_eval_carriers_ghz:
-                    eval_arrays = [(MOVABLE, main_swarm.trace.best_layout, main_swarm)] + [
-                        (name, layout, None) for name, layout in fixed.items()
-                    ]
-                    for carrier_ghz in spec.fdd_eval_carriers_ghz:
-                        for array, layout, swarm in eval_arrays:
-                            h = _fdd_channels(layout, paths, grid, carrier_ghz * 1e9)
-                            for rate_scheme in spec.rate_schemes:
-                                report = evaluate_rate_scheme(rate_scheme, h, config)
-                                rows.append(
-                                    _row(*point, carrier_ghz, array, rate_scheme, report, swarm)
-                                )
+                for carrier_ghz in spec.fdd_eval_carriers_ghz:
+                    for array in (MOVABLE, *fixed):
+                        placement = table[array]
+                        shifted = placement.layout.with_wavelength(SPEED_OF_LIGHT / (carrier_ghz * 1e9))
+                        h = subcarrier_channels(paths, shifted, grid)
+                        for rate_scheme in spec.rate_schemes:
+                            report = evaluate_rate_scheme(rate_scheme, h, config)
+                            rows.append(row(array, rate_scheme, report, placement.swarm, carrier_ghz))
 
-    return RealizationOutput(tuple(rows), traces, layouts)
-
-
-def _run_realization_star(args) -> RealizationOutput:
-    return run_realization(*args)
+    return CampaignResult(tuple(rows), traces, layouts)
 
 
 def run_campaign(spec: ExperimentSpec, workers: int = 1) -> CampaignResult:
@@ -516,15 +487,12 @@ def run_campaign(spec: ExperimentSpec, workers: int = 1) -> CampaignResult:
         outputs = [run_realization(spec, i) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            outputs = list(executor.map(_run_realization_star, [(spec, i) for i in indices]))
-    rows: list[ResultRow] = []
-    traces: dict[str, OptimizationTrace] = {}
-    layouts: dict[str, ArrayLayout] = {}
-    for output in outputs:
-        rows.extend(output.rows)
-        traces.update(output.traces)
-        layouts.update(output.layouts)
-    return CampaignResult(spec, tuple(rows), traces, layouts)
+            outputs = list(executor.map(run_realization, repeat(spec), indices))
+    return CampaignResult(
+        tuple(row for output in outputs for row in output.rows),
+        {key: t for output in outputs for key, t in output.traces.items()},
+        {name: layout for output in outputs for name, layout in output.layouts.items()},
+    )
 
 
 # --- aggregation and persistence ------------------------------------------------
@@ -591,17 +559,9 @@ _KEY_HEADER = "realization,array_scheme,rate_scheme,optimized_for,subcarriers,ev
 
 
 def _key_fields(r: ResultRow) -> list[str]:
-    """The leading columns that identify a row in both result tables."""
-    return [
-        str(r.realization),
-        r.array_scheme,
-        r.rate_scheme,
-        r.optimized_for or "",
-        str(r.subcarriers),
-        repr(r.evm),
-        str(r.users),
-        repr(r.carrier_ghz),
-    ]
+    """The leading columns that identify a row in both result tables: the
+    realization, then the series key."""
+    return [str(r.realization)] + [repr(v) if isinstance(v, float) else str(v) for v in _series_key(r)]
 
 
 def write_results_csv(rows: Sequence[ResultRow], path: str | Path) -> None:

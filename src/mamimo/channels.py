@@ -8,7 +8,7 @@ channel matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -107,14 +107,25 @@ class ScenarioConfig:
     user_height: float
 
     def __post_init__(self) -> None:
+        """Reject each value that would fail later or degrade silently, naming its field."""
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("user radius bounds must satisfy 0 < r_min < r_max")
-        if not self.carrier_hz > 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.delay_stretch < 1.0:
-            raise ValueError("delay stretch must be >= 1")
+        counts = ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster")
+        spreads = ("cluster_azimuth_spread", "cluster_elevation_spread", "path_angle_spread")
+        lower = {**dict.fromkeys(counts + ("delay_stretch",), 1), **dict.fromkeys(spreads, 0)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in lower and not value >= lower[f.name]:
+                raise ValueError(f"{f.name} must be >= {lower[f.name]}, got {value!r}")
+        for name in ("carrier_hz", "normalized_gain", "r_min"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.r_min < self.r_max:
+            raise ValueError("r_min must be < r_max")
+        if not self.azimuth_min <= self.azimuth_max:
+            raise ValueError("azimuth_min must be <= azimuth_max")
 
     @property
     def wavelength(self) -> float:

@@ -7,6 +7,7 @@ the objective and the best penalty-free placement seen is the one returned.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -41,12 +42,13 @@ class PsoConfig:
 
     def __post_init__(self) -> None:
         if self.particle_count < 1:
-            raise ValueError("need at least one particle")
+            raise ValueError(f"particle_count must be >= 1, got {self.particle_count!r}")
         if self.max_iterations < 0:
-            raise ValueError("iteration count must be nonnegative")
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
         for name in ("inertia", "cognitive", "social", "velocity_clamp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

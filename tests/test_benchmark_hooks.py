@@ -5,11 +5,15 @@ perfbench/tracing.py wraps module globals (for example
 those names would silently zero the benchmark's per-layer metrics, so a
 small traced campaign must record a span for each hooked layer.
 perfbench/checks.py imports and calls package functions to re-score a
-campaign's rows; a workload campaign must pass it.
+campaign's rows; a workload campaign must pass it. perfbench/make_reference.py
+regenerates the committed reference rows through package names; for two
+master seeds it must reproduce that reference.
 """
+import json
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import mamimo.cli
@@ -68,3 +72,23 @@ def test_checker_accepts_a_workload_campaign(tmp_path, monkeypatch):
         assert mamimo.cli.main(argv) == 0
         check = checks.CampaignCheck(config, checks.load_reference(workload, config), 1)
         assert check.failed_rows(out) == 0, (workload, check.errors)
+
+
+def test_reference_regeneration_reproduces_the_committed_reference(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for module in ("make_reference", "checks"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    import checks
+    import make_reference
+
+    monkeypatch.setattr(make_reference, "SCRATCH", tmp_path)
+    monkeypatch.setattr(make_reference, "POOL", (1, 2))
+    ref = make_reference.make_reference("swarm-narrow")
+    committed = json.loads((PERFBENCH / "reference" / "swarm-narrow.json").read_text())
+    for name in ("config_sha256", "rows_per_campaign", "keys"):
+        assert ref[name] == committed[name], name
+    # within the tolerance the checker grants each rate scheme
+    for seed in ("1", "2"):
+        pairs = zip(ref["keys"], ref["values"][seed], committed["values"][seed])
+        for key, value, expected in pairs:
+            assert value == pytest.approx(expected, rel=checks.RTOL[key[2]]), (seed, key)

@@ -392,6 +392,66 @@ class TestCampaign:
         parallel = run_campaign(spec, workers=2)
         assert serial.rows == parallel.rows
 
+    def test_every_row_branch_serial_equals_parallel_in_order(self):
+        # Factorial rows, the bound, a cross pair that runs a second swarm and
+        # FDD rows at the home carrier and a shifted one, over 2 K x 2 S x 2
+        # EVM; the fixed arrays are listed out of builder order.
+        spec = tiny_spec(
+            array_schemes=("staggered-ura", "movable", "zero-interference", "compact-upa"),
+            rate_schemes=("ul-sic", "ul-lin"),
+            optimize_scheme="ul-sic",
+            cross_pairs=(("ul-lin", "ul-sic"), ("ul-sic", "ul-lin")),
+            fdd_eval_carriers_ghz=(3.0, 2.7),
+            user_counts=(2, 3),
+            subcarrier_counts=(1, 2),
+            evms=(0.02, 0.1),
+            pso_particles=3,
+            pso_iterations=1,
+        )
+        serial = run_campaign(spec, workers=1)
+        parallel = run_campaign(spec, workers=2)
+        assert serial.rows == parallel.rows
+        assert list(serial.traces) == list(parallel.traces)
+        for key, trace in serial.traces.items():
+            np.testing.assert_array_equal(trace.best_values, parallel.traces[key].best_values)
+        assert list(serial.layouts) == list(parallel.layouts)
+        for name, layout in serial.layouts.items():
+            np.testing.assert_array_equal(layout.positions, parallel.layouts[name].positions)
+
+        expected = []
+        fixed = ("staggered-ura", "compact-upa")
+        for i in range(spec.realizations):
+            for k in spec.user_counts:
+                for s in spec.subcarrier_counts:
+                    for evm in spec.evms:
+                        point = []
+                        for array in ("staggered-ura", "movable", "compact-upa"):
+                            opt = "ul-sic" if array == "movable" else None
+                            point += [(array, rate, opt, 3.0) for rate in spec.rate_schemes]
+                        point += [("zero-interference", rate, None, 3.0) for rate in spec.rate_schemes]
+                        point += [("movable", rate, scheme, 3.0) for scheme, rate in spec.cross_pairs]
+                        for carrier in spec.fdd_eval_carriers_ghz:
+                            for array in ("movable",) + fixed:
+                                opt = "ul-sic" if array == "movable" else None
+                                point += [(array, rate, opt, carrier) for rate in spec.rate_schemes]
+                        expected += [(i, a, r, o, s, evm, k, c) for a, r, o, c in point]
+        keys = [
+            (r.realization, r.array_scheme, r.rate_scheme, r.optimized_for, r.subcarriers,
+             r.evm, r.users, r.carrier_ghz)
+            for r in serial.rows
+        ]
+        assert keys == expected
+        swarm_keys = {
+            f"r{i:04d}_k{k}_s{s}_evm{evm:g}_{scheme}"
+            for i in range(spec.realizations)
+            for k in spec.user_counts
+            for s in spec.subcarrier_counts
+            for evm in spec.evms
+            for scheme in ("ul-sic", "ul-lin")
+        }
+        assert set(serial.traces) == swarm_keys
+        assert set(serial.layouts) == set(fixed) | {f"movable_{key}" for key in swarm_keys}
+
     def test_rows_per_combination(self):
         spec = tiny_spec(realizations=2)
         result = run_campaign(spec)

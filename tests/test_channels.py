@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass, replace
 
@@ -11,8 +12,10 @@ from mamimo.campaign import ExperimentSpec
 from mamimo.channels import (
     _PHASE_LIMIT,
     _PHASOR_TABLE_SIZE,
+    SCENARIO_KINDS,
     ChannelModel,
     OfdmGrid,
+    ScenarioConfig,
     UserPaths,
     path_loss,
     pulse_triangle,
@@ -200,6 +203,62 @@ class TestSynthesizePaths:
         np.testing.assert_array_equal(a.delays, b.delays)
         np.testing.assert_array_equal(a.azimuths, b.azimuths)
         np.testing.assert_array_equal(a.elevations, b.elevations)
+
+
+class TestScenarioConfig:
+    # Each value used to fail later with a message naming no field, or to run
+    # silently with an infinite or NaN quantity.
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("cluster_count", {"cluster_count": 0}),
+            ("rich_paths_per_cluster", {"rich_paths_per_cluster": 0}),
+            ("normalized_gain", {"kind": "rich-scattering", "normalized_gain": -1.0}),
+            ("path_angle_spread", {"path_angle_spread": -1.0}),
+            ("cluster_azimuth_spread", {"cluster_azimuth_spread": -0.1}),
+            ("azimuth_min", {"azimuth_min": 1.0, "azimuth_max": 0.5}),
+            ("bs_height", {"bs_height": math.nan}),
+            ("rice_factor_db", {"rice_factor_db": math.inf}),
+            ("carrier_hz", {"carrier_hz": math.inf}),
+            ("r_min", {"r_min": 0.0}),
+            ("delay_stretch", {"delay_stretch": 0.5}),
+        ],
+    )
+    def test_rejects_value_naming_the_field(self, field, overrides):
+        with pytest.raises(ValueError, match=field):
+            replace(DEFAULT_SCENARIO, **overrides)
+
+    def test_every_float_field_must_be_finite(self):
+        floats = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
+        assert len(floats) == 15
+        for name in floats:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=name):
+                    replace(DEFAULT_SCENARIO, **{name: bad})
+
+    def test_spec_boundaries_still_build(self):
+        # Every boundary value that ExperimentSpec.validate accepts still
+        # builds a scenario.
+        spec = ExperimentSpec(
+            cluster_count=1,
+            paths_per_cluster=1,
+            rich_cluster_count=1,
+            rich_paths_per_cluster=1,
+            delay_stretch=1.0,
+            cluster_azimuth_spread_deg=0.0,
+            cluster_elevation_spread_deg=0.0,
+            path_angle_spread_deg=0.0,
+            azimuth_min_rad=0.5,
+            azimuth_max_rad=0.5,
+            bs_height_m=1.25,
+            rice_factor_db=-30.0,
+        )
+        spec.validate()
+        for kind in SCENARIO_KINDS:
+            scenario = replace(spec, scenario_kind=kind).scenario()
+            rng = np.random.default_rng(3)
+            (position,) = sample_user_positions(rng, scenario, 1)
+            assert synthesize_paths(rng, scenario, position).n_paths >= 1
 
 
 class TestSyncAndTaps:

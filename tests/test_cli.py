@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import yaml
@@ -51,6 +53,17 @@ SWEPT_LISTS = (
     "rates.evms",
     "campaign.user_counts",
 )
+
+# A repeated entry of any list key, as YAML; each repeats work and rows.
+REPEATED_ENTRIES = [
+    ("grid.subcarrier_counts", "[1, 4, 1]"),
+    ("arrays.schemes", "[staggered-ura, staggered-ura]"),
+    ("rates.schemes", "[ul-sic, ul-lin, ul-sic]"),
+    ("rates.evms", "[0.02, 0.02]"),
+    ("campaign.user_counts", "[10, 10]"),
+    ("campaign.fdd_eval_carriers_ghz", "[3.0, 3.0]"),
+    ("campaign.cross_pairs", "[[ul-sic, ul-lin], [ul-sic, ul-lin]]"),
+]
 
 TINY = {
     "arrays": {"m_rows": 2, "m_cols": 2},
@@ -137,6 +150,16 @@ class TestParseConfig:
             section, key = dotted.split(".")
             with pytest.raises(ConfigError, match=f"{dotted} must be non-empty"):
                 parse_config_dict({section: {key: []}})
+        list_keys = {f.metadata["key"] for f in fields(ExperimentSpec) if f.type.startswith("tuple")}
+        assert {dotted for dotted, _ in REPEATED_ENTRIES} == list_keys
+        for dotted, value in REPEATED_ENTRIES:
+            section, key = dotted.split(".")
+            with pytest.raises(ConfigError, match=f"{dotted} entries must be distinct"):
+                parse_config_dict({section: {key: yaml.safe_load(value)}})
+        # a pair may name one scheme twice; only whole list entries must differ
+        pairs = [["ul-sic", "ul-sic"], ["ul-sic", "ul-lin"], ["ul-lin", "ul-sic"]]
+        spec = parse_config_dict({"campaign": {"cross_pairs": pairs}})
+        assert spec.cross_pairs == tuple(tuple(p) for p in pairs)
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="grid.subcarrier_counts"):
@@ -190,7 +213,8 @@ class TestCliCommands:
         + [f"scenario.{key}=0" for key in SCENARIO_COUNTS]
         + [f"scenario.{key}={value}" for key, value in SCENARIO_OUT_OF_RANGE]
         + [f"{key}={value}" for key, value in NON_FINITE]
-        + [f"{key}=[]" for key in SWEPT_LISTS],
+        + [f"{key}=[]" for key in SWEPT_LISTS]
+        + [f"{key}={value}" for key, value in REPEATED_ENTRIES],
     )
     def test_validate_config_rejects_out_of_range(self, override, capsys):
         assert main(["validate-config", "--set", override]) == 1

@@ -153,6 +153,16 @@ class TestPsoOptimize:
         with pytest.raises(ValueError):
             PsoConfig(inertia=-0.1)
 
+    def test_coefficients_must_be_finite(self):
+        # NaN passed the `< 0` checks, and infinities were accepted.
+        for name in ("inertia", "cognitive", "social", "velocity_clamp"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=name):
+                    PsoConfig(**{name: bad})
+
+    def test_spec_swarm_defaults_are_the_config_defaults(self):
+        assert ExperimentSpec().pso_config() == PsoConfig()
+
 
 @pytest.fixture(scope="module")
 def small_realization():
