@@ -85,6 +85,14 @@ def _one_of(choices: tuple[str, ...]):
     return (lambda v: v in choices, f"one of {choices}")
 
 
+def _db_to_power(db: float) -> float:
+    """10^(db/10), infinite where that overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _key(name: str, default, check=None, swept: bool = False):
     """Declare a config key on its spec field: the dotted `section.key` name,
     the default, the (predicate, text) range check of each value (of each
@@ -161,8 +169,8 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         """Check each field against its declaration and each list for repeated
-        entries, then the two relations between fields. Every error names the
-        config key."""
+        entries, then the two relations between fields, then that no derived
+        quantity overflows. Every error names the config key."""
         for f in fields(self):
             key, check = f.metadata["key"], f.metadata["check"]
             is_list = f.type.startswith("tuple")
@@ -186,6 +194,41 @@ class ExperimentSpec:
             raise ValueError("scenario.r_min_m must be < scenario.r_max_m")
         if not self.azimuth_min_rad <= self.azimuth_max_rad:
             raise ValueError("scenario.azimuth_min_rad must be <= scenario.azimuth_max_rad")
+        self._check_derived_ranges()
+
+    def _check_derived_ranges(self) -> None:
+        """Finite values whose SI conversion, user distance or path power
+        overflows would fail later with an error that names no key."""
+        carriers = [("scenario.carrier_ghz", self.carrier_hz)]
+        carriers += [("campaign.fdd_eval_carriers_ghz", c * 1e9) for c in self.fdd_eval_carriers_ghz]
+        for key, hz in carriers + [("grid.spacing_khz", self.subcarrier_spacing_hz)]:
+            if not math.isfinite(hz):
+                raise ValueError(f"{key} overflows in Hz, got {hz!r}")
+        height = self.bs_height_m - self.user_height_m
+        if not math.isfinite(self.r_max_m * self.r_max_m + height * height):
+            raise ValueError(
+                "scenario.r_max_m, scenario.bs_height_m and scenario.user_height_m: "
+                "the squared distance of the farthest user overflows"
+            )
+        rice = _db_to_power(-self.rice_factor_db)
+        if not math.isfinite(rice):
+            raise ValueError(
+                f"scenario.rice_factor_db: the scattered power ratio overflows, got {self.rice_factor_db!r}"
+            )
+        if self.scenario_kind == LOS_DOMINANT:
+            gain_keys = "scenario.los_pathloss_intercept_db and scenario.los_pathloss_slope_db"
+            # The path loss is affine in log10(distance), so its extremes sit
+            # at the nearest and the farthest user distance.
+            gains = [
+                _db_to_power(-(self.los_pathloss_intercept_db + self.los_pathloss_slope_db * math.log10(d)))
+                for d in (math.hypot(self.r_min_m, height), math.hypot(self.r_max_m, height))
+            ]
+            if not all(math.isfinite(g) for g in gains):
+                raise ValueError(f"{gain_keys}: the direct-path gain overflows at a user distance")
+        else:
+            gain_keys, gains = "scenario.normalized_gain", [self.normalized_gain]
+        if not all(math.isfinite(g * rice) for g in gains):
+            raise ValueError(f"scenario.rice_factor_db with {gain_keys}: the scattered power overflows")
 
     # --- derived SI quantities -------------------------------------------------
 

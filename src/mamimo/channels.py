@@ -271,27 +271,38 @@ _PHASOR_TABLE = np.exp(1j * _PHASOR_STEP * np.arange(_PHASOR_TABLE_SIZE))
 _PHASE_LIMIT = 2.0**40
 # Elements per pass. Every op runs in place on one block's scratch, 24 bytes
 # an element, which at 4096 elements stays well below glibc's 128 KiB mmap
-# threshold: larger scratch is mapped afresh on each call and faults its
-# pages in. On the same VM, in-process swarm-narrow campaigns (best of 3)
-# took 1.48-1.54 s with 4096, 1.55-1.60 s with 8192 and 1.52-1.61 s with
-# 16384 elements, the latter at 0.6 MB more peak RSS.
+# threshold, so each call takes it from malloc's free lists. Larger scratch
+# is mapped afresh on each call and faults its pages in; that is why a
+# ChannelModel owns its (M, N_1 + ... + N_K) phase and phasor arrays, which
+# are larger, per antenna count, while the per-block scratch stays per call.
+# On the same VM,
+# in-process swarm-narrow campaigns (best of 3) took 1.48-1.54 s with 4096,
+# 1.55-1.60 s with 8192 and 1.52-1.61 s with 16384 elements, the latter at
+# 0.6 MB more peak RSS.
 _PHASOR_BLOCK = 4096
 
 
-def _unit_phasors(phase: np.ndarray) -> np.ndarray:
+def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(1j * phase) from vector numpy ops, without libm's scalar exp.
 
     Contract: |result - exp(1j x)| <= 4 * 2^-52 * (1 + |x|) per element,
     the size of the rounding already present in the phase x = p . k, and
     |result| = 1 within a few ulp. A phase that is not finite or exceeds
-    _PHASE_LIMIT in magnitude raises ValueError.
+    _PHASE_LIMIT in magnitude raises ValueError. The result is written to
+    `out`, a C-contiguous complex array of the phases' shape, when given,
+    and to a fresh array otherwise. `out` may also hold the phases, in the
+    back half of its float view (phase i at float L + i, for L elements):
+    a block reads all of its phases before it writes a phasor, and the
+    phasors of elements [s, s + b) end at float 2(s + b) <= L + s + b,
+    where the next block's phases begin.
     """
     phase = np.asarray(phase, dtype=float)
     if not (phase.min() >= -_PHASE_LIMIT and phase.max() <= _PHASE_LIMIT):
         raise ValueError(f"phases must be finite and within +-{_PHASE_LIMIT:g} rad")
-    out = np.empty(phase.shape, dtype=complex)
+    if out is None:
+        out = np.empty(phase.shape, dtype=complex)
     flat_in = phase.reshape(-1)
-    flat_out = out.reshape(-1)
+    flat_out = out.reshape(-1, copy=False)  # raises rather than write to a copy
     block = min(_PHASOR_BLOCK, flat_in.size)
     table_buf = np.empty(block, dtype=complex)
     real_buf = table_buf.view(float)  # two real rows, free until the table gather
@@ -310,7 +321,7 @@ def _unit_phasors(phase: np.ndarray) -> np.ndarray:
         r *= _PHASOR_STEP
         np.subtract(x, r, out=r)
         np.multiply(r, r, out=r2)
-        sin, cos = o.imag, o.real
+        sin, cos = o.imag, o.real  # x is not read from here on
         np.multiply(r2, -1.0 / 6.0, out=sin)
         sin += 1.0
         sin *= r
@@ -354,6 +365,11 @@ class ChannelModel:
                 pulse_triangle(ells[None, :] - x[:, None]),
             ))
             start += user.n_paths
+        # The (M, N_1 + ... + N_K) phasors, sized for the antenna count of
+        # the last call. The phases live in the back half of its bytes: a
+        # separate phase array held across the per-user products added
+        # 0.4 MB of peak RSS on the eval-sweep benchmark.
+        self._phasors = np.empty((0, start), dtype=complex)
 
     def channels(self, positions: np.ndarray) -> SubcarrierChannels:
         """(S, M, K) channels of antennas at `positions` (M, 3), in meters.
@@ -366,8 +382,21 @@ class ChannelModel:
         libm formula, w_n being path n's subcarrier weight, and phases beyond
         2^40 rad raise ValueError. The per-path weights are formed on each
         call rather than stored, which keeps the model at O(N (T+1)) per user.
+
+        The model owns the phase and phasor arrays, above glibc's 128 KiB
+        mmap threshold at swarm sizes, as one complex buffer whose back half
+        holds the phases; it is reallocated only when M changes, so a warm
+        call faults no pages in, and a model serves one thread at a time.
+        Only the returned array is fresh; it never aliases the buffer. The
+        kernel's per-block scratch stays per call, since it sits under the
+        mmap threshold.
         """
-        phasors = _unit_phasors(positions @ self.waves)
+        shape = (positions.shape[0], self.waves.shape[1])
+        if self._phasors.shape != shape:
+            self._phasors = np.empty(shape, dtype=complex)
+        phase = self._phasors.reshape(-1).view(float)[self._phasors.size:].reshape(shape)
+        np.matmul(positions, self.waves, out=phase)
+        phasors = _unit_phasors(phase, out=self._phasors)
         matrices = np.empty((self.dft.shape[1], positions.shape[0], len(self.users)), dtype=complex)
         for k, (cols, gains, pulses) in enumerate(self.users):
             weights = gains[:, None] * (pulses @ self.dft)  # (N, S)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -514,6 +515,33 @@ class TestUnitPhasors:
         with pytest.raises(ValueError, match="phases must be finite"):
             _unit_phasors(np.array([[0.5, 1.0], [bad, 2.0]]))
 
+    def test_writes_into_out(self):
+        x = np.random.default_rng(1).uniform(-300.0, 300.0, size=(3, 5000))
+        buf = np.empty(x.shape, dtype=complex)
+        got = _unit_phasors(x, out=buf)
+        assert got is buf
+        assert np.array_equal(got, _unit_phasors(x))
+        # The phases may sit in the back half of the output's bytes, as a
+        # ChannelModel keeps them.
+        buf[:] = 0
+        shared = buf.reshape(-1).view(float)[buf.size:].reshape(x.shape)
+        shared[:] = x
+        assert np.array_equal(_unit_phasors(shared, out=buf), _unit_phasors(x))
+
+
+def swarm_narrow_model():
+    """A model at swarm-narrow sizes: the default los-dominant scenario,
+    K = 10 users (1,210 paths) and S = 1, with its paths and grid."""
+    rng = np.random.default_rng(5)
+    users = [synthesize_paths(rng, DEFAULT_SCENARIO, p)
+             for p in sample_user_positions(rng, DEFAULT_SCENARIO, 10)]
+    grid = OfdmGrid(1, 15e3)
+    return ChannelModel(users, grid, DEFAULT_SCENARIO.wavelength), users, grid
+
+
+def fresh_channels(users, grid, positions):
+    return ChannelModel(users, grid, DEFAULT_SCENARIO.wavelength).channels(positions).matrices
+
 
 class TestChannelModel:
     @pytest.mark.parametrize("kind", ["los-dominant", "rich-scattering"])
@@ -551,6 +579,51 @@ class TestChannelModel:
             got = model.channels(layout.positions).matrices
             error = np.abs(got - per_user_reference(users, layout, grid))
             assert np.all(error <= phasor_contract_bound(users, layout, grid))
+
+
+    # The model owns its phase and phasor arrays; every result must still be
+    # the one a fresh model returns.
+    def test_warm_call_allocates_little(self):
+        model, _, _ = swarm_narrow_model()
+        positions = make_staggered_ura(4, 4, DEFAULT_SCENARIO.wavelength).positions
+        model.channels(positions)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            model.channels(positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The fresh (M, 1210) phase and phasor arrays alone take 465 KiB.
+        assert peak < 256 * 1024
+
+    def test_result_never_aliases_a_buffer(self):
+        model, users, grid = swarm_narrow_model()
+        rng = np.random.default_rng(6)
+        first, second = (rng.uniform(-0.1, 0.1, size=(16, 3)) for _ in range(2))
+        h1 = model.channels(first).matrices
+        kept = h1.copy()
+        h2 = model.channels(second).matrices
+        assert np.array_equal(h1, kept)
+        assert np.array_equal(h1, fresh_channels(users, grid, first))
+        assert np.array_equal(h2, fresh_channels(users, grid, second))
+
+    def test_antenna_count_changes(self):
+        model, users, grid = swarm_narrow_model()
+        rng = np.random.default_rng(7)
+        for m in (16, 4, 16):
+            positions = rng.uniform(-0.1, 0.1, size=(m, 3))
+            got = model.channels(positions).matrices
+            assert got.shape == (1, m, 10)
+            assert np.array_equal(got, fresh_channels(users, grid, positions))
+
+    def test_valid_call_after_out_of_range_phase(self):
+        model, users, grid = swarm_narrow_model()
+        positions = np.random.default_rng(8).uniform(-0.1, 0.1, size=(16, 3))
+        model.channels(positions)
+        with pytest.raises(ValueError, match="phases must be finite"):
+            model.channels(np.full((16, 3), 1e30))
+        assert np.array_equal(model.channels(positions).matrices, fresh_channels(users, grid, positions))
 
 
 class TestPathLoss:

@@ -45,6 +45,20 @@ NON_FINITE = [
     ("campaign.fdd_eval_carriers_ghz", "[3.5, .inf]"),
 ]
 
+# Finite values, as YAML, whose derived quantity overflows: a carrier or a
+# spacing in Hz, the farthest user's squared distance, the Rice power ratio
+# or the direct-path gain. Each used to fail later naming no key.
+DERIVED_OVERFLOW = [
+    ("scenario.rice_factor_db", "-4000.0"),
+    ("scenario.los_pathloss_intercept_db", "-4000.0"),
+    ("scenario.los_pathloss_slope_db", "-4000.0"),
+    ("scenario.r_max_m", "1.0e+200"),
+    ("scenario.carrier_ghz", "1.0e+300"),
+    ("scenario.bs_height_m", "1.0e+300"),
+    ("grid.spacing_khz", "1.0e+306"),
+    ("campaign.fdd_eval_carriers_ghz", "[3.5, 1.0e+300]"),
+]
+
 # The five sweep axes: an empty list leaves nothing to run.
 SWEPT_LISTS = (
     "grid.subcarrier_counts",
@@ -144,6 +158,23 @@ class TestParseConfig:
                 parse_config_dict({section: {key: yaml.safe_load(value)}})
         with pytest.raises(ConfigError, match="scenario.carrier_ghz: expected a finite number"):
             parse_config_dict({"scenario": {"carrier_ghz": 10**400}})  # no float holds it
+        for dotted, value in DERIVED_OVERFLOW:
+            section, key = dotted.split(".")
+            with pytest.raises(ConfigError, match=f"{dotted}.* overflows"):
+                parse_config_dict({section: {key: yaml.safe_load(value)}})
+        with pytest.raises(ConfigError, match="scenario.normalized_gain: the scattered power overflows"):
+            parse_config_dict(
+                {"scenario": {"kind": "rich-scattering", "normalized_gain": 1e300, "rice_factor_db": -100.0}}
+            )
+        # Values that ran before still validate: powers that underflow or stay
+        # in range, and path-loss keys that rich scattering ignores.
+        for section in (
+            {"rice_factor_db": 4000.0},
+            {"los_pathloss_intercept_db": 4000.0},
+            {"kind": "rich-scattering", "los_pathloss_intercept_db": -4000.0},
+            {"los_pathloss_intercept_db": -3000.0, "rice_factor_db": -100.0},
+        ):
+            parse_config_dict({"scenario": section})
         for key in SCENARIO_SPREADS:
             assert getattr(parse_config_dict({"scenario": {key: 0.0}}), key) == 0.0
         for dotted in SWEPT_LISTS:
@@ -213,6 +244,7 @@ class TestCliCommands:
         + [f"scenario.{key}=0" for key in SCENARIO_COUNTS]
         + [f"scenario.{key}={value}" for key, value in SCENARIO_OUT_OF_RANGE]
         + [f"{key}={value}" for key, value in NON_FINITE]
+        + [f"{key}={value}" for key, value in DERIVED_OVERFLOW]
         + [f"{key}=[]" for key in SWEPT_LISTS]
         + [f"{key}={value}" for key, value in REPEATED_ENTRIES],
     )
