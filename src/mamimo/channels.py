@@ -271,14 +271,13 @@ _PHASOR_TABLE = np.exp(1j * _PHASOR_STEP * np.arange(_PHASOR_TABLE_SIZE))
 _PHASE_LIMIT = 2.0**40
 # Elements per pass. Every op runs in place on one block's scratch, 24 bytes
 # an element, which at 4096 elements stays well below glibc's 128 KiB mmap
-# threshold, so each call takes it from malloc's free lists. Larger scratch
-# is mapped afresh on each call and faults its pages in; that is why a
-# ChannelModel owns its (M, N_1 + ... + N_K) phase and phasor arrays, which
-# are larger, per antenna count, while the per-block scratch stays per call.
-# On the same VM,
-# in-process swarm-narrow campaigns (best of 3) took 1.48-1.54 s with 4096,
-# 1.55-1.60 s with 8192 and 1.52-1.61 s with 16384 elements, the latter at
-# 0.6 MB more peak RSS.
+# threshold, so each call takes it from malloc's free lists. Larger arrays
+# are mapped afresh on each call and fault their pages in; that is why a
+# ChannelModel owns its (M, N_1 + ... + N_K) phases and phasors, one buffer
+# per antenna count, while the per-block scratch stays per call. On the
+# same VM, in-process swarm-narrow campaigns (best of 3) took 1.48-1.54 s
+# with 4096, 1.55-1.60 s with 8192 and 1.52-1.61 s with 16384 elements,
+# the latter at 0.6 MB more peak RSS.
 _PHASOR_BLOCK = 4096
 
 

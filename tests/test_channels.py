@@ -580,7 +580,6 @@ class TestChannelModel:
             error = np.abs(got - per_user_reference(users, layout, grid))
             assert np.all(error <= phasor_contract_bound(users, layout, grid))
 
-
     # The model owns its phase and phasor arrays; every result must still be
     # the one a fresh model returns.
     def test_warm_call_allocates_little(self):
