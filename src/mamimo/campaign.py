@@ -24,6 +24,8 @@ from .channels import (
     ScenarioConfig,
     SubcarrierChannels,
     UserPaths,
+    path_loss,
+    rice_power_ratio,
     sample_user_positions,
     subcarrier_channels,
     synthesize_paths,
@@ -83,14 +85,6 @@ _RATE_PAIR = (lambda p: len(p) == 2 and all(s in RATE_SCHEMES for s in p), "two 
 
 def _one_of(choices: tuple[str, ...]):
     return (lambda v: v in choices, f"one of {choices}")
-
-
-def _db_to_power(db: float) -> float:
-    """10^(db/10), infinite where that overflows."""
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
 
 
 def _key(name: str, default, check=None, swept: bool = False):
@@ -197,34 +191,42 @@ class ExperimentSpec:
         self._check_derived_ranges()
 
     def _check_derived_ranges(self) -> None:
-        """Finite values whose SI conversion, user distance or path power
-        overflows would fail later with an error that names no key."""
+        """Finite values whose SI conversion, wavelength, user distance or
+        path power overflows would fail later with an error that names no
+        key. The powers come from the channel model's own formulas."""
         carriers = [("scenario.carrier_ghz", self.carrier_hz)]
         carriers += [("campaign.fdd_eval_carriers_ghz", c * 1e9) for c in self.fdd_eval_carriers_ghz]
         for key, hz in carriers + [("grid.spacing_khz", self.subcarrier_spacing_hz)]:
             if not math.isfinite(hz):
                 raise ValueError(f"{key} overflows in Hz, got {hz!r}")
+        for key, hz in carriers:
+            if not math.isfinite(SPEED_OF_LIGHT / hz):
+                raise ValueError(f"{key}: the wavelength overflows at {hz!r} Hz")
         height = self.bs_height_m - self.user_height_m
         if not math.isfinite(self.r_max_m * self.r_max_m + height * height):
             raise ValueError(
                 "scenario.r_max_m, scenario.bs_height_m and scenario.user_height_m: "
                 "the squared distance of the farthest user overflows"
             )
-        rice = _db_to_power(-self.rice_factor_db)
-        if not math.isfinite(rice):
+        try:
+            rice = rice_power_ratio(self.rice_factor_db)
+        except OverflowError:
             raise ValueError(
                 f"scenario.rice_factor_db: the scattered power ratio overflows, got {self.rice_factor_db!r}"
-            )
+            ) from None
         if self.scenario_kind == LOS_DOMINANT:
             gain_keys = "scenario.los_pathloss_intercept_db and scenario.los_pathloss_slope_db"
             # The path loss is affine in log10(distance), so its extremes sit
             # at the nearest and the farthest user distance.
-            gains = [
-                _db_to_power(-(self.los_pathloss_intercept_db + self.los_pathloss_slope_db * math.log10(d)))
-                for d in (math.hypot(self.r_min_m, height), math.hypot(self.r_max_m, height))
-            ]
-            if not all(math.isfinite(g) for g in gains):
-                raise ValueError(f"{gain_keys}: the direct-path gain overflows at a user distance")
+            try:
+                gains = [
+                    path_loss(d, self.los_pathloss_intercept_db, self.los_pathloss_slope_db)
+                    for d in (math.hypot(self.r_min_m, height), math.hypot(self.r_max_m, height))
+                ]
+                if not all(math.isfinite(g) for g in gains):  # an infinite loss in dB
+                    raise OverflowError
+            except OverflowError:
+                raise ValueError(f"{gain_keys}: the direct-path gain overflows at a user distance") from None
         else:
             gain_keys, gains = "scenario.normalized_gain", [self.normalized_gain]
         if not all(math.isfinite(g * rice) for g in gains):

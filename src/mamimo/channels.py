@@ -155,6 +155,11 @@ def path_loss(distance_3d: float, intercept_db: float, slope_db: float) -> float
     return float(10.0 ** (-pl_db / 10.0))
 
 
+def rice_power_ratio(rice_factor_db: float) -> float:
+    """Total scattered power relative to the direct-path (or normalized) gain."""
+    return 10.0 ** (-rice_factor_db / 10.0)
+
+
 def sample_user_positions(
     rng: np.random.Generator, scenario: ScenarioConfig, count: int
 ) -> np.ndarray:
@@ -195,7 +200,7 @@ def synthesize_paths(
     if not distance > 0:
         raise ValueError("user cannot sit at the array origin")
     tau_los = distance / SPEED_OF_LIGHT
-    rice_linear = 10.0 ** (-scenario.rice_factor_db / 10.0)
+    rice_linear = rice_power_ratio(scenario.rice_factor_db)
 
     if scenario.kind == LOS_DOMINANT:
         n_clusters, per_cluster = scenario.cluster_count, scenario.paths_per_cluster
@@ -273,7 +278,7 @@ _PHASE_LIMIT = 2.0**40
 # an element, which at 4096 elements stays well below glibc's 128 KiB mmap
 # threshold, so each call takes it from malloc's free lists. Larger arrays
 # are mapped afresh on each call and fault their pages in; that is why a
-# ChannelModel owns its (M, N_1 + ... + N_K) phases and phasors, one buffer
+# ChannelModel owns its (M, N_1 + ... + N_K) phase and phasor buffers, sized
 # per antenna count, while the per-block scratch stays per call. On the
 # same VM, in-process swarm-narrow campaigns (best of 3) took 1.48-1.54 s
 # with 4096, 1.55-1.60 s with 8192 and 1.52-1.61 s with 16384 elements,
@@ -289,11 +294,7 @@ def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     |result| = 1 within a few ulp. A phase that is not finite or exceeds
     _PHASE_LIMIT in magnitude raises ValueError. The result is written to
     `out`, a C-contiguous complex array of the phases' shape, when given,
-    and to a fresh array otherwise. `out` may also hold the phases, in the
-    back half of its float view (phase i at float L + i, for L elements):
-    a block reads all of its phases before it writes a phasor, and the
-    phasors of elements [s, s + b) end at float 2(s + b) <= L + s + b,
-    where the next block's phases begin.
+    and to a fresh array otherwise.
     """
     phase = np.asarray(phase, dtype=float)
     if not (phase.min() >= -_PHASE_LIMIT and phase.max() <= _PHASE_LIMIT):
@@ -301,7 +302,7 @@ def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     if out is None:
         out = np.empty(phase.shape, dtype=complex)
     flat_in = phase.reshape(-1)
-    flat_out = out.reshape(-1, copy=False)  # raises rather than write to a copy
+    flat_out = out.reshape(-1)
     block = min(_PHASOR_BLOCK, flat_in.size)
     table_buf = np.empty(block, dtype=complex)
     real_buf = table_buf.view(float)  # two real rows, free until the table gather
@@ -320,7 +321,7 @@ def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         r *= _PHASOR_STEP
         np.subtract(x, r, out=r)
         np.multiply(r, r, out=r2)
-        sin, cos = o.imag, o.real  # x is not read from here on
+        sin, cos = o.imag, o.real
         np.multiply(r2, -1.0 / 6.0, out=sin)
         sin += 1.0
         sin *= r
@@ -364,10 +365,9 @@ class ChannelModel:
                 pulse_triangle(ells[None, :] - x[:, None]),
             ))
             start += user.n_paths
-        # The (M, N_1 + ... + N_K) phasors, sized for the antenna count of
-        # the last call. The phases live in the back half of its bytes: a
-        # separate phase array held across the per-user products added
-        # 0.4 MB of peak RSS on the eval-sweep benchmark.
+        # The (M, N_1 + ... + N_K) phases and phasors, sized for the antenna
+        # count of the last call.
+        self._phase = np.empty((0, start))
         self._phasors = np.empty((0, start), dtype=complex)
 
     def channels(self, positions: np.ndarray) -> SubcarrierChannels:
@@ -382,20 +382,19 @@ class ChannelModel:
         2^40 rad raise ValueError. The per-path weights are formed on each
         call rather than stored, which keeps the model at O(N (T+1)) per user.
 
-        The model owns the phase and phasor arrays, above glibc's 128 KiB
-        mmap threshold at swarm sizes, as one complex buffer whose back half
-        holds the phases; it is reallocated only when M changes, so a warm
-        call faults no pages in, and a model serves one thread at a time.
-        Only the returned array is fresh; it never aliases the buffer. The
-        kernel's per-block scratch stays per call, since it sits under the
-        mmap threshold.
+        The model owns the (M, N_1 + ... + N_K) phase and phasor buffers,
+        above glibc's 128 KiB mmap threshold at swarm sizes; they are
+        reallocated only when M changes, so a warm call faults no pages in,
+        and a model serves one thread at a time. Only the returned array is
+        fresh; it never aliases a buffer. The kernel's per-block scratch
+        stays per call, since it sits under the mmap threshold.
         """
         shape = (positions.shape[0], self.waves.shape[1])
-        if self._phasors.shape != shape:
+        if self._phase.shape != shape:
+            self._phase = np.empty(shape)
             self._phasors = np.empty(shape, dtype=complex)
-        phase = self._phasors.reshape(-1).view(float)[self._phasors.size:].reshape(shape)
-        np.matmul(positions, self.waves, out=phase)
-        phasors = _unit_phasors(phase, out=self._phasors)
+        np.matmul(positions, self.waves, out=self._phase)
+        phasors = _unit_phasors(self._phase, out=self._phasors)
         matrices = np.empty((self.dft.shape[1], positions.shape[0], len(self.users)), dtype=complex)
         for k, (cols, gains, pulses) in enumerate(self.users):
             weights = gains[:, None] * (pulses @ self.dft)  # (N, S)

@@ -46,17 +46,20 @@ NON_FINITE = [
 ]
 
 # Finite values, as YAML, whose derived quantity overflows: a carrier or a
-# spacing in Hz, the farthest user's squared distance, the Rice power ratio
-# or the direct-path gain. Each used to fail later naming no key.
+# spacing in Hz, a carrier's wavelength, the farthest user's squared
+# distance, the Rice power ratio or the direct-path gain. Each used to fail
+# later naming no key.
 DERIVED_OVERFLOW = [
     ("scenario.rice_factor_db", "-4000.0"),
     ("scenario.los_pathloss_intercept_db", "-4000.0"),
     ("scenario.los_pathloss_slope_db", "-4000.0"),
     ("scenario.r_max_m", "1.0e+200"),
     ("scenario.carrier_ghz", "1.0e+300"),
+    ("scenario.carrier_ghz", "1.0e-310"),
     ("scenario.bs_height_m", "1.0e+300"),
     ("grid.spacing_khz", "1.0e+306"),
     ("campaign.fdd_eval_carriers_ghz", "[3.5, 1.0e+300]"),
+    ("campaign.fdd_eval_carriers_ghz", "[3.5, 1.0e-310]"),
 ]
 
 # The five sweep axes: an empty list leaves nothing to run.
