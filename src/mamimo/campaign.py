@@ -19,13 +19,10 @@ import numpy as np
 
 from .channels import (
     LOS_DOMINANT,
-    SCENARIO_KINDS,
     OfdmGrid,
     ScenarioConfig,
     SubcarrierChannels,
     UserPaths,
-    path_loss,
-    rice_power_ratio,
     sample_user_positions,
     subcarrier_channels,
     synthesize_paths,
@@ -39,7 +36,7 @@ from .geometry import (
     make_staggered_ura,
     save_layout,
 )
-from .pso import OptimizationTrace, PsoConfig, objective_adapter, pso_optimize
+from .pso import PENALTY_WEIGHT, OptimizationTrace, PsoConfig, objective_adapter, pso_optimize
 from .rates import (
     RATE_SCHEMES,
     UL_LIN,
@@ -100,36 +97,36 @@ class ExperimentSpec:
 
     Each field declares its config key once, through `_key`: the dotted
     `section.key` name that `mamimo.config` parses and emits, the default,
-    and the range check that `validate` applies. Fields carry the units of
-    the config file (GHz, kHz, pW, mW/MHz) so the manifest round-trips
-    exactly; SI values are derived through the builder methods. The defaults
+    and, outside the `scenario` section, the range check that `validate`
+    applies. The `scenario.*` fields are checked by the `ScenarioConfig`
+    that `scenario()` builds from them. Fields carry the units of the config
+    file (GHz, kHz, pW, mW/MHz) so the manifest round-trips exactly; SI
+    values are derived through the builder methods. The defaults
     are those of an empty config file: the headline simulation parameters
     with the paper's swarm (`PsoConfig`'s defaults: 150 particles, 100
     iterations) and 20 realizations.
     """
 
-    scenario_kind: str = _key("scenario.kind", LOS_DOMINANT, _one_of(SCENARIO_KINDS))
-    carrier_ghz: float = _key("scenario.carrier_ghz", 3.0, _POSITIVE)
+    scenario_kind: str = _key("scenario.kind", LOS_DOMINANT)
+    carrier_ghz: float = _key("scenario.carrier_ghz", 3.0)
     rice_factor_db: float = _key("scenario.rice_factor_db", 10.0)
-    r_min_m: float = _key("scenario.r_min_m", 100.0, _POSITIVE)
+    r_min_m: float = _key("scenario.r_min_m", 100.0)
     r_max_m: float = _key("scenario.r_max_m", 300.0)
     azimuth_min_rad: float = _key("scenario.azimuth_min_rad", -np.pi / 3)
     azimuth_max_rad: float = _key("scenario.azimuth_max_rad", np.pi / 3)
     bs_height_m: float = _key("scenario.bs_height_m", 4.0)
     user_height_m: float = _key("scenario.user_height_m", 1.25)
-    cluster_count: int = _key("scenario.cluster_count", 6, _AT_LEAST_ONE)
-    paths_per_cluster: int = _key("scenario.paths_per_cluster", 20, _AT_LEAST_ONE)
-    cluster_azimuth_spread_deg: float = _key("scenario.cluster_azimuth_spread_deg", 40.0, _NONNEGATIVE)
-    cluster_elevation_spread_deg: float = _key(
-        "scenario.cluster_elevation_spread_deg", 20.0, _NONNEGATIVE
-    )
-    path_angle_spread_deg: float = _key("scenario.path_angle_spread_deg", 5.0, _NONNEGATIVE)
-    rich_cluster_count: int = _key("scenario.rich_cluster_count", 100, _AT_LEAST_ONE)
-    rich_paths_per_cluster: int = _key("scenario.rich_paths_per_cluster", 2, _AT_LEAST_ONE)
-    delay_stretch: float = _key("scenario.delay_stretch", 10.0, _AT_LEAST_ONE)
+    cluster_count: int = _key("scenario.cluster_count", 6)
+    paths_per_cluster: int = _key("scenario.paths_per_cluster", 20)
+    cluster_azimuth_spread_deg: float = _key("scenario.cluster_azimuth_spread_deg", 40.0)
+    cluster_elevation_spread_deg: float = _key("scenario.cluster_elevation_spread_deg", 20.0)
+    path_angle_spread_deg: float = _key("scenario.path_angle_spread_deg", 5.0)
+    rich_cluster_count: int = _key("scenario.rich_cluster_count", 100)
+    rich_paths_per_cluster: int = _key("scenario.rich_paths_per_cluster", 2)
+    delay_stretch: float = _key("scenario.delay_stretch", 10.0)
     los_pathloss_intercept_db: float = _key("scenario.los_pathloss_intercept_db", 30.18)
     los_pathloss_slope_db: float = _key("scenario.los_pathloss_slope_db", 26.0)
-    normalized_gain: float = _key("scenario.normalized_gain", 1e-9, _POSITIVE)
+    normalized_gain: float = _key("scenario.normalized_gain", 1e-9)
     spacing_khz: float = _key("grid.spacing_khz", 15.0, _POSITIVE)
     subcarrier_counts: tuple[int, ...] = _key(
         "grid.subcarrier_counts", (1,), _AT_LEAST_ONE, swept=True
@@ -154,7 +151,7 @@ class ExperimentSpec:
     pso_cognitive: float = _key("pso.cognitive", PsoConfig.cognitive, _NONNEGATIVE)
     pso_social: float = _key("pso.social", PsoConfig.social, _NONNEGATIVE)
     pso_velocity_clamp: float = _key("pso.velocity_clamp", PsoConfig.velocity_clamp, _NONNEGATIVE)
-    pso_penalty_weight: float = _key("pso.penalty_weight", 1e3, _NONNEGATIVE)
+    pso_penalty_weight: float = _key("pso.penalty_weight", PENALTY_WEIGHT, _NONNEGATIVE)
     realizations: int = _key("campaign.realizations", 20, _AT_LEAST_ONE)
     user_counts: tuple[int, ...] = _key("campaign.user_counts", (10,), _AT_LEAST_ONE, swept=True)
     master_seed: int = _key("campaign.master_seed", 1)
@@ -162,9 +159,12 @@ class ExperimentSpec:
     cross_pairs: tuple[tuple[str, str], ...] = _key("campaign.cross_pairs", (), _RATE_PAIR)
 
     def validate(self) -> None:
-        """Check each field against its declaration and each list for repeated
-        entries, then the two relations between fields, then that no derived
-        quantity overflows. Every error names the config key."""
+        """Check the `scenario.*` keys by building their `ScenarioConfig`,
+        then each field against its declaration (finite, in range, a sweep
+        list non-empty, list entries distinct), then that neither an FDD
+        carrier nor the subcarrier spacing overflows in Hz and no FDD
+        carrier's wavelength overflows. Every error names the config key."""
+        self.scenario()
         for f in fields(self):
             key, check = f.metadata["key"], f.metadata["check"]
             is_list = f.type.startswith("tuple")
@@ -184,59 +184,15 @@ class ExperimentSpec:
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise ValueError(f"{key} entries must be distinct, got {v!r} twice")
-        if not self.r_min_m < self.r_max_m:
-            raise ValueError("scenario.r_min_m must be < scenario.r_max_m")
-        if not self.azimuth_min_rad <= self.azimuth_max_rad:
-            raise ValueError("scenario.azimuth_min_rad must be <= scenario.azimuth_max_rad")
-        self._check_derived_ranges()
-
-    def _check_derived_ranges(self) -> None:
-        """Finite values whose SI conversion, wavelength, user distance or
-        path power overflows would fail later with an error that names no
-        key. The powers come from the channel model's own formulas."""
-        carriers = [("scenario.carrier_ghz", self.carrier_hz)]
-        carriers += [("campaign.fdd_eval_carriers_ghz", c * 1e9) for c in self.fdd_eval_carriers_ghz]
-        for key, hz in carriers + [("grid.spacing_khz", self.subcarrier_spacing_hz)]:
+        for hz in (c * 1e9 for c in self.fdd_eval_carriers_ghz):
             if not math.isfinite(hz):
-                raise ValueError(f"{key} overflows in Hz, got {hz!r}")
-        for key, hz in carriers:
+                raise ValueError(f"campaign.fdd_eval_carriers_ghz overflows in Hz, got {hz!r}")
             if not math.isfinite(SPEED_OF_LIGHT / hz):
-                raise ValueError(f"{key}: the wavelength overflows at {hz!r} Hz")
-        height = self.bs_height_m - self.user_height_m
-        if not math.isfinite(self.r_max_m * self.r_max_m + height * height):
-            raise ValueError(
-                "scenario.r_max_m, scenario.bs_height_m and scenario.user_height_m: "
-                "the squared distance of the farthest user overflows"
-            )
-        try:
-            rice = rice_power_ratio(self.rice_factor_db)
-        except OverflowError:
-            raise ValueError(
-                f"scenario.rice_factor_db: the scattered power ratio overflows, got {self.rice_factor_db!r}"
-            ) from None
-        if self.scenario_kind == LOS_DOMINANT:
-            gain_keys = "scenario.los_pathloss_intercept_db and scenario.los_pathloss_slope_db"
-            # The path loss is affine in log10(distance), so its extremes sit
-            # at the nearest and the farthest user distance.
-            try:
-                gains = [
-                    path_loss(d, self.los_pathloss_intercept_db, self.los_pathloss_slope_db)
-                    for d in (math.hypot(self.r_min_m, height), math.hypot(self.r_max_m, height))
-                ]
-                if not all(math.isfinite(g) for g in gains):  # an infinite loss in dB
-                    raise OverflowError
-            except OverflowError:
-                raise ValueError(f"{gain_keys}: the direct-path gain overflows at a user distance") from None
-        else:
-            gain_keys, gains = "scenario.normalized_gain", [self.normalized_gain]
-        if not all(math.isfinite(g * rice) for g in gains):
-            raise ValueError(f"scenario.rice_factor_db with {gain_keys}: the scattered power overflows")
+                raise ValueError(f"campaign.fdd_eval_carriers_ghz: the wavelength overflows at {hz!r} Hz")
+        if not math.isfinite(self.subcarrier_spacing_hz):
+            raise ValueError(f"grid.spacing_khz overflows in Hz, got {self.subcarrier_spacing_hz!r}")
 
     # --- derived SI quantities -------------------------------------------------
-
-    @property
-    def carrier_hz(self) -> float:
-        return self.carrier_ghz * 1e9
 
     @property
     def subcarrier_spacing_hz(self) -> float:
@@ -258,28 +214,11 @@ class ExperimentSpec:
         return self.dl_psd_mw_per_mhz * 1e-9 * subcarriers * self.subcarrier_spacing_hz
 
     def scenario(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            kind=self.scenario_kind,
-            carrier_hz=self.carrier_hz,
-            rice_factor_db=self.rice_factor_db,
-            cluster_count=self.cluster_count,
-            paths_per_cluster=self.paths_per_cluster,
-            cluster_azimuth_spread=np.deg2rad(self.cluster_azimuth_spread_deg),
-            cluster_elevation_spread=np.deg2rad(self.cluster_elevation_spread_deg),
-            path_angle_spread=np.deg2rad(self.path_angle_spread_deg),
-            rich_cluster_count=self.rich_cluster_count,
-            rich_paths_per_cluster=self.rich_paths_per_cluster,
-            delay_stretch=self.delay_stretch,
-            los_pathloss_intercept_db=self.los_pathloss_intercept_db,
-            los_pathloss_slope_db=self.los_pathloss_slope_db,
-            normalized_gain=self.normalized_gain,
-            r_min=self.r_min_m,
-            r_max=self.r_max_m,
-            azimuth_min=self.azimuth_min_rad,
-            azimuth_max=self.azimuth_max_rad,
-            bs_height=self.bs_height_m,
-            user_height=self.user_height_m,
-        )
+        """The `scenario` section: each `scenario.*` key under its own name."""
+        return ScenarioConfig(**{
+            f.metadata["key"].removeprefix("scenario."): getattr(self, f.name)
+            for f in fields(self) if f.metadata["key"].startswith("scenario.")
+        })
 
     def grid(self, subcarriers: int) -> OfdmGrid:
         return OfdmGrid(subcarriers, self.subcarrier_spacing_hz)
@@ -336,7 +275,7 @@ class CampaignResult:
 
 
 def build_fixed_layouts(spec: ExperimentSpec) -> dict[str, ArrayLayout]:
-    lam = SPEED_OF_LIGHT / spec.carrier_hz
+    lam = spec.scenario().wavelength
     return {name: fn(spec.m_rows, spec.m_cols, lam) for name, fn in FIXED_ARRAY_BUILDERS.items()}
 
 

@@ -77,55 +77,98 @@ class OfdmGrid:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Propagation scenario and user-drop geometry.
+    """The `scenario` section of the config: propagation scenario and user drop.
 
-    Angles are radians and distances meters; `normalized_gain` replaces the
-    log-distance path loss in the rich-scattering mode so that receive SNRs
-    stay comparable to the direct-path scenario. `ExperimentSpec.scenario()`
-    builds one from the config keys and holds the defaults.
+    Each field is one `scenario.*` key, named after it and held in its units
+    (GHz, meters, radians for the user sector, degrees for the spreads); the
+    channel code converts a value to SI where it uses it. `normalized_gain`
+    replaces the log-distance path loss in the rich-scattering mode so that
+    receive SNRs stay comparable to the direct-path scenario.
+    `ExperimentSpec.scenario()` builds one from a spec, which holds the
+    defaults.
     """
 
     kind: str
-    carrier_hz: float
+    carrier_ghz: float
     rice_factor_db: float
+    r_min_m: float
+    r_max_m: float
+    azimuth_min_rad: float
+    azimuth_max_rad: float
+    bs_height_m: float
+    user_height_m: float
     cluster_count: int
     paths_per_cluster: int
-    cluster_azimuth_spread: float
-    cluster_elevation_spread: float
-    path_angle_spread: float
+    cluster_azimuth_spread_deg: float
+    cluster_elevation_spread_deg: float
+    path_angle_spread_deg: float
     rich_cluster_count: int
     rich_paths_per_cluster: int
     delay_stretch: float
     los_pathloss_intercept_db: float
     los_pathloss_slope_db: float
     normalized_gain: float
-    r_min: float
-    r_max: float
-    azimuth_min: float
-    azimuth_max: float
-    bs_height: float
-    user_height: float
 
     def __post_init__(self) -> None:
-        """Reject each value that would fail later or degrade silently, naming its field."""
+        """The one check of the section: each value's range, the two
+        relations between values, then every derived quantity that would
+        overflow, from the channel model's own formulas. Such a value would
+        fail later naming no key, or run with an infinite or NaN quantity."""
         if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
+            raise ValueError(f"scenario.kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
+        positive = ("carrier_ghz", "r_min_m", "normalized_gain")
         counts = ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster")
-        spreads = ("cluster_azimuth_spread", "cluster_elevation_spread", "path_angle_spread")
+        spreads = ("cluster_azimuth_spread_deg", "cluster_elevation_spread_deg", "path_angle_spread_deg")
         lower = {**dict.fromkeys(counts + ("delay_stretch",), 1), **dict.fromkeys(spreads, 0)}
         for f in fields(self):
-            value = getattr(self, f.name)
+            key, value = f"scenario.{f.name}", getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+                raise ValueError(f"{key}: expected a finite number, got {value!r}")
+            if f.name in positive and not value > 0:
+                raise ValueError(f"{key} must be > 0, got {value!r}")
             if f.name in lower and not value >= lower[f.name]:
-                raise ValueError(f"{f.name} must be >= {lower[f.name]}, got {value!r}")
-        for name in ("carrier_hz", "normalized_gain", "r_min"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if not self.r_min < self.r_max:
-            raise ValueError("r_min must be < r_max")
-        if not self.azimuth_min <= self.azimuth_max:
-            raise ValueError("azimuth_min must be <= azimuth_max")
+                raise ValueError(f"{key} must be >= {lower[f.name]}, got {value!r}")
+        if not self.r_min_m < self.r_max_m:
+            raise ValueError("scenario.r_min_m must be < scenario.r_max_m")
+        if not self.azimuth_min_rad <= self.azimuth_max_rad:
+            raise ValueError("scenario.azimuth_min_rad must be <= scenario.azimuth_max_rad")
+        if not math.isfinite(self.carrier_hz):
+            raise ValueError(f"scenario.carrier_ghz overflows in Hz, got {self.carrier_hz!r}")
+        if not math.isfinite(self.wavelength):
+            raise ValueError(f"scenario.carrier_ghz: the wavelength overflows at {self.carrier_hz!r} Hz")
+        height = self.bs_height_m - self.user_height_m
+        if not math.isfinite(self.r_max_m * self.r_max_m + height * height):
+            raise ValueError(
+                "scenario.r_max_m, scenario.bs_height_m and scenario.user_height_m: "
+                "the squared distance of the farthest user overflows"
+            )
+        try:
+            rice = rice_power_ratio(self.rice_factor_db)
+        except OverflowError:
+            raise ValueError(
+                f"scenario.rice_factor_db: the scattered power ratio overflows, got {self.rice_factor_db!r}"
+            ) from None
+        if self.kind == LOS_DOMINANT:
+            gain_keys = "scenario.los_pathloss_intercept_db and scenario.los_pathloss_slope_db"
+            # The path loss is affine in log10(distance), so its extremes sit
+            # at the nearest and the farthest user distance.
+            try:
+                gains = [
+                    path_loss(d, self.los_pathloss_intercept_db, self.los_pathloss_slope_db)
+                    for d in (math.hypot(self.r_min_m, height), math.hypot(self.r_max_m, height))
+                ]
+                if not all(math.isfinite(g) for g in gains):  # an infinite loss in dB
+                    raise OverflowError
+            except OverflowError:
+                raise ValueError(f"{gain_keys}: the direct-path gain overflows at a user distance") from None
+        else:
+            gain_keys, gains = "scenario.normalized_gain", [self.normalized_gain]
+        if not all(math.isfinite(g * rice) for g in gains):
+            raise ValueError(f"scenario.rice_factor_db with {gain_keys}: the scattered power overflows")
+
+    @property
+    def carrier_hz(self) -> float:
+        return self.carrier_ghz * 1e9
 
     @property
     def wavelength(self) -> float:
@@ -170,12 +213,12 @@ def sample_user_positions(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    radii = np.sqrt(rng.uniform(scenario.r_min**2, scenario.r_max**2, size=count))
-    angles = rng.uniform(scenario.azimuth_min, scenario.azimuth_max, size=count)
+    radii = np.sqrt(rng.uniform(scenario.r_min_m**2, scenario.r_max_m**2, size=count))
+    angles = rng.uniform(scenario.azimuth_min_rad, scenario.azimuth_max_rad, size=count)
     pos = np.empty((count, 3))
     pos[:, 0] = radii * np.cos(angles)
     pos[:, 1] = radii * np.sin(angles)
-    pos[:, 2] = scenario.user_height - scenario.bs_height
+    pos[:, 2] = scenario.user_height_m - scenario.bs_height_m
     return pos
 
 
@@ -207,7 +250,8 @@ def synthesize_paths(
         los_azimuth = math.atan2(pos[1], pos[0])
         los_elevation = math.asin(pos[2] / distance)
         center = (los_azimuth, los_elevation)
-        half_width = (scenario.cluster_azimuth_spread, scenario.cluster_elevation_spread)
+        spreads_deg = (scenario.cluster_azimuth_spread_deg, scenario.cluster_elevation_spread_deg)
+        half_width = np.deg2rad(spreads_deg)
         gain = path_loss(
             distance, scenario.los_pathloss_intercept_db, scenario.los_pathloss_slope_db
         )
@@ -222,7 +266,7 @@ def synthesize_paths(
         -np.pi / 2,
         np.pi / 2,
     )
-    spread = scenario.path_angle_spread
+    spread = np.deg2rad(scenario.path_angle_spread_deg)
     az = np.repeat(centers_az, per_cluster) + rng.uniform(-spread, spread, size=n_scatter)
     el = np.clip(
         np.repeat(centers_el, per_cluster) + rng.uniform(-spread, spread, size=n_scatter),

@@ -25,6 +25,10 @@ from .geometry import (
 )
 from .rates import ImpairedLinkConfig, evaluate_rate_scheme
 
+# Default weight of the quadratic spacing penalty, in objective units per
+# squared meter of shortfall.
+PENALTY_WEIGHT = 1e3
+
 
 @dataclass(frozen=True)
 class PsoConfig:
@@ -77,7 +81,9 @@ def repair_to_regions(coords: np.ndarray, regions: Sequence[MoveRegion]) -> np.n
     return np.clip(coords, lo, hi)
 
 
-def spacing_penalty(positions: np.ndarray, wavelength: float, weight: float = 1e3) -> float:
+def spacing_penalty(
+    positions: np.ndarray, wavelength: float, weight: float = PENALTY_WEIGHT
+) -> float:
     """Quadratic penalty on antenna pairs closer than half a wavelength.
 
     Zero exactly when every pair satisfies the constraint (pairs sitting on
@@ -203,7 +209,7 @@ def objective_adapter(
     grid: OfdmGrid,
     config: ImpairedLinkConfig,
     *,
-    penalty_weight: float = 1e3,
+    penalty_weight: float = PENALTY_WEIGHT,
 ) -> Callable[[ArrayLayout], float]:
     """Objective closure for one fixed channel realization.
 

@@ -119,7 +119,7 @@ class TestUserDrop:
 
     def test_degenerate_angle_interval(self):
         rng = np.random.default_rng(1)
-        scen = replace(DEFAULT_SCENARIO, azimuth_min=0.0, azimuth_max=0.0)
+        scen = replace(DEFAULT_SCENARIO, azimuth_min_rad=0.0, azimuth_max_rad=0.0)
         pos = sample_user_positions(rng, scen, 50)
         np.testing.assert_allclose(pos[:, 1], 0.0, atol=1e-9)
         assert np.all(pos[:, 0] > 0)
@@ -215,13 +215,13 @@ class TestScenarioConfig:
             ("cluster_count", {"cluster_count": 0}),
             ("rich_paths_per_cluster", {"rich_paths_per_cluster": 0}),
             ("normalized_gain", {"kind": "rich-scattering", "normalized_gain": -1.0}),
-            ("path_angle_spread", {"path_angle_spread": -1.0}),
-            ("cluster_azimuth_spread", {"cluster_azimuth_spread": -0.1}),
-            ("azimuth_min", {"azimuth_min": 1.0, "azimuth_max": 0.5}),
-            ("bs_height", {"bs_height": math.nan}),
+            ("scenario.path_angle_spread_deg", {"path_angle_spread_deg": -1.0}),
+            ("scenario.cluster_azimuth_spread_deg", {"cluster_azimuth_spread_deg": -0.1}),
+            ("scenario.azimuth_min_rad", {"azimuth_min_rad": 1.0, "azimuth_max_rad": 0.5}),
+            ("scenario.bs_height_m", {"bs_height_m": math.nan}),
             ("rice_factor_db", {"rice_factor_db": math.inf}),
-            ("carrier_hz", {"carrier_hz": math.inf}),
-            ("r_min", {"r_min": 0.0}),
+            ("scenario.carrier_ghz", {"carrier_ghz": math.inf}),
+            ("scenario.r_min_m", {"r_min_m": 0.0}),
             ("delay_stretch", {"delay_stretch": 0.5}),
         ],
     )

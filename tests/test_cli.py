@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -194,6 +194,25 @@ class TestParseConfig:
         pairs = [["ul-sic", "ul-sic"], ["ul-sic", "ul-lin"], ["ul-lin", "ul-sic"]]
         spec = parse_config_dict({"campaign": {"cross_pairs": pairs}})
         assert spec.cross_pairs == tuple(tuple(p) for p in pairs)
+
+    def test_python_built_scenario_rejects_alike(self):
+        # A scenario built in Python used to skip the overflow checks:
+        # scenario.bs_height_m = 1e300 built one, and the run died later with
+        # "cannot convert float NaN to integer".
+        cases = [(f"scenario.{key}", value) for key, value in SCENARIO_OUT_OF_RANGE]
+        cases += [
+            (dotted, yaml.safe_load(value))
+            for dotted, value in NON_FINITE + DERIVED_OVERFLOW
+            if dotted.startswith("scenario.")
+        ]
+        default = ExperimentSpec().scenario()
+        for dotted, value in cases:
+            section, key = dotted.split(".")
+            with pytest.raises(ConfigError) as parsed:
+                parse_config_dict({section: {key: value}})
+            with pytest.raises(ValueError, match=dotted) as built:
+                replace(default, **{key: value})
+            assert str(built.value) == str(parsed.value)
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="grid.subcarrier_counts"):
