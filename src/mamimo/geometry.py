@@ -56,8 +56,8 @@ class ArrayLayout:
             raise ValueError("positions must be a nonempty (M, 3) array")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must have finite components")
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not 0 < self.wavelength < np.inf:
+            raise ValueError(f"wavelength must be finite and positive, got {self.wavelength}")
         if self.regions is not None and len(self.regions) != pos.shape[0]:
             raise ValueError("need exactly one movement region per antenna")
         pos.setflags(write=False)
@@ -91,8 +91,8 @@ def wave_vector(azimuth, elevation, wavelength: float) -> np.ndarray:
     Accepts scalar angles or equal-length arrays; returns shape (3,) or (3, n).
     The Euclidean norm of every column equals 2*pi/wavelength.
     """
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    if not 0 < wavelength < np.inf:
+        raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
     az = np.asarray(azimuth, dtype=float)
     el = np.asarray(elevation, dtype=float)
     scale = 2.0 * np.pi / wavelength

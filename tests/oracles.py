@@ -146,3 +146,18 @@ def dl_linear_sinr(
     own = float(gains[k])
     interference = float(gains.sum()) - own
     return kappa * own / (interference + (1.0 - kappa) * own + noise_variance)
+
+
+def project_budget_euclidean(x: np.ndarray, budget: float) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum(x) <= budget}, by one sort of x."""
+    clipped = np.maximum(x, 0.0)
+    total = clipped.sum()
+    if total <= budget:
+        return clipped
+    flat = np.sort(clipped.ravel())[::-1]
+    cumulative = np.cumsum(flat)
+    idx = np.arange(1, flat.size + 1)
+    candidates = (cumulative - budget) / idx
+    rho = np.max(np.where(flat - candidates > 0, idx, 0))
+    theta = (cumulative[rho - 1] - budget) / rho
+    return np.maximum(clipped - theta, 0.0)

@@ -337,6 +337,18 @@ class TestFdd:
         with pytest.raises(ValueError):
             fdd_evaluate(layout, paths, OfdmGrid(1, 15e3), cfg, 0.0, "ul-sic")
 
+    def test_carrier_with_infinite_wavelength_rejected(self):
+        # c / 1e-301 overflows to an infinite wavelength.
+        rng = np.random.default_rng(8)
+        scen = ExperimentSpec().scenario()
+        paths = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 2)]
+        layout = make_staggered_ura(2, 2, scen.wavelength)
+        cfg = ImpairedLinkConfig.uniform(2, 1, 1.5e-5, 0.02, 5.97e-17)
+        with pytest.raises(ValueError, match="wavelength must be finite"):
+            fdd_evaluate(layout, paths, OfdmGrid(1, 15e3), cfg, 1e-301, "ul-sic")
+        with pytest.raises(ValueError, match="wavelength must be finite"):
+            layout.with_wavelength(np.inf)
+
 
 class TestAggregation:
     def test_cdf_example(self):

@@ -50,6 +50,8 @@ class TestWaveVector:
             wave_vector(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             wave_vector(0.0, 0.0, -1.0)
+        with pytest.raises(ValueError, match="wavelength must be finite"):
+            wave_vector(0.0, 0.0, np.inf)
 
     def test_vectorized_angles(self):
         k = wave_vector(np.array([0.0, np.pi / 2]), np.array([0.0, 0.0]), LAM)

@@ -22,10 +22,9 @@ from mamimo.rates import (
 )
 from mamimo.rates import (
     _DPC_MAX_ITERATIONS,
-    _DPC_REL_TOL,
     _LN2,
     _gram,
-    _project_budget,
+    _project_weighted,
     _sic_gap,
     _sic_user_rates,
 )
@@ -33,6 +32,7 @@ from oracles import (
     disturbance_covariance,
     dl_linear_sinr,
     mmse_combiner,
+    project_budget_euclidean,
     ul_linear_sinr,
     ul_sic_per_user_rates,
 )
@@ -60,11 +60,19 @@ def sic_eigenvalue_oracle(channels, config):
     return total / channels.subcarrier_count
 
 
-def mm_dpc_oracle(channels, config):
-    """DPC sum rate by the same ascent in M x M covariance form.
+def _project_euclidean(x, budget):
+    """The projection of the oracle ascents: unit weights."""
+    return _project_weighted(x, np.ones_like(x), budget)
+
+
+def mm_dpc_oracle(channels, config, gain_stop=1e-8):
+    """DPC sum rate by projected gradient ascent in M x M covariance form.
 
     The gradient solves with sigma^2 I + H D H^H, the form `dl_dpc_sum_rate`
-    replaces by K x K Gram solves.
+    replaces by K x K Gram solves. The step is Euclidean and its line search
+    starts at the whole budget. The ascent stops once a step gains less than
+    `gain_stop` relatively; with `gain_stop=None` it runs on to a fixed point
+    of the projected step or to the line search's floor.
     """
     total_power = config.total_power
     h = channels.matrices
@@ -92,7 +100,9 @@ def mm_dpc_oracle(channels, config):
         grad = gradient(d)
         improved = False
         while step > 1e-14 * total_power:
-            candidate = _project_budget(d + step * grad, total_power)
+            candidate = _project_euclidean(d + step * grad, total_power)
+            if np.array_equal(candidate, d):
+                break
             candidate_value = objective(candidate)
             if candidate_value > value:
                 improved = True
@@ -103,19 +113,20 @@ def mm_dpc_oracle(channels, config):
         gain = candidate_value - value
         d, value = candidate, candidate_value
         step *= 2.0
-        if gain < _DPC_REL_TOL * max(abs(value), 1.0):
+        if gain_stop is not None and gain < gain_stop * max(abs(value), 1.0):
             break
 
     return float(_sic_gap(_gram(h, d), config.kappa, sigma2).mean())
 
 
 def budget_start_dpc(channels, config, include_user_rates=True):
-    """The Gram-form DPC ascent with its line search started at the whole budget.
+    """The Gram-form projected gradient ascent with its line search started at
+    the whole budget and a 1e-8 relative gain stop.
 
-    This is `dl_dpc_sum_rate` before its first trial step was scaled to the
-    gradient: no stationary stop either, and the report evaluates the final
-    allocation once more. `_sic_gap` is looked up on the module so that a
-    patched counter sees these calls too.
+    This is `dl_dpc_sum_rate` before its steps were scaled by the curvature
+    or its first trial step by the gradient: no stationary stop either, and
+    the report evaluates the final allocation once more. `_sic_gap` is
+    looked up on the module so that a patched counter sees these calls too.
     """
     total_power = config.total_power
     h = channels.matrices
@@ -147,7 +158,7 @@ def budget_start_dpc(channels, config, include_user_rates=True):
         grad = gradient(d)
         improved = False
         while step > 1e-14 * total_power:
-            candidate = _project_budget(d + step * grad, total_power)
+            candidate = _project_euclidean(d + step * grad, total_power)
             candidate_value = objective(candidate)
             if candidate_value > value:
                 improved = True
@@ -158,7 +169,7 @@ def budget_start_dpc(channels, config, include_user_rates=True):
         gain = candidate_value - value
         d, value = candidate, candidate_value
         step *= 2.0
-        if gain < _DPC_REL_TOL * max(abs(value), 1.0):
+        if gain < 1e-8 * max(abs(value), 1.0):
             break
 
     best = scaled(d)
@@ -208,6 +219,22 @@ class TestConfig:
             ImpairedLinkConfig.uniform(2, 3, 1.0, 0.1, 0.0)
         with pytest.raises(ValueError):
             ImpairedLinkConfig(np.zeros(3), 0.1, 1.0)
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("powers", {"powers": np.array([[1.0, np.nan]])}),
+            ("powers", {"powers": np.array([[np.inf, 1.0]])}),
+            ("noise_variance", {"noise_variance": np.inf}),
+            ("noise_variance", {"noise_variance": np.nan}),
+            ("total_power", {"total_power": np.inf}),
+            ("total_power", {"total_power": np.nan}),
+        ],
+    )
+    def test_rejects_non_finite_value_naming_the_field(self, field, overrides):
+        arguments = {"powers": np.ones((1, 2)), "evm": 0.1, "noise_variance": 1.0, "total_power": 2.0}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ImpairedLinkConfig(**{**arguments, **overrides})
 
 
 class TestDisturbanceCovariance:
@@ -623,6 +650,47 @@ class TestDuality:
                 )
 
 
+class TestWeightedProjection:
+    @given(
+        st.lists(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(1e-3, 1e3)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.floats(1e-3, 50.0),
+    )
+    @settings(max_examples=300)
+    def test_feasible_and_kkt(self, entries, budget):
+        y, w = (np.array(column) for column in zip(*entries))
+        x = _project_weighted(y, w, budget)
+        clipped = np.maximum(y, 0.0)
+        rounding = 1e-12 * max(budget, clipped.sum())  # x = y - theta / w cancels
+        assert np.all(x >= 0.0)
+        assert x.sum() <= budget + rounding
+        if clipped.sum() <= budget:
+            assert np.array_equal(x, clipped)
+            return
+        # x = max(y - theta / w, 0) with theta > 0: the budget binds, w (y - x)
+        # equals theta on the support, and w y is at most theta off it.
+        assert x.sum() == pytest.approx(budget, rel=0, abs=rounding)
+        scale = float(np.max(np.abs(w * y)))
+        support = x > 0.0
+        theta = w[support] * (y[support] - x[support])
+        assert theta.max() - theta.min() <= 1e-12 * scale
+        assert np.all(w[~support] * y[~support] <= theta.max() + 1e-12 * scale)
+
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12), st.floats(1e-3, 50.0))
+    @settings(max_examples=300)
+    def test_unit_weights_give_euclidean_projection(self, values, budget):
+        y = np.array(values)
+        np.testing.assert_allclose(
+            _project_weighted(y, np.ones_like(y), budget),
+            project_budget_euclidean(y, budget),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
 class TestDpc:
     def test_single_user_single_subcarrier(self):
         rng = np.random.default_rng(23)
@@ -671,17 +739,32 @@ class TestDpc:
     @pytest.mark.parametrize("users", [4, 16, 20])
     @pytest.mark.parametrize("subcarriers", [1, 8])
     def test_matches_covariance_form_oracle(self, users, subcarriers):
-        # 16 antennas: fewer, as many and more users than antennas. The two
-        # ascents may stop on different passes, hence the stop tolerance.
+        # 16 antennas: fewer, as many and more users than antennas. The
+        # oracle's 1e-8 gain stop ends it below the optimum, so it bounds the
+        # value from below only; run on to its fixed point or step floor, it
+        # bounds the value from both sides.
         rng = np.random.default_rng(100 * users + subcarriers)
         channels = random_channels(rng, subcarriers, 16, users)
         total = float(users * subcarriers)
         for evm in (0.0, 0.02, 0.3):
             for noise in (1e-6, 1e-3, 1.0, 1e2):
                 cfg = ImpairedLinkConfig.uniform(users, subcarriers, 1.0, evm, noise, total_power=total)
-                expected = mm_dpc_oracle(channels, cfg)
                 value = dl_dpc_sum_rate(channels, cfg).sum_rate
-                assert value == pytest.approx(expected, rel=_DPC_REL_TOL), (evm, noise)
+                stopped = mm_dpc_oracle(channels, cfg)
+                assert value >= stopped - 1e-8 * abs(stopped), (evm, noise)
+                reference = mm_dpc_oracle(channels, cfg, gain_stop=None)
+                assert value >= reference - 1e-8 * abs(reference), (evm, noise)
+                assert value <= reference + 1e-9 * abs(reference), (evm, noise)
+
+    def test_reaches_the_optimum_at_high_snr_with_strong_distortion(self):
+        # K = M, sigma^2 = 1e-6, EVM 0.3: a projected gradient ascent with a
+        # 1e-8 gain stop ends 1.14e-6 below the no-gain-stop reference here.
+        rng = np.random.default_rng(1601)
+        channels = random_channels(rng, 1, 16, 16)
+        cfg = ImpairedLinkConfig.uniform(16, 1, 1.0, 0.3, 1e-6, total_power=16.0)
+        reference = mm_dpc_oracle(channels, cfg, gain_stop=None)
+        assert reference == pytest.approx(55.58256492, rel=1e-9)
+        assert dl_dpc_sum_rate(channels, cfg).sum_rate == pytest.approx(reference, rel=1e-8)
 
     def test_more_users_than_antennas(self):
         rng = np.random.default_rng(29)
@@ -697,18 +780,16 @@ class TestDpc:
         assert report.sum_rate >= lin - 1e-10
 
     @pytest.mark.parametrize("evm", [0.02, 0.1])
-    def test_equals_budget_start_ascent_on_workload_channels(self, workload_dpc_channels, evm):
-        # The gradient-scaled first step skips only trial steps the budget
-        # start rejects, so every accepted step and every output bit agree.
+    def test_at_least_budget_start_ascent_on_workload_channels(self, workload_dpc_channels, evm):
         spec, instances = workload_dpc_channels
         config = spec.link_config(10, 50, evm)
         for channels in instances:
-            expected_sum, expected_users = budget_start_dpc(channels, config)
+            expected_sum, _ = budget_start_dpc(channels, config)
             full = dl_dpc_sum_rate(channels, config)
-            assert full.sum_rate == expected_sum
-            assert np.array_equal(full.per_user_rates, expected_users)
+            assert full.sum_rate >= expected_sum
+            assert full.per_user_rates.sum() == pytest.approx(full.sum_rate, rel=0, abs=1e-12)
             summary = dl_dpc_sum_rate(channels, config, include_user_rates=False)
-            assert summary.sum_rate == expected_sum
+            assert summary.sum_rate == full.sum_rate
             assert summary.per_user_rates is None
 
     @pytest.mark.parametrize("evm", [0.02, 0.1])
@@ -726,6 +807,14 @@ class TestDpc:
             dl_dpc_sum_rate(channels, config, include_user_rates=include_user_rates)
             assert sic_gap_calls["calls"] <= before - 12, (before, sic_gap_calls["calls"])
 
+    def test_few_objective_evaluations_on_workload_channels(self, workload_dpc_channels, sic_gap_calls):
+        spec, instances = workload_dpc_channels
+        config = spec.link_config(10, 50, spec.evms[0])
+        for channels in instances:
+            sic_gap_calls["calls"] = 0
+            dl_dpc_sum_rate(channels, config, include_user_rates=False)
+            assert sic_gap_calls["calls"] <= 12
+
     def test_single_user_single_subcarrier_stops_at_once(self, sic_gap_calls):
         # The whole budget on the one entry is a fixed point of the projected
         # step: the ascent stops on its first candidate without evaluating it.
@@ -738,7 +827,7 @@ class TestDpc:
         assert report.sum_rate == _sic_gap(whole_budget, cfg.kappa, 0.3)[0]
 
     def test_all_zero_channels_give_zero_rate(self):
-        # A zero gradient keeps the whole budget as the first step.
+        # Zero gradient and zero curvature: the step stays finite and moves nothing.
         channels = SubcarrierChannels(np.zeros((3, 4, 2), dtype=complex))
         cfg = ImpairedLinkConfig.uniform(2, 3, 1.0, 0.02, 1.0, total_power=6.0)
         report = dl_dpc_sum_rate(channels, cfg)
