@@ -161,10 +161,10 @@ class ExperimentSpec:
     def validate(self) -> None:
         """Check the `scenario.*` keys by building their `ScenarioConfig`,
         then each field against its declaration (finite, in range, a sweep
-        list non-empty, list entries distinct), then that neither an FDD
-        carrier nor the subcarrier spacing overflows in Hz and no FDD
-        carrier's wavelength overflows. Every error names the config key."""
-        self.scenario()
+        list non-empty, list entries distinct), then that no FDD carrier, its
+        wavelength or the subcarrier spacing overflows in Hz, and that the FIR
+        pulse matrices fit in 1 GiB. Every error names the config key."""
+        scenario = self.scenario()
         for f in fields(self):
             key, check = f.metadata["key"], f.metadata["check"]
             is_list = f.type.startswith("tuple")
@@ -191,6 +191,22 @@ class ExperimentSpec:
                 raise ValueError(f"campaign.fdd_eval_carriers_ghz: the wavelength overflows at {hz!r} Hz")
         if not math.isfinite(self.subcarrier_spacing_hz):
             raise ValueError(f"grid.spacing_khz overflows in Hz, got {self.subcarrier_spacing_hz!r}")
+        # K users x N paths x (T + 1) taps, bounded in floats so an infinite bound is rejected.
+        height = scenario.bs_height_m - scenario.user_height_m
+        spread = (scenario.delay_stretch * math.hypot(scenario.r_max_m, height)
+                  - math.hypot(scenario.r_min_m, height)) / SPEED_OF_LIGHT
+        paths = (1 + self.cluster_count * self.paths_per_cluster if self.scenario_kind == LOS_DOMINANT
+                 else self.rich_cluster_count * self.rich_paths_per_cluster)
+        try:
+            taps = np.ceil(max(self.subcarrier_counts) * self.subcarrier_spacing_hz * spread)
+            floats = max(self.user_counts) * paths * (taps + 1)
+        except OverflowError:  # a count beyond the float range
+            floats = math.inf
+        if not floats <= 2**27:  # 1 GiB of float64
+            raise ValueError(
+                "scenario.delay_stretch, scenario.r_max_m, grid.subcarrier_counts, grid.spacing_khz and "
+                f"campaign.user_counts: the FIR pulse matrices need up to {floats:.3g} floats, over 1 GiB"
+            )
 
     # --- derived SI quantities -------------------------------------------------
 

@@ -59,8 +59,8 @@ class PsoConfig:
 class OptimizationTrace:
     """Global-best history and the best placement found.
 
-    `best_values` is the swarm's history: the penalized global best after the
-    initial swarm and after each iteration, nondecreasing. `spacing_feasible`
+    `best_values` is the swarm's history: the penalized global best after
+    each round (round 0 is the initial swarm), nondecreasing. `spacing_feasible`
     records whether any penalty-free particle was seen; if so, `best_layout`
     is the best such particle. `best_objective` is the objective of
     `best_layout`, so it may lie below the last history entry when the
@@ -110,14 +110,17 @@ def pso_optimize(
     regions: Sequence[MoveRegion],
     wavelength: float,
     config: PsoConfig,
-    seed_layouts: Iterable[ArrayLayout | np.ndarray] = (),
+    seed_layouts: Iterable[ArrayLayout] = (),
 ) -> OptimizationTrace:
     """Maximize `objective` over antenna placements, one antenna per region.
 
-    The random stream is `numpy.random.default_rng(config.seed)`.
-    `seed_layouts` are placed into the initial swarm when they lie in the
-    regions (after a clamp that only absorbs rounding) and satisfy the
-    spacing constraint, so the result never scores below a feasible seed.
+    The random stream is `numpy.random.default_rng(config.seed)`. The swarm
+    runs rounds 0 to `config.max_iterations`: round 0 scores the initial
+    swarm, and every later round first moves the particles, then scores
+    them. A non-finite objective value raises `ValueError` naming its round.
+    `seed_layouts` are `ArrayLayout`s placed into the initial swarm when they
+    lie in the regions (after a clamp that only absorbs rounding) and satisfy
+    the spacing constraint, so the result never scores below a feasible seed.
     """
     regions = tuple(regions)
     if not regions:
@@ -125,6 +128,7 @@ def pso_optimize(
     rng = np.random.default_rng(config.seed)
     m = len(regions)
     n = config.particle_count
+    spacing = min_spacing(wavelength)
 
     lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
     hi = np.array([[r.center_y + r.half, r.center_z + r.half] for r in regions])
@@ -136,55 +140,35 @@ def pso_optimize(
     for seed in seed_layouts:
         if slot >= n:
             break
-        coords = seed.positions[:, 1:] if isinstance(seed, ArrayLayout) else np.asarray(seed, dtype=float)
+        coords = seed.positions[:, 1:]
         if coords.shape != (m, 2):
             raise ValueError("seed layout does not match the region count")
         clamped = repair_to_regions(coords, regions)
-        displacement = np.abs(clamped - coords)
-        if np.any(displacement > 1e-9 * sides):
-            continue  # seed lies outside its regions
-        if min_pairwise_distance(clamped) < min_spacing(wavelength):
-            continue
-        positions[slot] = clamped
-        slot += 1
+        inside = not np.any(np.abs(clamped - coords) > 1e-9 * sides)  # up to rounding
+        if inside and min_pairwise_distance(clamped) >= spacing:
+            positions[slot] = clamped
+            slot += 1
 
     velocities = np.zeros_like(positions)
-
-    def evaluate(coords: np.ndarray) -> float:
-        return float(objective(_coords_to_layout(coords, wavelength, regions)))
-
-    values = np.array([evaluate(p) for p in positions])
-    pbest_pos = positions.copy()
-    pbest_val = values.copy()
-    g = int(np.argmax(values))
-    gbest_pos = positions[g].copy()
-    gbest_val = float(values[g])
-
-    feasible_val = -np.inf
-    feasible_pos: np.ndarray | None = None
-
-    def track_feasible(coords: np.ndarray, value: float) -> None:
-        nonlocal feasible_val, feasible_pos
-        # (M, 2) yz-coordinates: the common x = 0 adds nothing to a distance
-        if value > feasible_val and min_pairwise_distance(coords) >= min_spacing(wavelength):
-            feasible_val = value
-            feasible_pos = coords.copy()
-
-    for p, v in zip(positions, values):
-        track_feasible(p, v)
-
-    trace = [gbest_val]
-    for _ in range(config.max_iterations):
-        r_cog = rng.uniform(size=(n, m, 2))
-        r_soc = rng.uniform(size=(n, m, 2))
-        velocities = (
-            config.inertia * velocities
-            + config.cognitive * r_cog * (pbest_pos - positions)
-            + config.social * r_soc * (gbest_pos[None] - positions)
-        )
-        velocities = np.clip(velocities, -vmax, vmax)
-        positions = repair_to_regions(positions + velocities, regions)
-        values = np.array([evaluate(p) for p in positions])
+    pbest_pos = np.empty_like(positions)
+    pbest_val = np.full(n, -np.inf)
+    gbest_pos, gbest_val = None, -np.inf
+    feasible_pos, feasible_val = None, -np.inf
+    history = []
+    for round_ in range(config.max_iterations + 1):
+        if round_:
+            r_cog = rng.uniform(size=(n, m, 2))
+            r_soc = rng.uniform(size=(n, m, 2))
+            velocities = (
+                config.inertia * velocities
+                + config.cognitive * r_cog * (pbest_pos - positions)
+                + config.social * r_soc * (gbest_pos[None] - positions)
+            )
+            velocities = np.clip(velocities, -vmax, vmax)
+            positions = repair_to_regions(positions + velocities, regions)
+        values = np.array([float(objective(_coords_to_layout(p, wavelength, regions))) for p in positions])
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"objective returned a non-finite value in round {round_}")
         better = values > pbest_val
         pbest_pos[better] = positions[better]
         pbest_val[better] = values[better]
@@ -193,14 +177,15 @@ def pso_optimize(
             gbest_val = float(pbest_val[g])
             gbest_pos = pbest_pos[g].copy()
         for p, v in zip(positions, values):
-            track_feasible(p, v)
-        trace.append(gbest_val)
+            # (M, 2) yz-coordinates: the common x = 0 adds nothing to a distance
+            if v > feasible_val and min_pairwise_distance(p) >= spacing:
+                feasible_pos, feasible_val = p.copy(), v
+        history.append(gbest_val)
 
-    if feasible_pos is not None:
-        layout = _coords_to_layout(feasible_pos, wavelength, regions)
-        return OptimizationTrace(np.array(trace), layout, float(feasible_val), True)
-    layout = _coords_to_layout(gbest_pos, wavelength, regions)
-    return OptimizationTrace(np.array(trace), layout, gbest_val, False)
+    feasible = feasible_pos is not None
+    best_pos, best_val = (feasible_pos, feasible_val) if feasible else (gbest_pos, gbest_val)
+    layout = _coords_to_layout(best_pos, wavelength, regions)
+    return OptimizationTrace(np.array(history), layout, float(best_val), feasible)
 
 
 def objective_adapter(

@@ -18,7 +18,6 @@ UL_LIN = "ul-lin"
 UL_SIC = "ul-sic"
 DL_LIN = "dl-lin"
 DL_DPC = "dl-dpc"
-RATE_SCHEMES = (UL_LIN, UL_SIC, DL_LIN, DL_DPC)
 ZERO_INTERFERENCE = "zero-interference"
 
 _LN2 = float(np.log(2.0))
@@ -102,13 +101,9 @@ class RateReport:
             raise ValueError(f"{self.scheme} per_user_rates is not finite")
 
 
-def _report(
-    scheme: str, rates: np.ndarray | None, per_subcarrier: np.ndarray | None = None
-) -> RateReport:
-    """Report of (S, K) per-user rates. A scheme that computes its
-    per-subcarrier sums separately passes them, and may then omit `rates`."""
-    if per_subcarrier is None:
-        per_subcarrier = rates.sum(axis=1)
+def _report(scheme: str, rates: np.ndarray | None, per_subcarrier: np.ndarray) -> RateReport:
+    """Report of the (S,) per-subcarrier sums and, unless `rates` is None, of
+    the per-user means of the (S, K) per-user rates."""
     return RateReport(
         scheme=scheme,
         sum_rate=float(per_subcarrier.mean()),
@@ -185,10 +180,11 @@ def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) 
 
 
 def ul_linear_sum_rate(
-    channels: SubcarrierChannels, config: ImpairedLinkConfig
+    channels: SubcarrierChannels, config: ImpairedLinkConfig, include_user_rates: bool = True
 ) -> RateReport:
     """Achievable sum rate with per-user MMSE combining."""
-    return _report(UL_LIN, np.log2(1.0 + _mmse_sinr_matrix(channels, config)))
+    rates = np.log2(1.0 + _mmse_sinr_matrix(channels, config))
+    return _report(UL_LIN, rates if include_user_rates else None, rates.sum(axis=1))
 
 
 def ul_sic_sum_rate(
@@ -217,7 +213,7 @@ def high_snr_ceiling(user_count: int, evm: float) -> float:
 
 
 def dl_linear_sum_rate(
-    channels: SubcarrierChannels, config: ImpairedLinkConfig
+    channels: SubcarrierChannels, config: ImpairedLinkConfig, include_user_rates: bool = True
 ) -> RateReport:
     """Downlink sum rate with the uplink/downlink duality precoders."""
     h = channels.matrices
@@ -226,7 +222,8 @@ def dl_linear_sum_rate(
     own = np.diagonal(gains, axis1=1, axis2=2)  # (S, K)
     interference = gains.sum(axis=2) - own
     sinr = config.kappa * own / (interference + (1.0 - config.kappa) * own + config.noise_variance)
-    return _report(DL_LIN, np.log2(1.0 + sinr))
+    rates = np.log2(1.0 + sinr)
+    return _report(DL_LIN, rates if include_user_rates else None, rates.sum(axis=1))
 
 
 def duality_precoders(
@@ -274,10 +271,7 @@ def _project_weighted(y: np.ndarray, weight: np.ndarray, budget: float) -> np.nd
 
 
 def dl_dpc_sum_rate(
-    channels: SubcarrierChannels,
-    config: ImpairedLinkConfig,
-    *,
-    include_user_rates: bool = True,
+    channels: SubcarrierChannels, config: ImpairedLinkConfig, include_user_rates: bool = True
 ) -> RateReport:
     """Downlink sum rate with dirty paper coding via the dual uplink problem.
 
@@ -379,7 +373,8 @@ def zero_interference_bound(
     """
     g = config.powers * np.sum(np.abs(channels.matrices) ** 2, axis=1)  # (S, K)
     sinr = config.kappa * g / ((1.0 - config.kappa) * g + config.noise_variance)
-    return _report(ZERO_INTERFERENCE, np.log2(1.0 + sinr))
+    rates = np.log2(1.0 + sinr)
+    return _report(ZERO_INTERFERENCE, rates, rates.sum(axis=1))
 
 
 def evaluate_rate_scheme(
@@ -394,12 +389,16 @@ def evaluate_rate_scheme(
     `summary_only` skips the per-user breakdowns that optimization loops do
     not need.
     """
-    if scheme == UL_LIN:
-        return ul_linear_sum_rate(channels, config)
-    if scheme == UL_SIC:
-        return ul_sic_sum_rate(channels, config, include_user_rates=not summary_only)
-    if scheme == DL_LIN:
-        return dl_linear_sum_rate(channels, config)
-    if scheme == DL_DPC:
-        return dl_dpc_sum_rate(channels, config, include_user_rates=not summary_only)
-    raise ValueError(f"unknown rate scheme {scheme!r}")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown rate scheme {scheme!r}")
+    return _SCHEMES[scheme](channels, config, include_user_rates=not summary_only)
+
+
+# The rate-scheme registry, in the order configs and reports list the schemes.
+_SCHEMES = {
+    UL_LIN: ul_linear_sum_rate,
+    UL_SIC: ul_sic_sum_rate,
+    DL_LIN: dl_linear_sum_rate,
+    DL_DPC: dl_dpc_sum_rate,
+}
+RATE_SCHEMES = tuple(_SCHEMES)

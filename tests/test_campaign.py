@@ -496,6 +496,20 @@ class TestCampaign:
         with pytest.raises(ValueError):
             tiny_spec(evms=(1.0,)).validate()
 
+    @pytest.mark.parametrize(
+        "overrides", [{"delay_stretch": 1e8}, {"r_max_m": 1e9}, {"user_counts": (10**400,)}]
+    )
+    def test_fir_taps_beyond_memory_rejected(self, overrides):
+        # All three used to validate: realization 0 at K=10, S=1 then needed
+        # 1,424,004 taps with delay_stretch 1e8 (13.8 GB of pulse matrices)
+        # and 460,281 with r_max_m 1e9 (4.5 GB). A count beyond the float
+        # range must not escape as an OverflowError.
+        keys = ("scenario.delay_stretch", "scenario.r_max_m", "grid.subcarrier_counts",
+                "grid.spacing_khz", "campaign.user_counts")
+        with pytest.raises(ValueError, match="over 1 GiB") as error:
+            ExperimentSpec(**overrides).validate()
+        assert all(key in str(error.value) for key in keys)
+
     def test_non_finite_floats_name_the_key(self):
         checked = 0
         for key, spec in non_finite_specs():

@@ -18,6 +18,7 @@ from mamimo.geometry import (
     make_sparse_upa,
     make_staggered_ura,
     min_pairwise_distance,
+    min_spacing,
     validate_layout,
 )
 from mamimo.pso import (
@@ -117,6 +118,49 @@ class TestPsoOptimize:
         trace = pso_optimize(wobbly, regions, LAM, config)
         assert len(trace.best_values) == 13
         assert np.all(np.diff(trace.best_values) >= 0.0)
+
+    @given(st.integers(0, 10_000), st.integers(0, 6), st.integers(1, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_bookkeeping_matches_every_scored_value(self, seed, iterations, particles):
+        # Regions of 0.6 wavelengths let neighbours come closer than half a
+        # wavelength, so the swarm sees feasible and infeasible particles.
+        regions = make_move_regions(1, 3, 0.6 * LAM)
+        config = PsoConfig(particle_count=particles, max_iterations=iterations, seed=seed)
+        coeffs = np.random.default_rng(seed).normal(size=(3, 2))
+        scored = []  # (value, yz-coordinates) in call order
+
+        def objective(layout):
+            coords = layout.positions[:, 1:]
+            value = float(np.sum(np.sin(coords * 40.0 / LAM) * coeffs))
+            scored.append((value, coords.copy()))
+            return value
+
+        trace = pso_optimize(objective, regions, LAM, config)
+        values = np.array([v for v, _ in scored]).reshape(iterations + 1, particles)
+        np.testing.assert_array_equal(trace.best_values, np.maximum.accumulate(values.max(axis=1)))
+        feasible = [(v, c) for v, c in scored if min_pairwise_distance(c) >= min_spacing(LAM)]
+        assert trace.spacing_feasible == bool(feasible)
+        if feasible:
+            value, coords = max(feasible, key=lambda item: item[0])  # the first maximum
+            assert trace.best_objective == value
+            np.testing.assert_array_equal(trace.best_layout.positions[:, 1:], coords)
+
+    @pytest.mark.parametrize("bad_call, round_", [(4, 0), (57, 5)])
+    def test_non_finite_objective_value_raises(self, bad_call, round_):
+        # One NaN in round 0 used to win the argmax: every history entry came
+        # out NaN and the social term pulled toward that particle all run.
+        regions = make_move_regions(2, 2, 1.0)
+        finite = quadratic_objective(regions)
+        calls = []
+
+        def objective(layout):
+            calls.append(layout)
+            return float("nan") if len(calls) == bad_call else finite(layout)
+
+        config = PsoConfig(particle_count=10, max_iterations=20, seed=1)
+        with pytest.raises(ValueError, match=f"non-finite value in round {round_}$"):
+            pso_optimize(objective, regions, LAM, config)
+        assert len(calls) == 10 * (round_ + 1)
 
     def test_deterministic_given_seed(self):
         regions = make_move_regions(2, 2, 1.0)

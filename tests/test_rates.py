@@ -10,11 +10,13 @@ from mamimo.campaign import SPARSE_UPA, STAGGERED_URA, build_fixed_layouts, draw
 from mamimo.channels import ChannelModel, SubcarrierChannels
 from mamimo.config import parse_config
 from mamimo.rates import (
+    RATE_SCHEMES,
     ImpairedLinkConfig,
     RateReport,
     dl_dpc_sum_rate,
     dl_linear_sum_rate,
     duality_precoders,
+    evaluate_rate_scheme,
     high_snr_ceiling,
     logdet_hpd,
     ul_linear_sum_rate,
@@ -392,6 +394,28 @@ class TestRateReport:
         fields[field] = value
         with pytest.raises(ValueError, match=field):
             RateReport(**fields)
+
+
+class TestRegistry:
+    def test_schemes_in_config_order(self):
+        assert RATE_SCHEMES == ("ul-lin", "ul-sic", "dl-lin", "dl-dpc")
+
+    @pytest.mark.parametrize("scheme", RATE_SCHEMES)
+    def test_summary_only_skips_only_the_per_user_rates(self, scheme):
+        channels = random_channels(np.random.default_rng(4), 3, 4, 3)
+        cfg = ImpairedLinkConfig.uniform(3, 3, 1.0, 0.05, 0.1, total_power=9.0)
+        full = evaluate_rate_scheme(scheme, channels, cfg)
+        summary = evaluate_rate_scheme(scheme, channels, cfg, summary_only=True)
+        assert (full.scheme, summary.scheme) == (scheme, scheme)
+        assert full.per_user_rates.shape == (3,)
+        assert summary.per_user_rates is None
+        assert summary.sum_rate == full.sum_rate
+
+    def test_unknown_scheme_rejected(self):
+        channels = random_channels(np.random.default_rng(4), 1, 2, 2)
+        cfg = ImpairedLinkConfig.uniform(2, 1, 1.0, 0.05, 0.1, total_power=2.0)
+        with pytest.raises(ValueError, match="unknown rate scheme 'ul-zf'"):
+            evaluate_rate_scheme("ul-zf", channels, cfg)
 
 
 class TestUplinkSic:
