@@ -177,17 +177,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class SubcarrierChannels:
-    """Frequency-domain channel matrices, one M-by-K matrix per subcarrier."""
+    """Frequency-domain channel matrices, one M-by-K matrix per subcarrier,
+    of one channel instance or of a stack of P instances."""
 
-    matrices: np.ndarray  # (S, M, K) complex
+    matrices: np.ndarray  # (S, M, K) or (P, S, M, K) complex
 
     def __post_init__(self) -> None:
-        if self.matrices.ndim != 3:
-            raise ValueError("matrices must have shape (S, M, K)")
+        if self.matrices.ndim not in (3, 4):
+            raise ValueError("matrices must have shape (S, M, K) or (P, S, M, K)")
 
     @property
     def subcarrier_count(self) -> int:
-        return self.matrices.shape[0]
+        return self.matrices.shape[-3]
 
 
 def path_loss(distance_3d: float, intercept_db: float, slope_db: float) -> float:
@@ -310,27 +311,41 @@ def _dft_matrix(n_taps: int, subcarriers: int) -> np.ndarray:
 # Unit phasors exp(j x) from a table of T = 4096 libm phasors exp(2 pi j i/T)
 # and a Taylor rotation by the remainder |r| <= pi/T = 7.7e-4, where the
 # first dropped terms, r^5/120 (sine) and r^6/720 (cosine), are below 3e-18.
-# On 16 x 1,210 phases (2-core VM, numpy 2.4.6) this takes about 300 us
+# On 16 x 1,210 phases (2-core VM, numpy 2.4.6) this takes about 200 us
 # against 950 us for numpy's complex exp, which runs scalar libm per element.
 _PHASOR_TABLE_SIZE = 4096  # a power of two, so masking an index is the modulo
 _PHASOR_STEP = 2.0 * np.pi / _PHASOR_TABLE_SIZE
 _PHASOR_TABLE = np.exp(1j * _PHASOR_STEP * np.arange(_PHASOR_TABLE_SIZE))
-# Beyond 2^40 rad the table index would approach the int64 range of the
-# float -> intp cast, which overflows silently; such phases are rejected.
+# Phases beyond 2^40 rad are rejected, so |x T / 2 pi| < 2^51 and adding and
+# subtracting _ROUNDING_SHIFT rounds to the nearest integer, ties to even,
+# exactly as rint does; the shifted sum's low mantissa bits are that integer
+# modulo T.
 _PHASE_LIMIT = 2.0**40
-# Elements per pass. Every op runs in place on one block's scratch, 24 bytes
-# an element, which at 4096 elements stays well below glibc's 128 KiB mmap
-# threshold, so each call takes it from malloc's free lists. Larger arrays
-# are mapped afresh on each call and fault their pages in; that is why a
-# ChannelModel owns its (M, N_1 + ... + N_K) phase and phasor buffers, sized
-# per antenna count, while the per-block scratch stays per call. On the
-# same VM, in-process swarm-narrow campaigns (best of 3) took 1.48-1.54 s
-# with 4096, 1.55-1.60 s with 8192 and 1.52-1.61 s with 16384 elements,
-# the latter at 0.6 MB more peak RSS.
+_ROUNDING_SHIFT = 1.5 * 2.0**52
+# Elements per pass. Every op runs in place on one block's scratch, 32 bytes
+# an element in three arrays of at most 64 KiB; a ChannelModel owns it with
+# its phase and phasor buffers, so a warm call allocates none of it. Larger
+# blocks pay the per-op overhead less often: on 16 x 1,210 phases (same VM)
+# a call took about 215 us with 4096, 180 us with 8192 and 160 us with all
+# 19,360 elements per pass, but in-process swarm-narrow campaigns differed
+# by less than their spread, and every model would hold up to 0.6 MB of
+# scratch instead of 128 KiB.
 _PHASOR_BLOCK = 4096
 
 
-def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _phasor_scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block scratch of :func:`_unit_phasors` for up to `size` phases: a
+    complex block, which holds the remainder, its square and the cosine until
+    the table gather, the sine and the table index."""
+    block = min(_PHASOR_BLOCK, size)
+    return np.empty(block, dtype=complex), np.empty(block), np.empty(block, dtype=np.int64)
+
+
+def _unit_phasors(
+    phase: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """exp(1j * phase) from vector numpy ops, without libm's scalar exp.
 
     Contract: |result - exp(1j x)| <= 4 * 2^-52 * (1 + |x|) per element,
@@ -338,7 +353,8 @@ def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     |result| = 1 within a few ulp. A phase that is not finite or exceeds
     _PHASE_LIMIT in magnitude raises ValueError. The result is written to
     `out`, a C-contiguous complex array of the phases' shape, when given,
-    and to a fresh array otherwise.
+    and to a fresh array otherwise. `scratch` is a :func:`_phasor_scratch`
+    for at least the phases' size, made per call when not given.
     """
     phase = np.asarray(phase, dtype=float)
     if not (phase.min() >= -_PHASE_LIMIT and phase.max() <= _PHASE_LIMIT):
@@ -347,33 +363,35 @@ def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         out = np.empty(phase.shape, dtype=complex)
     flat_in = phase.reshape(-1)
     flat_out = out.reshape(-1)
-    block = min(_PHASOR_BLOCK, flat_in.size)
-    table_buf = np.empty(block, dtype=complex)
+    table_buf, sin_buf, index_buf = scratch or _phasor_scratch(flat_in.size)
     real_buf = table_buf.view(float)  # two real rows, free until the table gather
-    index_buf = np.empty(block, dtype=np.intp)
+    block = table_buf.shape[0]
     for start in range(0, flat_in.size, block):
         x = flat_in[start:start + block]
         o = flat_out[start:start + block]
         n = x.shape[0]
         r, r2, idx, rot = real_buf[:n], real_buf[n:2 * n], index_buf[:n], table_buf[:n]
+        sin = sin_buf[:n]
         np.multiply(x, _PHASOR_TABLE_SIZE / (2.0 * np.pi), out=r)
-        np.rint(r, out=r)
-        np.copyto(idx, r, casting="unsafe")
-        # Masking the signed index is the modulo T; take(mode="wrap") is
-        # about thirty times slower.
-        idx &= _PHASOR_TABLE_SIZE - 1
+        r += _ROUNDING_SHIFT
+        np.bitwise_and(r.view(np.int64), _PHASOR_TABLE_SIZE - 1, out=idx)
+        r -= _ROUNDING_SHIFT
         r *= _PHASOR_STEP
         np.subtract(x, r, out=r)
         np.multiply(r, r, out=r2)
-        sin, cos = o.imag, o.real
+        # Contiguous passes, then one strided copy of each into `o`.
         np.multiply(r2, -1.0 / 6.0, out=sin)
         sin += 1.0
         sin *= r
+        cos = r
         np.multiply(r2, 1.0 / 24.0, out=cos)
         cos -= 0.5
         cos *= r2
         cos += 1.0
-        _PHASOR_TABLE.take(idx, out=rot)
+        o.real = cos
+        o.imag = sin
+        # The index is masked already; mode="raise" would buffer `rot`.
+        _PHASOR_TABLE.take(idx, out=rot, mode="clip")
         o *= rot
     return out
 
@@ -386,7 +404,8 @@ class ChannelModel:
     (amplitude times carrier rotation, (N,)) and the real pulse-filter matrix
     (N, T+1); one DFT matrix (T+1, S) is shared. Only the phase signature
     exp(j p.k) depends on the antenna positions, so a placement search builds
-    the model once and calls :meth:`channels` per candidate.
+    the model once and calls :meth:`channels` per candidate or per stack of
+    candidates.
     """
 
     def __init__(self, paths: Sequence[UserPaths], grid: OfdmGrid, wavelength: float) -> None:
@@ -409,41 +428,47 @@ class ChannelModel:
                 pulse_triangle(ells[None, :] - x[:, None]),
             ))
             start += user.n_paths
-        # The (M, N_1 + ... + N_K) phases and phasors, sized for the antenna
-        # count of the last call.
+        # The (M, N_1 + ... + N_K) phases and phasors and the kernel's block
+        # scratch, sized for the antenna count of the last call.
         self._phase = np.empty((0, start))
         self._phasors = np.empty((0, start), dtype=complex)
+        self._scratch = None
 
     def channels(self, positions: np.ndarray) -> SubcarrierChannels:
-        """(S, M, K) channels of antennas at `positions` (M, 3), in meters.
+        """(S, M, K) channels of antennas at `positions` (M, 3), in meters, or
+        the (P, S, M, K) stack of P placements at `positions` (P, M, 3).
 
         The phase signatures of all users' paths come from one
-        :func:`_unit_phasors` pass over the (M, N_1 + ... + N_K) phases, in
-        blocks of a fixed 4096 elements. Per-user calls would be dominated by
-        per-op overhead: on 16 x 121 phases the kernel gains only 1.35x over
-        libm. Each entry is within sum_n |w_n| 4 2^-52 (1 + |p . k_n|) of the
-        libm formula, w_n being path n's subcarrier weight, and phases beyond
-        2^40 rad raise ValueError. The per-path weights are formed on each
-        call rather than stored, which keeps the model at O(N (T+1)) per user.
+        :func:`_unit_phasors` pass per placement over the (M, N_1 + ... + N_K)
+        phases, in blocks of a fixed 4096 elements. Per-user calls would be
+        dominated by per-op overhead: on 16 x 121 phases the kernel gains only
+        1.35x over libm. Each entry is within sum_n |w_n| 4 2^-52 (1 + |p . k_n|)
+        of the libm formula, w_n being path n's subcarrier weight, and phases
+        beyond 2^40 rad raise ValueError. The per-path weights are formed per
+        placement rather than stored, which keeps the model at O(N (T+1)) per
+        user. A stack's placements are computed one after the other, so each
+        instance has the bits of its own unstacked call.
 
         The model owns the (M, N_1 + ... + N_K) phase and phasor buffers,
-        above glibc's 128 KiB mmap threshold at swarm sizes; they are
-        reallocated only when M changes, so a warm call faults no pages in,
-        and a model serves one thread at a time. Only the returned array is
-        fresh; it never aliases a buffer. The kernel's per-block scratch
-        stays per call, since it sits under the mmap threshold.
+        above glibc's 128 KiB mmap threshold at swarm sizes, and the kernel's
+        block scratch; they are reallocated only when M changes, so a warm
+        call faults no pages in, and a model serves one thread at a time.
+        Only the returned array is fresh; it never aliases a buffer.
         """
-        shape = (positions.shape[0], self.waves.shape[1])
+        stack = positions if positions.ndim == 3 else positions[None]
+        shape = (stack.shape[1], self.waves.shape[1])
         if self._phase.shape != shape:
             self._phase = np.empty(shape)
             self._phasors = np.empty(shape, dtype=complex)
-        np.matmul(positions, self.waves, out=self._phase)
-        phasors = _unit_phasors(self._phase, out=self._phasors)
-        matrices = np.empty((self.dft.shape[1], positions.shape[0], len(self.users)), dtype=complex)
-        for k, (cols, gains, pulses) in enumerate(self.users):
-            weights = gains[:, None] * (pulses @ self.dft)  # (N, S)
-            matrices[:, :, k] = (phasors[:, cols] @ weights).T
-        return SubcarrierChannels(matrices)
+            self._scratch = _phasor_scratch(self._phase.size)
+        matrices = np.empty((len(stack), self.dft.shape[1], shape[0], len(self.users)), dtype=complex)
+        for out, placement in zip(matrices, stack):
+            np.matmul(placement, self.waves, out=self._phase)
+            phasors = _unit_phasors(self._phase, out=self._phasors, scratch=self._scratch)
+            for k, (cols, gains, pulses) in enumerate(self.users):
+                weights = gains[:, None] * (pulses @ self.dft)  # (N, S)
+                out[:, :, k] = (phasors[:, cols] @ weights).T
+        return SubcarrierChannels(matrices if positions.ndim == 3 else matrices[0])
 
 
 def subcarrier_channels(

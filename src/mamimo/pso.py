@@ -28,6 +28,10 @@ from .rates import ImpairedLinkConfig, evaluate_rate_scheme
 # Default weight of the quadratic spacing penalty, in objective units per
 # squared meter of shortfall.
 PENALTY_WEIGHT = 1e3
+# The objective closure forms and scores a round's stacked (P, S, M, K)
+# channels in chunks of at most this many bytes (at least one layout each).
+# Unchunked, 150 layouts at S=50, M=16 and K=10 would hold 19 MB.
+_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def _coords_to_layout(
 
 
 def pso_optimize(
-    objective: Callable[[ArrayLayout], float],
+    objective: Callable[[list[ArrayLayout]], Sequence[float]],
     regions: Sequence[MoveRegion],
     wavelength: float,
     config: PsoConfig,
@@ -117,7 +121,10 @@ def pso_optimize(
     The random stream is `numpy.random.default_rng(config.seed)`. The swarm
     runs rounds 0 to `config.max_iterations`: round 0 scores the initial
     swarm, and every later round first moves the particles, then scores
-    them. A non-finite objective value raises `ValueError` naming its round.
+    them. `objective` scores a whole round in one call: it takes the list of
+    the round's `ArrayLayout`s, one per particle, and returns their values in
+    that order. A non-finite objective value raises `ValueError` naming its
+    round.
     `seed_layouts` are `ArrayLayout`s placed into the initial swarm when they
     lie in the regions (after a clamp that only absorbs rounding) and satisfy
     the spacing constraint, so the result never scores below a feasible seed.
@@ -143,7 +150,7 @@ def pso_optimize(
         coords = seed.positions[:, 1:]
         if coords.shape != (m, 2):
             raise ValueError("seed layout does not match the region count")
-        clamped = repair_to_regions(coords, regions)
+        clamped = np.clip(coords, lo, hi)
         inside = not np.any(np.abs(clamped - coords) > 1e-9 * sides)  # up to rounding
         if inside and min_pairwise_distance(clamped) >= spacing:
             positions[slot] = clamped
@@ -165,8 +172,12 @@ def pso_optimize(
                 + config.social * r_soc * (gbest_pos[None] - positions)
             )
             velocities = np.clip(velocities, -vmax, vmax)
-            positions = repair_to_regions(positions + velocities, regions)
-        values = np.array([float(objective(_coords_to_layout(p, wavelength, regions))) for p in positions])
+            positions = np.clip(positions + velocities, lo, hi)
+        values = np.asarray(
+            objective([_coords_to_layout(p, wavelength, regions) for p in positions]), dtype=float
+        )
+        if values.shape != (n,):
+            raise ValueError(f"objective returned shape {values.shape} for a round of {n} layouts")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"objective returned a non-finite value in round {round_}")
         better = values > pbest_val
@@ -195,25 +206,43 @@ def objective_adapter(
     config: ImpairedLinkConfig,
     *,
     penalty_weight: float = PENALTY_WEIGHT,
-) -> Callable[[ArrayLayout], float]:
+) -> Callable[[ArrayLayout | Sequence[ArrayLayout]], float | np.ndarray]:
     """Objective closure for one fixed channel realization.
 
+    A call scores the chosen scheme minus the spacing penalty, either of one
+    `ArrayLayout`, returning a float, or of a sequence of layouts at one
+    wavelength, such as a swarm round, returning their (P,) values in order.
+    Each value has the bits of that layout's own call.
+
     The paths are independent of the antenna placement, so the closure keeps
-    one :class:`ChannelModel` and each call computes only the candidate's
-    phase signatures. The model is rebuilt whenever a layout arrives at a
-    wavelength other than the one it was built for. A call scores the chosen
-    scheme minus the spacing penalty.
+    one :class:`ChannelModel` and each call computes only the candidates'
+    phase signatures. The model is rebuilt whenever layouts arrive at a
+    wavelength other than the one it was built for. A sequence is served in
+    chunks: the stacked channels of at most `_CHUNK_BYTES` bytes, then one
+    rate evaluation over that stack.
     """
     model: ChannelModel | None = None
 
-    def objective(layout: ArrayLayout) -> float:
+    def objective(layouts: ArrayLayout | Sequence[ArrayLayout]) -> float | np.ndarray:
         nonlocal model
-        if model is None or model.wavelength != layout.wavelength:
-            model = ChannelModel(paths, grid, layout.wavelength)
-        h = model.channels(layout.positions)
-        report = evaluate_rate_scheme(scheme, h, config, summary_only=True)
-        return report.sum_rate - spacing_penalty(
-            layout.positions, layout.wavelength, penalty_weight
-        )
+        single = isinstance(layouts, ArrayLayout)
+        if single:
+            layouts = [layouts]
+        wavelength = layouts[0].wavelength
+        if any(layout.wavelength != wavelength for layout in layouts):
+            raise ValueError("the layouts of one objective call must share a wavelength")
+        if model is None or model.wavelength != wavelength:
+            model = ChannelModel(paths, grid, wavelength)
+        positions = np.array([layout.positions for layout in layouts])  # (P, M, 3)
+        layout_bytes = 16 * grid.subcarrier_count * positions.shape[1] * len(paths)
+        chunk = max(1, _CHUNK_BYTES // layout_bytes)
+        values = np.empty(len(layouts))
+        for start in range(0, len(layouts), chunk):
+            h = model.channels(positions[start:start + chunk])
+            report = evaluate_rate_scheme(scheme, h, config, summary_only=True)
+            values[start:start + chunk] = report.sum_rate
+        for i, layout in enumerate(layouts):
+            values[i] -= spacing_penalty(layout.positions, layout.wavelength, penalty_weight)
+        return float(values[0]) if single else values
 
     return objective

@@ -82,32 +82,34 @@ class ImpairedLinkConfig:
 
 @dataclass(frozen=True, eq=False)
 class RateReport:
-    """Rates of one scheme on one channel instance.
+    """Rates of one scheme on one channel instance, or on each of a stack.
 
-    `sum_rate` is the mean over subcarriers of the per-subcarrier user sums.
+    `sum_rate` is the mean over subcarriers of the per-subcarrier user sums,
+    a float for one instance and a (P,) array for a stack of P instances.
     For the SIC and DPC schemes the per-user split uses the ascending decode
     order and sums to `sum_rate` up to rounding. Reports produced on a hot
     path may omit `per_user_rates`. Non-finite rates are rejected.
     """
 
     scheme: str
-    sum_rate: float
-    per_user_rates: np.ndarray | None  # (K,)
+    sum_rate: float | np.ndarray
+    per_user_rates: np.ndarray | None  # (K,), or (P, K) for a stack
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.sum_rate):
+        if not np.isfinite(self.sum_rate).all():
             raise ValueError(f"{self.scheme} sum_rate is not finite")
         if self.per_user_rates is not None and not np.isfinite(self.per_user_rates).all():
             raise ValueError(f"{self.scheme} per_user_rates is not finite")
 
 
 def _report(scheme: str, rates: np.ndarray | None, per_subcarrier: np.ndarray) -> RateReport:
-    """Report of the (S,) per-subcarrier sums and, unless `rates` is None, of
-    the per-user means of the (S, K) per-user rates."""
+    """Report of the (..., S) per-subcarrier sums and, unless `rates` is None,
+    of the per-user means of the (..., S, K) per-user rates."""
+    sum_rate = per_subcarrier.mean(axis=-1)
     return RateReport(
         scheme=scheme,
-        sum_rate=float(per_subcarrier.mean()),
-        per_user_rates=None if rates is None else rates.mean(axis=0),
+        sum_rate=float(sum_rate) if sum_rate.ndim == 0 else sum_rate,
+        per_user_rates=None if rates is None else rates.mean(axis=-2),
     )
 
 
@@ -123,13 +125,14 @@ def logdet_hpd(matrices: np.ndarray) -> np.ndarray:
 
 
 def _gram(h: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Power-scaled Gram matrices P^1/2 H^H H P^1/2 of (S, M, K) channels, shape (S, K, K)."""
+    """Power-scaled Gram matrices P^1/2 H^H H P^1/2 of (..., S, M, K) channels,
+    shape (..., S, K, K)."""
     scaled = h * np.sqrt(powers)[:, None, :]
-    return np.einsum("smk,smj->skj", scaled.conj(), scaled)
+    return np.einsum("...smk,...smj->...skj", scaled.conj(), scaled)
 
 
 def _sic_gap(gram: np.ndarray, kappa: float, noise_variance: float) -> np.ndarray:
-    """Per-subcarrier SIC sum rate, shape (S,).
+    """Per-subcarrier SIC sum rate, shape (..., S).
 
     log det(I + G/sigma^2) - log det(I + (1-kappa) G/sigma^2): the ideal
     hardware rate minus a distortion penalty that vanishes for EVM = 0.
@@ -143,27 +146,27 @@ def _sic_gap(gram: np.ndarray, kappa: float, noise_variance: float) -> np.ndarra
 
 
 def _sic_user_rates(gram: np.ndarray, kappa: float, noise_variance: float) -> np.ndarray:
-    """Per-user SIC rates in ascending decode order, shape (S, K).
+    """Per-user SIC rates in ascending decode order, shape (..., S, K).
 
     Decoding a user cancels its data but not its distortion, so its weight in
     the received covariance drops from 1 to 1 - kappa; its rate is the drop
     in log-determinant this causes. The rates telescope to `_sic_gap`.
     """
-    s, k, _ = gram.shape
+    k = gram.shape[-1]
     eye = np.eye(k)
     amplitude = np.ones(k)
     previous = logdet_hpd(eye + gram / noise_variance)
-    rates = np.empty((s, k))
+    rates = np.empty(gram.shape[:-1])
     for user in range(k):
         amplitude[user] = np.sqrt(1.0 - kappa)
         current = logdet_hpd(eye + gram * np.outer(amplitude, amplitude) / noise_variance)
-        rates[:, user] = previous - current
+        rates[..., user] = previous - current
         previous = current
     return rates
 
 
 def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) -> np.ndarray:
-    """MMSE-combining SINRs for all users and subcarriers at once, shape (S, K).
+    """MMSE-combining SINRs for all users and subcarriers at once, shape (..., S, K).
 
     With the full received covariance Q and t_k = p_k h_k^H Q^-1 h_k, the
     SINR is kappa t / (1 - kappa t). In Gram form, with A = sigma^2 I + G,
@@ -174,8 +177,8 @@ def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) 
     gram = _gram(channels.matrices, config.powers)
     sigma2 = config.noise_variance
     inverse = np.linalg.inv(gram + sigma2 * np.eye(gram.shape[-1]))
-    t = np.einsum("skj,sjk->sk", gram, inverse).real
-    slack = sigma2 * np.diagonal(inverse, axis1=1, axis2=2).real
+    t = np.einsum("...kj,...jk->...k", gram, inverse).real
+    slack = sigma2 * np.diagonal(inverse, axis1=-2, axis2=-1).real
     return config.kappa * t / (1.0 - config.kappa + config.kappa * slack)
 
 
@@ -184,7 +187,7 @@ def ul_linear_sum_rate(
 ) -> RateReport:
     """Achievable sum rate with per-user MMSE combining."""
     rates = np.log2(1.0 + _mmse_sinr_matrix(channels, config))
-    return _report(UL_LIN, rates if include_user_rates else None, rates.sum(axis=1))
+    return _report(UL_LIN, rates if include_user_rates else None, rates.sum(axis=-1))
 
 
 def ul_sic_sum_rate(
@@ -218,19 +221,19 @@ def dl_linear_sum_rate(
     """Downlink sum rate with the uplink/downlink duality precoders."""
     h = channels.matrices
     precoders = duality_precoders(channels, config)
-    gains = np.abs(np.einsum("smk,smi->ski", h.conj(), precoders)) ** 2  # (S, K, K)
-    own = np.diagonal(gains, axis1=1, axis2=2)  # (S, K)
-    interference = gains.sum(axis=2) - own
+    gains = np.abs(np.einsum("...smk,...smi->...ski", h.conj(), precoders)) ** 2  # (..., S, K, K)
+    own = np.diagonal(gains, axis1=-2, axis2=-1)  # (..., S, K)
+    interference = gains.sum(axis=-1) - own
     sinr = config.kappa * own / (interference + (1.0 - config.kappa) * own + config.noise_variance)
     rates = np.log2(1.0 + sinr)
-    return _report(DL_LIN, rates if include_user_rates else None, rates.sum(axis=1))
+    return _report(DL_LIN, rates if include_user_rates else None, rates.sum(axis=-1))
 
 
 def duality_precoders(
     channels: SubcarrierChannels,
     config: ImpairedLinkConfig,
 ) -> np.ndarray:
-    """Downlink precoders pointing along the uplink MMSE combining directions, (S, M, K).
+    """Downlink precoders pointing along the uplink MMSE combining directions, (..., S, M, K).
 
     User k's MMSE direction Q_k^-1 h_k, with Q_k its disturbance covariance,
     is parallel to Q^-1 h_k for the full received covariance
@@ -243,9 +246,10 @@ def duality_precoders(
         raise ValueError("config.total_power must be set for downlink precoding")
     h = channels.matrices
     scaled = h * np.sqrt(config.powers)[:, None, :]
-    q_all = np.einsum("smk,snk->smn", scaled, scaled.conj()) + config.noise_variance * np.eye(h.shape[1])
-    w = np.linalg.solve(q_all, h)  # (S, M, K)
-    directions = w / np.linalg.norm(w, axis=1, keepdims=True)
+    noise = config.noise_variance * np.eye(h.shape[-2])
+    q_all = np.einsum("...smk,...snk->...smn", scaled, scaled.conj()) + noise
+    w = np.linalg.solve(q_all, h)  # (..., S, M, K)
+    directions = w / np.linalg.norm(w, axis=-2, keepdims=True)
     shares = config.powers / config.powers.sum()
     q_power = config.total_power * shares  # (S, K)
     return directions * np.sqrt(q_power)[:, None, :]
@@ -302,11 +306,18 @@ def dl_dpc_sum_rate(
     identity H^H (sigma^2 I + H D H^H)^-1 H = (sigma^2 I + G D)^-1 G the
     gradient is the diagonal of K x K solves. The antenna count M enters
     only through that one Gram product.
+
+    A stack of instances is solved one instance at a time, since the pass
+    count depends on the channel.
     """
     if config.total_power is None:
         raise ValueError("config.total_power must be set for downlink schemes")
-    total_power = config.total_power
     h = channels.matrices
+    if h.ndim == 4:
+        reports = [dl_dpc_sum_rate(SubcarrierChannels(m), config, include_user_rates) for m in h]
+        per_user = np.array([r.per_user_rates for r in reports]) if include_user_rates else None
+        return RateReport(DL_DPC, np.array([r.sum_rate for r in reports]), per_user)
+    total_power = config.total_power
     s, _, k = h.shape
     sigma2 = config.noise_variance
     resid = 1.0 - config.kappa
@@ -371,10 +382,10 @@ def zero_interference_bound(
     Upper-bounds both the linear and the SIC sum rate on the same channel
     instance; only each user's own distortion and thermal noise remain.
     """
-    g = config.powers * np.sum(np.abs(channels.matrices) ** 2, axis=1)  # (S, K)
+    g = config.powers * np.sum(np.abs(channels.matrices) ** 2, axis=-2)  # (..., S, K)
     sinr = config.kappa * g / ((1.0 - config.kappa) * g + config.noise_variance)
     rates = np.log2(1.0 + sinr)
-    return _report(ZERO_INTERFERENCE, rates, rates.sum(axis=1))
+    return _report(ZERO_INTERFERENCE, rates, rates.sum(axis=-1))
 
 
 def evaluate_rate_scheme(
@@ -386,6 +397,8 @@ def evaluate_rate_scheme(
 ) -> RateReport:
     """Dispatch a rate scheme name in `RATE_SCHEMES` to its sum-rate computation.
 
+    `channels` holds one instance or a stack of them; a stack gets one report
+    whose values are (P,) arrays, each equal to its instance's own report.
     `summary_only` skips the per-user breakdowns that optimization loops do
     not need.
     """

@@ -13,6 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from mamimo.channels import (
+    _PHASE_LIMIT,
+    _PHASOR_STEP,
+    _PHASOR_TABLE,
+    _PHASOR_TABLE_SIZE,
     OfdmGrid,
     SubcarrierChannels,
     UserPaths,
@@ -161,3 +165,43 @@ def project_budget_euclidean(x: np.ndarray, budget: float) -> np.ndarray:
     rho = np.max(np.where(flat - candidates > 0, idx, 0))
     theta = (cumulative[rho - 1] - budget) / rho
     return np.maximum(clipped - theta, 0.0)
+
+
+def unit_phasors_rint(phase: np.ndarray) -> np.ndarray:
+    """The table-and-Taylor phasor kernel in its first form, kept as the bit
+    reference of `mamimo.channels._unit_phasors`: rint rounding, a cast
+    index, the Taylor terms written straight into the strided real and
+    imaginary parts, and a range-checked table gather, in blocks of 4096."""
+    phase = np.asarray(phase, dtype=float)
+    if not (phase.min() >= -_PHASE_LIMIT and phase.max() <= _PHASE_LIMIT):
+        raise ValueError(f"phases must be finite and within +-{_PHASE_LIMIT:g} rad")
+    out = np.empty(phase.shape, dtype=complex)
+    flat_in = phase.reshape(-1)
+    flat_out = out.reshape(-1)
+    block = min(4096, flat_in.size)
+    table_buf = np.empty(block, dtype=complex)
+    real_buf = table_buf.view(float)
+    index_buf = np.empty(block, dtype=np.intp)
+    for start in range(0, flat_in.size, block):
+        x = flat_in[start:start + block]
+        o = flat_out[start:start + block]
+        n = x.shape[0]
+        r, r2, idx, rot = real_buf[:n], real_buf[n:2 * n], index_buf[:n], table_buf[:n]
+        np.multiply(x, _PHASOR_TABLE_SIZE / (2.0 * np.pi), out=r)
+        np.rint(r, out=r)
+        np.copyto(idx, r, casting="unsafe")
+        idx &= _PHASOR_TABLE_SIZE - 1
+        r *= _PHASOR_STEP
+        np.subtract(x, r, out=r)
+        np.multiply(r, r, out=r2)
+        sin, cos = o.imag, o.real
+        np.multiply(r2, -1.0 / 6.0, out=sin)
+        sin += 1.0
+        sin *= r
+        np.multiply(r2, 1.0 / 24.0, out=cos)
+        cos -= 0.5
+        cos *= r2
+        cos += 1.0
+        _PHASOR_TABLE.take(idx, out=rot)
+        o *= rot
+    return out

@@ -209,8 +209,8 @@ def test_criterion_08_pso_contract():
     regions = make_move_regions(2, 2, 1.0)
     centers = np.array([[r.center_y, r.center_z] for r in regions])
 
-    def quadratic(layout):
-        return -float(np.sum((layout.positions[:, 1:] - centers) ** 2))
+    def quadratic(layouts):
+        return [-float(np.sum((layout.positions[:, 1:] - centers) ** 2)) for layout in layouts]
 
     monotone = True
     trace = pso_optimize(

@@ -34,7 +34,7 @@ from mamimo.geometry import (
     make_staggered_ura,
     wave_vector,
 )
-from oracles import build_tap_channel, subcarriers_from_taps
+from oracles import build_tap_channel, subcarriers_from_taps, unit_phasors_rint
 
 DEFAULT_SCENARIO = ExperimentSpec().scenario()
 
@@ -522,6 +522,26 @@ class TestUnitPhasors:
         assert got is buf
         assert np.array_equal(got, _unit_phasors(x))
 
+    def test_rounding_shift_is_exact_up_to_the_limit(self):
+        # Adding and subtracting 1.5 * 2^52 equals rint only for |y| < 2^51.
+        assert _PHASE_LIMIT * _PHASOR_TABLE_SIZE / (2 * np.pi) < 2.0**51
+
+    @pytest.mark.parametrize(
+        "phases",
+        [
+            np.array(SPECIAL_PHASES),
+            np.array([5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1e-310, -1e-310, 2.0**-1074 * 3]),
+            np.random.default_rng(2).uniform(-300.0, 300.0, size=(7, 2345)),
+            np.random.default_rng(3).uniform(-(2.0**40), 2.0**40, size=50_000),
+        ],
+        ids=["special", "denormal", "blocks", "wide"],
+    )
+    def test_bits_match_rint_kernel(self, phases):
+        # The shift rounding, the masked index and the contiguous Taylor
+        # passes reorder no arithmetic: every bit equals the rint form's.
+        got = _unit_phasors(phases)
+        assert np.array_equal(got.view(np.int64), unit_phasors_rint(phases).view(np.int64))
+
 
 def swarm_narrow_model():
     """A model at swarm-narrow sizes: the default los-dominant scenario,
@@ -589,6 +609,37 @@ class TestChannelModel:
             tracemalloc.stop()
         # The fresh (M, 1210) phase and phasor arrays alone take 465 KiB.
         assert peak < 256 * 1024
+
+    def test_warm_stacked_call_allocates_little(self):
+        model, _, _ = swarm_narrow_model()
+        rng = np.random.default_rng(4)
+        stack = rng.uniform(-0.1, 0.1, size=(8, 16, 3))
+        model.channels(stack)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            model.channels(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The 8 x (1, 16, 10) channels take 20 KiB. A per-call kernel scratch
+        # would add 128 KiB, fresh phase and phasor arrays 465 KiB.
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("subcarriers", [1, 16])
+    def test_stacked_call_equals_per_layout_calls(self, kind, subcarriers):
+        rng = np.random.default_rng(40 + subcarriers)
+        scen = replace(DEFAULT_SCENARIO, kind=kind)
+        lam = scen.wavelength
+        users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 3)]
+        grid = OfdmGrid(subcarriers, 15e3)
+        model = ChannelModel(users, grid, lam)
+        layouts = list(random_movable_layouts(rng, lam, 5))
+        stacked = model.channels(np.array([layout.positions for layout in layouts])).matrices
+        assert stacked.shape == (5, subcarriers, 4, 3)
+        for got, layout in zip(stacked, layouts):
+            assert np.array_equal(got, subcarrier_channels(users, layout, grid).matrices)
 
     def test_result_never_aliases_a_buffer(self):
         model, users, grid = swarm_narrow_model()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,19 +24,25 @@ from mamimo.geometry import (
     validate_layout,
 )
 from mamimo.pso import (
+    _CHUNK_BYTES,
     PsoConfig,
     objective_adapter,
     pso_optimize,
     repair_to_regions,
     spacing_penalty,
 )
-from mamimo.rates import ImpairedLinkConfig, evaluate_rate_scheme
+from mamimo.rates import RATE_SCHEMES, ImpairedLinkConfig, evaluate_rate_scheme
 
 LAM = 0.1
 
 
 def region_centers(regions):
     return np.array([[r.center_y, r.center_z] for r in regions])
+
+
+def per_layout(score):
+    """The round objective that scores each layout of a round with `score`."""
+    return lambda layouts: [score(layout) for layout in layouts]
 
 
 def quadratic_objective(regions):
@@ -44,7 +52,7 @@ def quadratic_objective(regions):
         coords = layout.positions[:, 1:]
         return -float(np.sum((coords - centers) ** 2))
 
-    return objective
+    return per_layout(objective)
 
 
 class TestRepair:
@@ -115,7 +123,7 @@ class TestPsoOptimize:
             coords = layout.positions[:, 1:]
             return float(np.sum(np.sin(coords * 5.0) * coeffs))
 
-        trace = pso_optimize(wobbly, regions, LAM, config)
+        trace = pso_optimize(per_layout(wobbly), regions, LAM, config)
         assert len(trace.best_values) == 13
         assert np.all(np.diff(trace.best_values) >= 0.0)
 
@@ -135,7 +143,7 @@ class TestPsoOptimize:
             scored.append((value, coords.copy()))
             return value
 
-        trace = pso_optimize(objective, regions, LAM, config)
+        trace = pso_optimize(per_layout(objective), regions, LAM, config)
         values = np.array([v for v, _ in scored]).reshape(iterations + 1, particles)
         np.testing.assert_array_equal(trace.best_values, np.maximum.accumulate(values.max(axis=1)))
         feasible = [(v, c) for v, c in scored if min_pairwise_distance(c) >= min_spacing(LAM)]
@@ -155,11 +163,11 @@ class TestPsoOptimize:
 
         def objective(layout):
             calls.append(layout)
-            return float("nan") if len(calls) == bad_call else finite(layout)
+            return float("nan") if len(calls) == bad_call else finite([layout])[0]
 
         config = PsoConfig(particle_count=10, max_iterations=20, seed=1)
         with pytest.raises(ValueError, match=f"non-finite value in round {round_}$"):
-            pso_optimize(objective, regions, LAM, config)
+            pso_optimize(per_layout(objective), regions, LAM, config)
         assert len(calls) == 10 * (round_ + 1)
 
     def test_deterministic_given_seed(self):
@@ -180,14 +188,22 @@ class TestPsoOptimize:
             value = float(np.sum(layout.positions[:, 1:] * coeffs))
             return value - spacing_penalty(layout.positions, LAM)
 
-        trace = pso_optimize(objective, regions, LAM, config)
+        trace = pso_optimize(per_layout(objective), regions, LAM, config)
         assert trace.spacing_feasible
         report = validate_layout(trace.best_layout)
         assert report.ok
 
+    def test_objective_must_score_every_layout_of_a_round(self):
+        regions = make_move_regions(2, 2, 1.0)
+        config = PsoConfig(particle_count=5, max_iterations=1, seed=1)
+        with pytest.raises(ValueError, match=r"shape \(4,\) for a round of 5 layouts"):
+            pso_optimize(lambda layouts: [0.0] * 4, regions, LAM, config)
+
     def test_empty_region_list_rejected(self):
         with pytest.raises(ValueError):
-            pso_optimize(lambda layout: 0.0, (), LAM, PsoConfig(particle_count=2, max_iterations=1))
+            pso_optimize(
+                per_layout(lambda layout: 0.0), (), LAM, PsoConfig(particle_count=2, max_iterations=1)
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -217,6 +233,28 @@ def small_realization():
     grid = OfdmGrid(1, 15e3)
     config = ImpairedLinkConfig.uniform(4, 1, 1.5e-5, 0.02, 5.97e-17, total_power=4 * 1.5e-5)
     return scen, paths, grid, config
+
+
+@pytest.fixture(scope="module")
+def paper_realization():
+    """The default spec's K = 10 los-dominant realization and its 16 regions."""
+    spec = ExperimentSpec()
+    scen = spec.scenario()
+    rng = np.random.default_rng(23)
+    paths = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, 10)]
+    return spec, paths, make_move_regions(4, 4, 5 * scen.wavelength)
+
+
+def random_round(regions, lam, count, rng):
+    """`count` random layouts, one antenna uniform in each region."""
+    lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
+    sides = np.array([[r.side, r.side] for r in regions])
+    layouts = []
+    for _ in range(count):
+        positions = np.zeros((len(regions), 3))
+        positions[:, 1:] = lo + rng.uniform(size=lo.shape) * sides
+        layouts.append(ArrayLayout(positions, lam, regions))
+    return layouts
 
 
 class TestObjectiveAdapter:
@@ -319,6 +357,58 @@ class TestObjectiveAdapter:
                 expected = evaluate_rate_scheme(scheme, h, config).sum_rate
                 expected -= spacing_penalty(layout.positions, layout.wavelength, 50.0)
                 assert objective(layout) == expected, scheme
+
+    @pytest.mark.parametrize("scheme", RATE_SCHEMES)
+    @pytest.mark.parametrize("subcarriers, count", [(1, 30), (10, 5)])
+    def test_round_equals_single_calls(self, paper_realization, scheme, subcarriers, count):
+        # A round is scored in chunks of stacked channels; every value must
+        # equal its layout's own call and the unstacked route, across a chunk
+        # boundary and for a layout with a nonzero spacing penalty.
+        spec, paths, regions = paper_realization
+        lam = spec.scenario().wavelength
+        grid = spec.grid(subcarriers)
+        config = spec.link_config(10, subcarriers, 0.02)
+        assert count > _CHUNK_BYTES // (16 * subcarriers * 16 * 10)  # spans two chunks
+        layouts = random_round(regions, lam, count, np.random.default_rng(subcarriers))
+        close = layouts[-1].positions.copy()
+        close[1] = close[0] + [0.0, lam / 8, 0.0]  # both stay inside the regions
+        layouts[-1] = ArrayLayout(close, lam, regions)
+        penalties = [spacing_penalty(layout.positions, lam) for layout in layouts]
+        assert penalties[-1] > 0.0
+        objective = objective_adapter(scheme, paths, grid, config)
+        values = objective(layouts)
+        assert np.array_equal(values, [objective(layout) for layout in layouts])
+        expected = [
+            evaluate_rate_scheme(
+                scheme, subcarrier_channels(paths, layout, grid), config, summary_only=True
+            ).sum_rate - penalty
+            for layout, penalty in zip(layouts, penalties)
+        ]
+        assert np.array_equal(values, expected)
+
+    def test_warm_paper_scale_round_is_chunked(self, paper_realization):
+        # 150 particles at S=50 would hold 19 MB of stacked channels.
+        spec, paths, regions = paper_realization
+        lam = spec.scenario().wavelength
+        config = spec.link_config(10, 50, 0.02)
+        objective = objective_adapter("ul-sic", paths, spec.grid(50), config)
+        layouts = random_round(regions, lam, 150, np.random.default_rng(0))
+        objective(layouts)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            objective(layouts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+    def test_one_call_holds_one_wavelength(self, small_realization):
+        scen, paths, grid, config = small_realization
+        layout = make_staggered_ura(2, 2, scen.wavelength)
+        objective = objective_adapter("ul-sic", paths, grid, config)
+        with pytest.raises(ValueError, match="share a wavelength"):
+            objective([layout, layout.with_wavelength(SPEED_OF_LIGHT / 3.5e9)])
 
     def test_infeasible_seed_is_skipped(self, small_realization):
         scen, paths, grid, config = small_realization

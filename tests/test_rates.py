@@ -21,6 +21,7 @@ from mamimo.rates import (
     logdet_hpd,
     ul_linear_sum_rate,
     ul_sic_sum_rate,
+    zero_interference_bound,
 )
 from mamimo.rates import (
     _DPC_MAX_ITERATIONS,
@@ -410,6 +411,28 @@ class TestRegistry:
         assert full.per_user_rates.shape == (3,)
         assert summary.per_user_rates is None
         assert summary.sum_rate == full.sum_rate
+
+    @pytest.mark.parametrize(
+        "scheme, summary_only",
+        [(s, only) for s in RATE_SCHEMES for only in (False, True)] + [("zero-interference", False)],
+    )
+    def test_stack_report_holds_each_instance_report(self, scheme, summary_only):
+        rng = np.random.default_rng(5)
+        instances = [random_channels(rng, 3, 4, 3) for _ in range(4)]
+        stack = SubcarrierChannels(np.array([c.matrices for c in instances]))
+        cfg = ImpairedLinkConfig.uniform(3, 3, 1.0, 0.05, 0.1, total_power=9.0)
+
+        def rate(channels):
+            if scheme == "zero-interference":
+                return zero_interference_bound(channels, cfg)
+            return evaluate_rate_scheme(scheme, channels, cfg, summary_only=summary_only)
+
+        stacked, singles = rate(stack), [rate(c) for c in instances]
+        assert np.array_equal(stacked.sum_rate, [r.sum_rate for r in singles])
+        if summary_only:
+            assert stacked.per_user_rates is None
+        else:
+            assert np.array_equal(stacked.per_user_rates, [r.per_user_rates for r in singles])
 
     def test_unknown_scheme_rejected(self):
         channels = random_channels(np.random.default_rng(4), 1, 2, 2)
