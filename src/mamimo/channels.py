@@ -323,14 +323,17 @@ _PHASOR_TABLE = np.exp(1j * _PHASOR_STEP * np.arange(_PHASOR_TABLE_SIZE))
 _PHASE_LIMIT = 2.0**40
 _ROUNDING_SHIFT = 1.5 * 2.0**52
 # Elements per pass. Every op runs in place on one block's scratch, 32 bytes
-# an element in three arrays of at most 64 KiB; a ChannelModel owns it with
-# its phase and phasor buffers, so a warm call allocates none of it. Larger
-# blocks pay the per-op overhead less often: on 16 x 1,210 phases (same VM)
-# a call took about 215 us with 4096, 180 us with 8192 and 160 us with all
-# 19,360 elements per pass, but in-process swarm-narrow campaigns differed
-# by less than their spread, and every model would hold up to 0.6 MB of
-# scratch instead of 128 KiB.
-_PHASOR_BLOCK = 4096
+# an element in three arrays; a ChannelModel owns it with its phase and
+# phasor buffers, so a warm call allocates none of it. 20,480 is the smallest
+# multiple of 4096 that holds a swarm layout's 16 x 1,210 = 19,360 phases, so
+# such a layout takes one pass and a model holds at most 640 KiB of scratch.
+# On those phases (same VM) a call took about 215 us in 4096-element passes
+# and 160 us in one. The model also stores each user's (N, S) subcarrier
+# weights instead of forming them per layout, N S 16 bytes per user: 19 KiB
+# at K = 10, N = 121, S = 1 and 968 KB at S = 50. Together the two cut a
+# warm 25-layout S = 1 stack from about 250 to 185 us per layout, and a warm
+# S = 50 call from about 970 to 540 us and 67 minor page faults to none.
+_PHASOR_BLOCK = 20480
 
 
 def _phasor_scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -400,33 +403,34 @@ class ChannelModel:
     """Layout-independent channel factors of one realization at one wavelength.
 
     It holds every user's wave vectors side by side (3, N_1 + ... + N_K),
-    and per user the column slice of its paths, the complex path gains
-    (amplitude times carrier rotation, (N,)) and the real pulse-filter matrix
-    (N, T+1); one DFT matrix (T+1, S) is shared. Only the phase signature
-    exp(j p.k) depends on the antenna positions, so a placement search builds
-    the model once and calls :meth:`channels` per candidate or per stack of
-    candidates.
+    and per user the column slice of its paths and its complex subcarrier
+    weights (N, S): the path gains (amplitude times carrier rotation) times
+    the pulse-filter matrix (N, T+1) times the DFT matrix (T+1, S). The
+    weights are formed once here and stored, N S 16 bytes per user: 19 KiB
+    for K=10 users of 121 paths at S=1, 968 KB at S=50, and 2.56 MB for 16
+    users of 200 paths at S=50. Only the phase signature exp(j p.k) depends
+    on the antenna positions, so a placement search builds the model once
+    and calls :meth:`channels` per candidate or per stack of candidates.
     """
 
     def __init__(self, paths: Sequence[UserPaths], grid: OfdmGrid, wavelength: float) -> None:
         eta, n_taps = sync_and_tap_count(paths, grid)
         ells = np.arange(n_taps + 1)
+        dft = _dft_matrix(n_taps, grid.subcarrier_count)
         self.wavelength = wavelength
-        self.dft = _dft_matrix(n_taps, grid.subcarrier_count)
+        self.subcarrier_count = grid.subcarrier_count
         self.waves = wave_vector(
             np.concatenate([user.azimuths for user in paths]),
             np.concatenate([user.elevations for user in paths]),
             wavelength,
         )
-        self.users: list[tuple[slice, np.ndarray, np.ndarray]] = []
+        self.users: list[tuple[slice, np.ndarray]] = []
         start = 0
         for user in paths:
             x = grid.subcarrier_count * grid.subcarrier_spacing * (user.delays - eta)
-            self.users.append((
-                slice(start, start + user.n_paths),
-                user.amplitudes * _carrier_phase(user.delays, eta, wavelength),
-                pulse_triangle(ells[None, :] - x[:, None]),
-            ))
+            gains = user.amplitudes * _carrier_phase(user.delays, eta, wavelength)
+            pulses = pulse_triangle(ells[None, :] - x[:, None])
+            self.users.append((slice(start, start + user.n_paths), gains[:, None] * (pulses @ dft)))
             start += user.n_paths
         # The (M, N_1 + ... + N_K) phases and phasors and the kernel's block
         # scratch, sized for the antenna count of the last call.
@@ -439,15 +443,16 @@ class ChannelModel:
         the (P, S, M, K) stack of P placements at `positions` (P, M, 3).
 
         The phase signatures of all users' paths come from one
-        :func:`_unit_phasors` pass per placement over the (M, N_1 + ... + N_K)
-        phases, in blocks of a fixed 4096 elements. Per-user calls would be
-        dominated by per-op overhead: on 16 x 121 phases the kernel gains only
-        1.35x over libm. Each entry is within sum_n |w_n| 4 2^-52 (1 + |p . k_n|)
-        of the libm formula, w_n being path n's subcarrier weight, and phases
-        beyond 2^40 rad raise ValueError. The per-path weights are formed per
-        placement rather than stored, which keeps the model at O(N (T+1)) per
-        user. A stack's placements are computed one after the other, so each
-        instance has the bits of its own unstacked call.
+        :func:`_unit_phasors` call per placement over the (M, N_1 + ... + N_K)
+        phases, in blocks of up to 20,480 elements, one pass for a 16-antenna
+        swarm layout. Per-user calls would be dominated by per-op overhead: on
+        16 x 121 phases the kernel gains only 1.35x over libm. Each entry is
+        within sum_n |w_n| 4 2^-52 (1 + |p . k_n|) of the libm formula, w_n
+        being path n's subcarrier weight, and phases beyond 2^40 rad raise
+        ValueError. The per-path weights are stored in the model, O(N S) per
+        user, so a call only phases the layout and forms one (M, N) @ (N, S)
+        product per user. A stack's placements are computed one after the
+        other, so each instance has the bits of its own unstacked call.
 
         The model owns the (M, N_1 + ... + N_K) phase and phasor buffers,
         above glibc's 128 KiB mmap threshold at swarm sizes, and the kernel's
@@ -461,12 +466,11 @@ class ChannelModel:
             self._phase = np.empty(shape)
             self._phasors = np.empty(shape, dtype=complex)
             self._scratch = _phasor_scratch(self._phase.size)
-        matrices = np.empty((len(stack), self.dft.shape[1], shape[0], len(self.users)), dtype=complex)
+        matrices = np.empty((len(stack), self.subcarrier_count, shape[0], len(self.users)), dtype=complex)
         for out, placement in zip(matrices, stack):
             np.matmul(placement, self.waves, out=self._phase)
             phasors = _unit_phasors(self._phase, out=self._phasors, scratch=self._scratch)
-            for k, (cols, gains, pulses) in enumerate(self.users):
-                weights = gains[:, None] * (pulses @ self.dft)  # (N, S)
+            for k, (cols, weights) in enumerate(self.users):
                 out[:, :, k] = (phasors[:, cols] @ weights).T
         return SubcarrierChannels(matrices if positions.ndim == 3 else matrices[0])
 

@@ -43,11 +43,16 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
-def _worker_count(text: str) -> int:
-    workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
-    return workers
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
 
 
 def _load_spec(args) -> ExperimentSpec:
@@ -128,7 +133,7 @@ def _build_parser() -> _Parser:
 
     def add_campaign(p):
         add_common(p)
-        p.add_argument("--workers", type=_worker_count, default=1,
+        p.add_argument("--workers", type=_int_at_least(1), default=1,
                        help="parallel realization workers (>= 1)")
 
     p_sim = sub.add_parser("simulate", help="run the configured campaign")
@@ -144,7 +149,8 @@ def _build_parser() -> _Parser:
 
     p_opt = sub.add_parser("optimize", help="optimize one realization's antenna placement")
     add_common(p_opt)
-    p_opt.add_argument("--realization", type=int, default=0)
+    p_opt.add_argument("--realization", type=_int_at_least(0), default=0,
+                       help="index of the campaign realization to draw (>= 0)")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_exp = sub.add_parser("export-layout", help="write a benchmark array layout file")

@@ -196,9 +196,9 @@ def make_move_regions(m_rows: int, m_cols: int, side: float) -> tuple[MoveRegion
 
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Condensed upper-triangle pairwise Euclidean distances."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    return dist[_upper_pairs(positions.shape[0])]
+    rows, cols = _upper_pairs(positions.shape[0])
+    diff = positions[rows] - positions[cols]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 @functools.cache

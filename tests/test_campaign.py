@@ -510,6 +510,14 @@ class TestCampaign:
             ExperimentSpec(**overrides).validate()
         assert all(key in str(error.value) for key in keys)
 
+    def test_stored_subcarrier_weights_beyond_memory_rejected(self):
+        # At S = 65,536 the default spec's FIR pulses take 11.5 M floats, but
+        # the channel model also stores 2 x 10 users x 121 paths x S = 159 M
+        # floats of subcarrier weights.
+        with pytest.raises(ValueError, match="over 1 GiB") as error:
+            ExperimentSpec(subcarrier_counts=(65536,)).validate()
+        assert "grid.subcarrier_counts" in str(error.value)
+
     def test_non_finite_floats_name_the_key(self):
         checked = 0
         for key, spec in non_finite_specs():

@@ -543,13 +543,14 @@ class TestUnitPhasors:
         assert np.array_equal(got.view(np.int64), unit_phasors_rint(phases).view(np.int64))
 
 
-def swarm_narrow_model():
+def swarm_narrow_model(subcarriers=1):
     """A model at swarm-narrow sizes: the default los-dominant scenario,
-    K = 10 users (1,210 paths) and S = 1, with its paths and grid."""
+    K = 10 users (1,210 paths) and S = 1, with its paths and grid. With
+    `subcarriers` 50 it has swarm-wideband-dpc sizes."""
     rng = np.random.default_rng(5)
     users = [synthesize_paths(rng, DEFAULT_SCENARIO, p)
              for p in sample_user_positions(rng, DEFAULT_SCENARIO, 10)]
-    grid = OfdmGrid(1, 15e3)
+    grid = OfdmGrid(subcarriers, 15e3)
     return ChannelModel(users, grid, DEFAULT_SCENARIO.wavelength), users, grid
 
 
@@ -625,6 +626,23 @@ class TestChannelModel:
         # The 8 x (1, 16, 10) channels take 20 KiB. A per-call kernel scratch
         # would add 128 KiB, fresh phase and phasor arrays 465 KiB.
         assert peak < 64 * 1024
+
+    def test_warm_wideband_call_allocates_little(self):
+        # S = 50, K = 10, M = 16: the returned (50, 16, 10) channels take
+        # 125 KiB. Forming every user's (121, 50) weights per call peaked at
+        # 505 KiB; with the stored weights only one user's (16, 50) product
+        # is live beside the result.
+        model, _, _ = swarm_narrow_model(subcarriers=50)
+        positions = make_staggered_ura(4, 4, DEFAULT_SCENARIO.wavelength).positions
+        model.channels(positions)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            model.channels(positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 1024
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     @pytest.mark.parametrize("subcarriers", [1, 16])

@@ -291,6 +291,14 @@ class TestCliCommands:
         assert "--workers" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_negative_realization_is_usage_error(self, tmp_path, capsys):
+        # No campaign draws a negative realization index.
+        config = self.write_tiny(tmp_path)
+        outdir = tmp_path / "opt"
+        assert main(["optimize", "-c", str(config), "-o", str(outdir), "--realization", "-3"]) == 1
+        assert "--realization" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_unknown_command_exit_code(self):
         assert main(["frobnicate"]) == 1
 

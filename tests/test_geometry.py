@@ -13,6 +13,7 @@ from mamimo.geometry import (
     make_sparse_upa,
     make_staggered_ura,
     min_pairwise_distance,
+    pairwise_distances,
     save_layout,
     validate_layout,
     wave_vector,
@@ -214,6 +215,18 @@ class TestValidateLayout:
         assert validate_layout(inside).region_ok == (True,)
         assert validate_layout(outside).region_ok == (False,)
         assert not validate_layout(outside).ok
+
+    @pytest.mark.parametrize("count", [1, 2, 16])
+    def test_pairwise_distances_equal_full_tensor_formula(self, count):
+        # Only the i < j differences are formed; every bit must equal the
+        # (M, M, 3) difference tensor's upper triangle.
+        rng = np.random.default_rng(count)
+        rows, cols = np.triu_indices(count, k=1)
+        for _ in range(200):
+            positions = rng.uniform(-1.0, 1.0, size=(count, 3)) * 10.0 ** rng.uniform(-3, 1)
+            diff = positions[:, None, :] - positions[None, :, :]
+            full = np.sqrt(np.sum(diff * diff, axis=-1))[rows, cols]
+            assert np.array_equal(pairwise_distances(positions), full)
 
     def test_region_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
