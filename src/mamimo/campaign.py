@@ -422,21 +422,18 @@ def run_realization(spec: ExperimentSpec, index: int) -> CampaignResult:
         paths = realization.paths
         for subcarriers in spec.subcarrier_counts:
             grid = spec.grid(subcarriers)
-            fixed_table = {
-                name: Placement(layout, None, subcarrier_channels(paths, layout, grid))
-                for name, layout in fixed.items()
-            }
+            fixed_channels = subcarrier_channels(paths, list(fixed.values()), grid) if fixed else []
+            fixed_table = {name: Placement(fixed[name], None, h) for name, h in zip(fixed, fixed_channels)}
             for evm in spec.evms:
                 config = spec.link_config(users, subcarriers, evm)
                 swarms = [run_swarm(spec, realization, subcarriers, evm, s) for s in swarm_schemes]
                 table = dict(fixed_table)
-                for swarm in swarms:
-                    layout = swarm.trace.best_layout
+                swarm_layouts = [swarm.trace.best_layout for swarm in swarms]
+                swarm_channels = subcarrier_channels(paths, swarm_layouts, grid) if swarms else []
+                for swarm, layout, h in zip(swarms, swarm_layouts, swarm_channels):
                     traces[swarm.key] = swarm.trace
                     layouts[f"{MOVABLE}_{swarm.key}"] = layout
-                    table[placement_name(swarm.scheme)] = Placement(
-                        layout, swarm, subcarrier_channels(paths, layout, grid)
-                    )
+                    table[placement_name(swarm.scheme)] = Placement(layout, swarm, h)
 
                 def row(array, rate_scheme, report, swarm=None, carrier_ghz=spec.carrier_ghz):
                     return ResultRow(
@@ -470,10 +467,11 @@ def run_realization(spec: ExperimentSpec, index: int) -> CampaignResult:
                     rows.append(row(MOVABLE, rate_scheme, report, placement.swarm))
 
                 for carrier_ghz in spec.fdd_eval_carriers_ghz:
-                    for array in (MOVABLE, *fixed):
+                    arrays = (MOVABLE, *fixed)
+                    lam = SPEED_OF_LIGHT / (carrier_ghz * 1e9)
+                    shifted = [table[array].layout.with_wavelength(lam) for array in arrays]
+                    for array, h in zip(arrays, subcarrier_channels(paths, shifted, grid)):
                         placement = table[array]
-                        shifted = placement.layout.with_wavelength(SPEED_OF_LIGHT / (carrier_ghz * 1e9))
-                        h = subcarrier_channels(paths, shifted, grid)
                         for rate_scheme in spec.rate_schemes:
                             report = evaluate_rate_scheme(rate_scheme, h, config)
                             rows.append(row(array, rate_scheme, report, placement.swarm, carrier_ghz))

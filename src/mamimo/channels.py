@@ -476,13 +476,18 @@ class ChannelModel:
 
 
 def subcarrier_channels(
-    paths: Sequence[UserPaths], layout: ArrayLayout, grid: OfdmGrid
-) -> SubcarrierChannels:
+    paths: Sequence[UserPaths], layout: ArrayLayout | Sequence[ArrayLayout], grid: OfdmGrid
+) -> SubcarrierChannels | list[SubcarrierChannels]:
     """Frequency-domain channels computed directly from the path parameters.
 
     Algebraically identical to transforming the materialized taps; the FIR
     stage is folded into a per-path subcarrier weight so no (K, T+1, M) tensor
-    is formed.
+    is formed. A sequence of layouts at one wavelength gives the list of
+    their channels, bit-equal to single calls, from one model and one call.
     """
-    return ChannelModel(paths, grid, layout.wavelength).channels(layout.positions)
-
+    if isinstance(layout, ArrayLayout):
+        return ChannelModel(paths, grid, layout.wavelength).channels(layout.positions)
+    if len({item.wavelength for item in layout}) != 1:
+        raise ValueError("a sequence of layouts must share one wavelength")
+    stack = ChannelModel(paths, grid, layout[0].wavelength).channels(np.stack([a.positions for a in layout]))
+    return [SubcarrierChannels(matrices) for matrices in stack.matrices]

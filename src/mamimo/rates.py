@@ -124,11 +124,20 @@ def logdet_hpd(matrices: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log2(diag), axis=-1)
 
 
+def _cross_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^H B of (..., M, K) and (..., M, J) stacks, (..., K, J), summed along a
+    contiguous (..., K, M) copy: about twice as fast at S = 50 as einsum over
+    the strided M axis, with its bits (np.matmul rounds differently)."""
+    at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
+    bt = at if b is a else np.ascontiguousarray(np.swapaxes(b, -1, -2))
+    return np.einsum("...km,...jm->...kj", at.conj(), bt)
+
+
 def _gram(h: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Power-scaled Gram matrices P^1/2 H^H H P^1/2 of (..., S, M, K) channels,
     shape (..., S, K, K)."""
     scaled = h * np.sqrt(powers)[:, None, :]
-    return np.einsum("...smk,...smj->...skj", scaled.conj(), scaled)
+    return _cross_gram(scaled, scaled)
 
 
 def _sic_gap(gram: np.ndarray, kappa: float, noise_variance: float) -> np.ndarray:
@@ -148,21 +157,20 @@ def _sic_gap(gram: np.ndarray, kappa: float, noise_variance: float) -> np.ndarra
 def _sic_user_rates(gram: np.ndarray, kappa: float, noise_variance: float) -> np.ndarray:
     """Per-user SIC rates in ascending decode order, shape (..., S, K).
 
-    Decoding a user cancels its data but not its distortion, so its weight in
-    the received covariance drops from 1 to 1 - kappa; its rate is the drop
-    in log-determinant this causes. The rates telescope to `_sic_gap`.
+    Decoding a user cancels its data but not its distortion. After users
+    0..u-1, user u sees Q_u = R + kappa sum_{j>=u} p_j h_j h_j^H with
+    R = sigma^2 I + (1 - kappa) sum_j p_j h_j h_j^H, and gets log det Q_u -
+    log det Q_{u+1}. By push-through that is the difference of the trailing
+    principal log-determinants of I + kappa (sigma^2 I + (1 - kappa) G)^-1 G
+    from u and from u + 1: a doubled log2 pivot of the Cholesky factor of
+    that matrix with rows and columns reversed (the SIC chain rule; Varanasi
+    and Guess, Asilomar 1997). No two large log-determinants cancel, and the
+    rates telescope to `_sic_gap` up to rounding.
     """
-    k = gram.shape[-1]
-    eye = np.eye(k)
-    amplitude = np.ones(k)
-    previous = logdet_hpd(eye + gram / noise_variance)
-    rates = np.empty(gram.shape[:-1])
-    for user in range(k):
-        amplitude[user] = np.sqrt(1.0 - kappa)
-        current = logdet_hpd(eye + gram * np.outer(amplitude, amplitude) / noise_variance)
-        rates[..., user] = previous - current
-        previous = current
-    return rates
+    eye = np.eye(gram.shape[-1])
+    t = np.linalg.solve(noise_variance * eye + (1.0 - kappa) * gram, gram)
+    chol = np.linalg.cholesky((eye + kappa * t)[..., ::-1, ::-1])
+    return 2.0 * np.log2(np.diagonal(chol, axis1=-2, axis2=-1).real[..., ::-1])
 
 
 def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) -> np.ndarray:
@@ -198,8 +206,8 @@ def ul_sic_sum_rate(
     """Uplink sum rate with successive interference cancellation.
 
     The distortion penalty term vanishes identically for EVM = 0. The
-    per-user entries use the ascending decode order; they cost K more
-    batched log-determinants and can be skipped.
+    per-user entries use the ascending decode order; they cost one more
+    solve and Cholesky factorization per subcarrier and can be skipped.
     """
     gram = _gram(channels.matrices, config.powers)
     per_user = None
@@ -221,7 +229,7 @@ def dl_linear_sum_rate(
     """Downlink sum rate with the uplink/downlink duality precoders."""
     h = channels.matrices
     precoders = duality_precoders(channels, config)
-    gains = np.abs(np.einsum("...smk,...smi->...ski", h.conj(), precoders)) ** 2  # (..., S, K, K)
+    gains = np.abs(_cross_gram(h, precoders)) ** 2  # (..., S, K, K)
     own = np.diagonal(gains, axis1=-2, axis2=-1)  # (..., S, K)
     interference = gains.sum(axis=-1) - own
     sinr = config.kappa * own / (interference + (1.0 - config.kappa) * own + config.noise_variance)
@@ -322,7 +330,7 @@ def dl_dpc_sum_rate(
     sigma2 = config.noise_variance
     resid = 1.0 - config.kappa
     eye_k = np.eye(k)
-    gram = np.einsum("smk,smj->skj", h.conj(), h)
+    gram = _cross_gram(h, h)
 
     def scaled(d: np.ndarray) -> np.ndarray:
         amplitude = np.sqrt(d)

@@ -126,20 +126,53 @@ def ul_sic_per_user_rates(
     rate.
     """
     gram = _gram(channels.matrices, config.powers)
-    s, k, _ = gram.shape
+    k = gram.shape[-1]
     order = np.arange(k) if decode_order is None else np.asarray(decode_order, dtype=int)
     if sorted(order.tolist()) != list(range(k)):
         raise ValueError(f"decode order must be a permutation of 0..{k - 1}")
+    return sic_user_rates_logdets(gram, config.kappa, config.noise_variance, order).mean(axis=0)
+
+
+def sic_user_rates_logdets(
+    gram: np.ndarray, kappa: float, noise_variance: float, order: Sequence[int] | None = None
+) -> np.ndarray:
+    """Per-user SIC rates of (..., S, K, K) power-scaled Gram matrices, shape
+    (..., S, K), by their definition: decoding a user drops its weight in the
+    received covariance from 1 to 1 - kappa, and its rate is the drop in
+    log-determinant this causes, K + 1 log-determinants in all. The reference
+    of `mamimo.rates._sic_user_rates`, which reads the ascending-order rates
+    off one Cholesky factor."""
+    k = gram.shape[-1]
     eye = np.eye(k)
     amplitude = np.ones(k)
-    previous = logdet_hpd(eye + gram / config.noise_variance)
-    rates = np.empty((s, k))
-    for user in order:
-        amplitude[user] = np.sqrt(1.0 - config.kappa)
-        current = logdet_hpd(eye + gram * np.outer(amplitude, amplitude) / config.noise_variance)
-        rates[:, user] = previous - current
+    previous = logdet_hpd(eye + gram / noise_variance)
+    rates = np.empty(gram.shape[:-1])
+    for user in range(k) if order is None else order:
+        amplitude[user] = np.sqrt(1.0 - kappa)
+        current = logdet_hpd(eye + gram * np.outer(amplitude, amplitude) / noise_variance)
+        rates[..., user] = previous - current
         previous = current
-    return rates.mean(axis=0)
+    return rates
+
+
+# The Gram products of `mamimo.rates` in their first form, einsum summing the
+# strided antenna axis in place, kept as the bit reference of the contiguous
+# form in `mamimo.rates._cross_gram`.
+def gram_strided(h: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """`_gram`: P^1/2 H^H H P^1/2 of (..., S, M, K) channels."""
+    scaled = h * np.sqrt(powers)[:, None, :]
+    return np.einsum("...smk,...smj->...skj", scaled.conj(), scaled)
+
+
+def dpc_gram_strided(h: np.ndarray) -> np.ndarray:
+    """The DPC ascent's H^H H of one instance's (S, M, K) channels."""
+    return np.einsum("smk,smj->skj", h.conj(), h)
+
+
+def dl_gains_strided(h: np.ndarray, precoders: np.ndarray) -> np.ndarray:
+    """The dl-lin cross products H^H W of (..., S, M, K) channels and precoders,
+    before their squared magnitudes are taken."""
+    return np.einsum("...smk,...smi->...ski", h.conj(), precoders)
 
 
 def dl_linear_sinr(

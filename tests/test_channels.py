@@ -659,6 +659,31 @@ class TestChannelModel:
         for got, layout in zip(stacked, layouts):
             assert np.array_equal(got, subcarrier_channels(users, layout, grid).matrices)
 
+    @pytest.mark.parametrize("subcarriers", [1, 16])
+    def test_layout_sequence_has_the_bits_of_single_calls(self, subcarriers):
+        # A sweep point's arrays, at the home carrier and shifted to another
+        # one as FDD re-evaluates them, from one model per wavelength.
+        rng = np.random.default_rng(60 + subcarriers)
+        lam = DEFAULT_SCENARIO.wavelength
+        users = [synthesize_paths(rng, DEFAULT_SCENARIO, p)
+                 for p in sample_user_positions(rng, DEFAULT_SCENARIO, 3)]
+        grid = OfdmGrid(subcarriers, 15e3)
+        home = [make_staggered_ura(2, 2, lam), *random_movable_layouts(rng, lam, 3)]
+        for layouts in (home, [layout.with_wavelength(0.8 * lam) for layout in home], home[:1]):
+            got = subcarrier_channels(users, layouts, grid)
+            assert len(got) == len(layouts)
+            for h, layout in zip(got, layouts):
+                assert np.array_equal(h.matrices, subcarrier_channels(users, layout, grid).matrices)
+
+    def test_layout_sequence_with_mixed_wavelengths_rejected(self):
+        rng = np.random.default_rng(62)
+        lam = DEFAULT_SCENARIO.wavelength
+        users = [synthesize_paths(rng, DEFAULT_SCENARIO, p)
+                 for p in sample_user_positions(rng, DEFAULT_SCENARIO, 2)]
+        layout = make_staggered_ura(2, 2, lam)
+        with pytest.raises(ValueError, match="one wavelength"):
+            subcarrier_channels(users, [layout, layout.with_wavelength(0.8 * lam)], OfdmGrid(4, 15e3))
+
     def test_result_never_aliases_a_buffer(self):
         model, users, grid = swarm_narrow_model()
         rng = np.random.default_rng(6)
