@@ -186,10 +186,6 @@ class SubcarrierChannels:
         if self.matrices.ndim not in (3, 4):
             raise ValueError("matrices must have shape (S, M, K) or (P, S, M, K)")
 
-    @property
-    def subcarrier_count(self) -> int:
-        return self.matrices.shape[-3]
-
 
 def path_loss(distance_3d: float, intercept_db: float, slope_db: float) -> float:
     """Linear power gain of the log-distance law intercept + slope * log10(d)."""

@@ -1,6 +1,8 @@
 """Command-line interface: run campaigns, optimize placements, export tables.
 
-Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
+Every command reads its settings from one YAML config (-c) and repeated
+--set section.key=value overrides. Exit codes: 0 success, 1 usage or config
+error, 2 runtime failure.
 """
 from __future__ import annotations
 
@@ -56,12 +58,12 @@ def _int_at_least(minimum: int):
 
 
 def _load_spec(args) -> ExperimentSpec:
-    overrides = _parse_overrides(getattr(args, "set", []) or [])
-    return parse_config(getattr(args, "config", None), overrides)
+    return parse_config(args.config, _parse_overrides(args.set))
 
 
-def _run_and_write(spec: ExperimentSpec, args) -> int:
-    """Run the campaign of `spec` and write its manifest and outputs."""
+def _cmd_simulate(args) -> int:
+    """Run the configured campaign and write its manifest and outputs."""
+    spec = _load_spec(args)
     result = run_campaign(spec, workers=args.workers)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -70,16 +72,6 @@ def _run_and_write(spec: ExperimentSpec, args) -> int:
     if args.verbose:
         print(f"wrote {len(result.rows)} result rows to {outdir}")
     return 0
-
-
-def _cmd_simulate(args) -> int:
-    return _run_and_write(_load_spec(args), args)
-
-
-def _cmd_sweep(args) -> int:
-    overrides = _parse_overrides(args.set)
-    overrides[args.axis] = yaml.safe_load("[" + args.values + "]")
-    return _run_and_write(parse_config(args.config, overrides), args)
 
 
 def _cmd_optimize(args) -> int:
@@ -106,17 +98,14 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_export_layout(args) -> int:
-    overrides = {"arrays.m_rows": args.rows, "arrays.m_cols": args.cols,
-                 "scenario.carrier_ghz": args.carrier_ghz}
-    layout = build_fixed_layouts(parse_config(None, overrides))[args.array]
+    layout = build_fixed_layouts(_load_spec(args))[args.array]
     save_layout(layout, args.output)
     print(f"wrote {args.array} ({layout.antenna_count} antennas) to {args.output}")
     return 0
 
 
 def _cmd_validate_config(args) -> int:
-    spec = _load_spec(args)
-    sys.stdout.write(emit_manifest(spec))
+    sys.stdout.write(emit_manifest(_load_spec(args)))
     return 0
 
 
@@ -124,49 +113,34 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mamimo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, func, help, output=None):
+        """A subcommand reading its settings from -c/--set, writing to -o if `output`."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("-c", "--config", help="YAML config file (defaults apply if omitted)")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config value")
-        p.add_argument("-o", "--output", required=True, help="output directory")
-        p.add_argument("-v", "--verbose", action="store_true")
+        if output:
+            p.add_argument("-o", "--output", required=True, help=output)
+        p.set_defaults(func=func)
+        return p
 
-    def add_campaign(p):
-        add_common(p)
-        p.add_argument("--workers", type=_int_at_least(1), default=1,
+    p_sim = add_command("simulate", _cmd_simulate, "run the configured campaign",
+                        "output directory")
+    p_sim.add_argument("-v", "--verbose", action="store_true")
+    p_sim.add_argument("--workers", type=_int_at_least(1), default=1,
                        help="parallel realization workers (>= 1)")
 
-    p_sim = sub.add_parser("simulate", help="run the configured campaign")
-    add_campaign(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="run a campaign sweeping one list-valued key")
-    add_campaign(p_sweep)
-    p_sweep.add_argument("--axis", required=True,
-                         help="dotted key to sweep, e.g. grid.subcarrier_counts")
-    p_sweep.add_argument("--values", required=True, help="comma-separated sweep values")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_opt = sub.add_parser("optimize", help="optimize one realization's antenna placement")
-    add_common(p_opt)
+    p_opt = add_command("optimize", _cmd_optimize,
+                        "optimize one realization's antenna placement", "output directory")
     p_opt.add_argument("--realization", type=_int_at_least(0), default=0,
                        help="index of the campaign realization to draw (>= 0)")
-    p_opt.set_defaults(func=_cmd_optimize)
 
-    p_exp = sub.add_parser("export-layout", help="write a benchmark array layout file")
+    p_exp = add_command("export-layout", _cmd_export_layout,
+                        "write a benchmark array layout file", "output file")
     p_exp.add_argument("--array", choices=FIXED_ARRAYS, required=True)
-    defaults = ExperimentSpec()
-    p_exp.add_argument("--rows", type=int, default=defaults.m_rows)
-    p_exp.add_argument("--cols", type=int, default=defaults.m_cols)
-    p_exp.add_argument("--carrier-ghz", type=float, default=defaults.carrier_ghz)
-    p_exp.add_argument("-o", "--output", required=True, help="output file")
-    p_exp.set_defaults(func=_cmd_export_layout)
 
-    p_val = sub.add_parser("validate-config", help="parse a config and print the resolved manifest")
-    p_val.add_argument("-c", "--config")
-    p_val.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE")
-    p_val.set_defaults(func=_cmd_validate_config)
-
+    add_command("validate-config", _cmd_validate_config,
+                "parse a config and print the resolved manifest")
     return parser
 
 

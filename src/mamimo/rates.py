@@ -216,11 +216,11 @@ def ul_sic_sum_rate(
     return _report(UL_SIC, per_user, _sic_gap(gram, config.kappa, config.noise_variance))
 
 
-def high_snr_ceiling(user_count: int, evm: float) -> float:
-    """Sum-rate ceiling K*log2(1/EVM^2) reached as transmit power grows."""
+def high_snr_ceiling(user_count: int, antenna_count: int, evm: float) -> float:
+    """Sum-rate ceiling min(K, M)*log2(1/EVM^2) of a full-rank channel as power grows."""
     if not (0.0 < evm < 1.0):
         raise ValueError("ceiling defined only for 0 < evm < 1")
-    return user_count * float(np.log2(1.0 / evm**2))
+    return min(user_count, antenna_count) * float(np.log2(1.0 / evm**2))
 
 
 def dl_linear_sum_rate(

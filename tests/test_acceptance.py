@@ -304,7 +304,7 @@ def test_criterion_10_evm_convergence_to_common_ceiling():
     means = {s["array_scheme"]: s["mean_sum_rate"] for s in agg["series"]}
     values = np.array(list(means.values()))
     spread = values.max() / values.min() - 1.0
-    ceiling = high_snr_ceiling(4, 0.5)
+    ceiling = high_snr_ceiling(4, 16, 0.5)
     ok = spread <= 0.10 and values.max() < ceiling
     report(
         10,

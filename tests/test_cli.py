@@ -279,15 +279,12 @@ class TestCliCommands:
         # optimize runs one swarm in-process and takes no worker count
         assert main(["optimize", "-o", str(tmp_path / "opt"), "--workers", "2"]) == 1
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("command", ["simulate"])
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_is_usage_error(self, tmp_path, command, workers, capsys):
         config = self.write_tiny(tmp_path)
         outdir = tmp_path / "out"
-        argv = [command, "-c", str(config), "-o", str(outdir), "--workers", workers]
-        if command == "sweep":
-            argv += ["--axis", "rates.evms", "--values", "0.02"]
-        assert main(argv) == 1
+        assert main([command, "-c", str(config), "-o", str(outdir), "--workers", workers]) == 1
         assert "--workers" in capsys.readouterr().err
         assert not outdir.exists()
 
@@ -301,6 +298,25 @@ class TestCliCommands:
 
     def test_unknown_command_exit_code(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "-o", "out"],
+            ["optimize", "-o", "out"],
+            ["export-layout", "--array", "staggered-ura", "-o", "out"],
+            ["validate-config"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_reads_set(self, tmp_path, monkeypatch, argv, capsys):
+        # A known section, so the message names the whole key.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--set", "arrays.no_such=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: unknown config keys: arrays.no_such\n"
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         config = self.write_tiny(tmp_path)
@@ -345,26 +361,21 @@ class TestCliCommands:
         assert main(["simulate", "-c", str(config), "-o", str(tmp_path / "out")]) == 0
         assert config.read_bytes() == before
 
-    def test_sweep_produces_points(self, tmp_path):
+    def test_simulate_set_list_sweeps_points(self, tmp_path):
         config = self.write_tiny(tmp_path)
         outdir = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep",
-                "-c",
-                str(config),
-                "-o",
-                str(outdir),
-                "--axis",
-                "grid.subcarrier_counts",
-                "--values",
-                "1,2,4",
-            ]
-        )
-        assert code == 0
+        argv = ["simulate", "-c", str(config), "-o", str(outdir)]
+        assert main([*argv, "--set", "grid.subcarrier_counts=[1,2,4]"]) == 0
         lines = (outdir / "results.csv").read_text().splitlines()[1:]
         subcarriers = {int(line.split(",")[4]) for line in lines}
         assert subcarriers == {1, 2, 4}
+        # the same list given in the config file runs the same campaign
+        listed = tmp_path / "listed.yaml"
+        listed.write_text(yaml.safe_dump({**TINY, "grid": {"subcarrier_counts": [1, 2, 4]}}))
+        assert main(["simulate", "-c", str(listed), "-o", str(tmp_path / "listed")]) == 0
+        assert (tmp_path / "listed" / "results.csv").read_bytes() == (
+            outdir / "results.csv"
+        ).read_bytes()
 
     def test_optimize_writes_layout_and_trace(self, tmp_path, capsys):
         config = self.write_tiny(tmp_path)
@@ -396,17 +407,24 @@ class TestCliCommands:
         steps = np.diff(ys)
         np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
 
+    def test_export_layout_reads_config(self, tmp_path):
+        config = tmp_path / "conf.yaml"
+        config.write_text(yaml.safe_dump({"arrays": {"m_rows": 2, "m_cols": 3}}))
+        out = tmp_path / "compact.txt"
+        assert main(["export-layout", "--array", "compact-upa", "-c", str(config), "-o", str(out)]) == 0
+        assert load_layout(out).antenna_count == 6
+
     @pytest.mark.parametrize(
         "args, key",
         [
-            (["--carrier-ghz", "0"], "scenario.carrier_ghz"),
-            (["--carrier-ghz", "nan"], "scenario.carrier_ghz"),
-            (["--carrier-ghz", "-3"], "scenario.carrier_ghz"),
-            (["--rows", "0"], "arrays.m_rows"),
+            (["--set", "scenario.carrier_ghz=0"], "scenario.carrier_ghz"),
+            (["--set", "scenario.carrier_ghz=.nan"], "scenario.carrier_ghz"),
+            (["--set", "scenario.carrier_ghz=-3"], "scenario.carrier_ghz"),
+            (["--set", "arrays.m_rows=0"], "arrays.m_rows"),
         ],
     )
     def test_export_layout_bad_argument_is_config_error(self, tmp_path, args, key, capsys):
         out = tmp_path / "layout.txt"
         assert main(["export-layout", "--array", "staggered-ura", "-o", str(out), *args]) == 1
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
         assert not out.exists()

@@ -57,7 +57,7 @@ def sic_eigenvalue_oracle(channels, config):
     """Independent eigen-decomposition route to the SIC sum rate."""
     total = 0.0
     resid = 1.0 - config.kappa
-    for nu in range(channels.subcarrier_count):
+    for nu in range(len(channels.matrices)):
         h = channels.matrices[nu]
         hdh = (h * config.powers[nu]) @ h.conj().T
         eig = np.clip(np.linalg.eigvalsh(hdh), 0.0, None)
@@ -65,7 +65,7 @@ def sic_eigenvalue_oracle(channels, config):
             np.log2(1.0 + eig / config.noise_variance)
             - np.log2(1.0 + resid * eig / config.noise_variance)
         )
-    return total / channels.subcarrier_count
+    return total / len(channels.matrices)
 
 
 def _project_euclidean(x, budget):
@@ -330,7 +330,7 @@ class TestUplinkLinearSinr:
         evm = 0.2
         kappa = 1 - evm**2
         sinr = ul_linear_sinr(h[:, 0], h, np.array([1e12]), kappa, 1.0, 0)
-        assert np.log2(1 + sinr) == pytest.approx(high_snr_ceiling(1, evm), rel=1e-6)
+        assert np.log2(1 + sinr) == pytest.approx(high_snr_ceiling(1, 4, evm), rel=1e-6)
 
     def test_zero_combiner_rejected(self):
         h = np.ones((2, 1), dtype=complex)
@@ -478,7 +478,7 @@ class TestUplinkSic:
             rate = ul_sic_sum_rate(channels, cfg).sum_rate
             assert rate >= previous - 1e-9
             previous = rate
-        assert previous <= high_snr_ceiling(3, evm)
+        assert previous <= high_snr_ceiling(3, 4, evm)
 
 
 class TestSicPerUser:
@@ -593,17 +593,30 @@ class TestSicPerUser:
 
 class TestCeiling:
     def test_reference_values(self):
-        assert high_snr_ceiling(10, 0.02) == pytest.approx(112.877, abs=1e-3)
-        assert high_snr_ceiling(1, 0.5) == pytest.approx(2.0, rel=1e-12)
+        assert high_snr_ceiling(10, 16, 0.02) == pytest.approx(112.877, abs=1e-3)
+        assert high_snr_ceiling(1, 4, 0.5) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("antennas, users", [(4, 8), (16, 20)])
+    def test_more_users_than_antennas_saturate_at_antenna_count(self, antennas, users):
+        # A full-rank M x K channel carries min(K, M) streams: with K > M the
+        # SIC sum rate levels off at M log2(1/EVM^2), not K log2(1/EVM^2).
+        channels = random_channels(np.random.default_rng(31), 1, antennas, users)
+        evm = 0.1
+        cfg = ImpairedLinkConfig.uniform(users, 1, 1e8, evm, 1.0)
+        rate = ul_sic_sum_rate(channels, cfg).sum_rate
+        ceiling = high_snr_ceiling(users, antennas, evm)
+        assert ceiling == pytest.approx(antennas * np.log2(100.0), rel=1e-12)
+        assert rate <= ceiling
+        assert rate == pytest.approx(ceiling, rel=1e-3)
 
     def test_vanishes_for_full_distortion(self):
-        assert high_snr_ceiling(4, 0.999999) == pytest.approx(0.0, abs=1e-4)
+        assert high_snr_ceiling(4, 4, 0.999999) == pytest.approx(0.0, abs=1e-4)
 
     def test_rejects_degenerate_evm(self):
         with pytest.raises(ValueError):
-            high_snr_ceiling(2, 0.0)
+            high_snr_ceiling(2, 4, 0.0)
         with pytest.raises(ValueError):
-            high_snr_ceiling(2, 1.0)
+            high_snr_ceiling(2, 4, 1.0)
 
 
 def classical_dl_sinr(precoders, h, k, noise):
@@ -807,7 +820,7 @@ class TestDpc:
             value = dl_dpc_sum_rate(channels, cfg).sum_rate
             assert value >= previous - 1e-9
             previous = value
-        ceiling = high_snr_ceiling(2, evm)
+        ceiling = high_snr_ceiling(2, 4, evm)
         assert previous <= ceiling
         assert previous >= 0.95 * ceiling
 
