@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -488,6 +487,7 @@ def run_campaign(spec: ExperimentSpec, workers: int = 1) -> CampaignResult:
     if workers == 1:
         outputs = [run_realization(spec, i) for i in indices]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so only here
         with ProcessPoolExecutor(max_workers=workers) as executor:
             outputs = list(executor.map(run_realization, repeat(spec), indices))
     return CampaignResult(

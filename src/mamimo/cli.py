@@ -10,8 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from .campaign import (
     FIXED_ARRAYS,
     ExperimentSpec,
@@ -22,7 +20,7 @@ from .campaign import (
     write_campaign_outputs,
     write_trace_csv,
 )
-from .config import ConfigError, emit_manifest, parse_config, write_manifest
+from .config import ConfigError, emit_manifest, parse_config, parse_overrides, write_manifest
 from .geometry import save_layout
 
 
@@ -33,16 +31,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         raise _UsageError(message)
-
-
-def _parse_overrides(pairs: list[str]) -> dict:
-    overrides = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise _UsageError(f"override {pair!r} must look like section.key=value")
-        key, raw = pair.split("=", 1)
-        overrides[key.strip()] = yaml.safe_load(raw)
-    return overrides
 
 
 def _int_at_least(minimum: int):
@@ -58,7 +46,7 @@ def _int_at_least(minimum: int):
 
 
 def _load_spec(args) -> ExperimentSpec:
-    return parse_config(args.config, _parse_overrides(args.set))
+    return parse_config(args.config, parse_overrides(args.set))
 
 
 def _cmd_simulate(args) -> int:
@@ -153,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (_UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures map to exit code 2

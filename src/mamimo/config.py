@@ -4,7 +4,8 @@ The file format is nested key/value text with one section per subsystem
 (scenario, grid, arrays, rates, pso, campaign). Keys carry explicit units
 (carrier_ghz, noise_pw, ul_psd_mw_per_mhz, ...). The schema is read off the
 `ExperimentSpec` field declarations, which hold each key's name, default and
-range. A manifest is simply a fully resolved config, so parsing a manifest
+range. Dotted `section.key=value` overrides (the CLI's `--set`) replace a file's
+entries. A manifest is simply a fully resolved config, so parsing a manifest
 reproduces the spec exactly.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .campaign import ExperimentSpec
 
 
 class ConfigError(ValueError):
-    """Raised for unknown keys or out-of-range values in a config file."""
+    """Raised for an unreadable or malformed config source, an unknown key or a bad value."""
 
 
 def _float(v: Any) -> float:
@@ -87,36 +88,44 @@ for _field in dataclasses.fields(ExperimentSpec):
     _SCHEMA.setdefault(_section, {})[_name] = (_field.name, _CONVERTERS[_field.type])
 
 
-def apply_overrides(data: dict, overrides: dict[str, Any]) -> dict:
-    """Apply dotted `section.key` overrides onto a raw config mapping."""
-    out = {k: dict(v) for k, v in data.items()}
-    for dotted, value in overrides.items():
-        if "." not in dotted:
-            raise ConfigError(f"override key {dotted!r} must look like section.key")
-        section, key = dotted.split(".", 1)
-        out.setdefault(section, {})[key] = value
-    return out
+def parse_overrides(texts: list[str]) -> dict[str, Any]:
+    """Dotted overrides from `--set section.key=value` texts; values are YAML."""
+    overrides = {}
+    for text in texts:
+        dotted, sep, raw = text.partition("=")
+        if not sep or "." not in dotted:
+            raise ConfigError(f"--set {text!r} must look like section.key=value")
+        try:
+            overrides[dotted.strip()] = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"--set {text!r}: {exc}") from None
+    return overrides
 
 
-def parse_config_dict(data: dict | None) -> ExperimentSpec:
-    """Build a fully resolved spec from a raw config mapping.
+def parse_config_dict(data: dict | None, overrides: dict[str, Any] | None = None) -> ExperimentSpec:
+    """Build a fully resolved spec from a raw config mapping and dotted overrides.
 
-    Unknown sections or keys are reported all at once; out-of-range values
-    raise an error naming the violated constraint.
+    An override `section.key` replaces the mapping's entry before any value is
+    converted. Unknown sections or keys, from either source, are reported all at
+    once; out-of-range values raise an error naming the violated constraint.
     """
-    data = data or {}
+    data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping of sections")
+    sections: dict[Any, dict] = {}
+    for section, content in data.items():
+        if section in _SCHEMA and not isinstance(content, (dict, type(None))):
+            raise ConfigError(f"section {section!r} must be a mapping")
+        sections[section] = dict(content) if isinstance(content, dict) else {}
+    for dotted, value in (overrides or {}).items():
+        section, _, key = dotted.partition(".")  # a dotless key is unknown
+        sections.setdefault(section, {})[key] = value
     unknown = []
     fields: dict[str, Any] = {}
-    for section, content in data.items():
+    for section, content in sections.items():
         if section not in _SCHEMA:
             unknown.append(str(section))
             continue
-        if content is None:
-            continue
-        if not isinstance(content, dict):
-            raise ConfigError(f"section {section!r} must be a mapping")
         for key, value in content.items():
             entry = _SCHEMA[section].get(key)
             if entry is None:
@@ -138,15 +147,16 @@ def parse_config_dict(data: dict | None) -> ExperimentSpec:
 
 
 def parse_config(path: str | Path | None, overrides: dict[str, Any] | None = None) -> ExperimentSpec:
-    """Parse a YAML config file (missing or empty file gives the defaults)."""
-    data: dict = {}
-    if path is not None:
-        raw = yaml.safe_load(Path(path).read_text())
-        if raw is not None:
-            data = raw
-    if overrides:
-        data = apply_overrides(data if isinstance(data, dict) else {}, overrides)
-    return parse_config_dict(data)
+    """Parse a UTF-8 YAML config file merged with dotted `section.key` overrides.
+
+    No path, or an empty file, gives the defaults. A file that cannot be
+    read or is not valid YAML raises `ConfigError` naming its path.
+    """
+    try:
+        data = None if path is None else yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"config file {str(path)!r}: {exc}") from None
+    return parse_config_dict(data, overrides)
 
 
 def spec_to_config_dict(spec: ExperimentSpec) -> dict:

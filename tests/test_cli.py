@@ -82,6 +82,24 @@ REPEATED_ENTRIES = [
     ("campaign.cross_pairs", "[[ul-sic, ul-lin], [ul-sic, ul-lin]]"),
 ]
 
+# Config input from outside, as (-c path, its file text or None for no file
+# written, --set texts, exit code, text that stderr names): every unreadable
+# or malformed setting is a config error naming it.
+CONFIG_INPUTS = {
+    "empty-section-filled-by-set": ("c.yaml", "grid:\n", ["grid.spacing_khz=30"], 0, None),
+    "scalar-section": ("c.yaml", "grid: 5\n", ["grid.spacing_khz=30"], 1,
+                       "section 'grid' must be a mapping"),
+    "list-root-with-set": ("c.yaml", "- campaign\n- 3\n", ["rates.noise_pw=2"], 1,
+                           "config root must be a mapping of sections"),
+    "malformed-yaml-file": ("c.yaml", "grid: [1,\n", [], 1, "'c.yaml'"),
+    "missing-file": ("missing.yaml", None, [], 1, "'missing.yaml'"),
+    "directory": (".", None, [], 1, "'.'"),
+    "malformed-yaml-set": (None, None, ["grid.subcarrier_counts=[1,2"], 1,
+                           "'grid.subcarrier_counts=[1,2'"),
+    "set-without-equals": (None, None, ["grid.spacing_khz"], 1, "'grid.spacing_khz'"),
+    "set-without-dot": (None, None, ["grid=5"], 1, "'grid=5'"),
+}
+
 TINY = {
     "arrays": {"m_rows": 2, "m_cols": 2},
     "campaign": {"realizations": 2, "user_counts": [2], "master_seed": 5},
@@ -109,6 +127,11 @@ class TestParseConfig:
         path.write_text("")
         spec = parse_config(path, {"campaign.user_counts": [16]})
         assert spec.user_counts == (16,)
+        # an override replaces the file's entry before any value is converted
+        path.write_text("grid:\n  spacing_khz: abc\n")
+        with pytest.raises(ConfigError, match="grid.spacing_khz"):
+            parse_config(path)
+        assert parse_config(path, {"grid.spacing_khz": 30}).spacing_khz == 30.0
 
     def test_unknown_keys_listed(self):
         with pytest.raises(ConfigError) as err:
@@ -121,7 +144,10 @@ class TestParseConfig:
                     },
                     "campaign": {"paper_scale": True},
                     "turbo": {"x": 2},
-                }
+                    "warp": 9,
+                },
+                # reported together with the mapping's
+                {"rates.zork": 1, "warp.y": 2, "flux.z": 3},
             )
         message = str(err.value)
         for name in (
@@ -130,6 +156,9 @@ class TestParseConfig:
             "scenario.nlos_pathloss_slope_db",
             "campaign.paper_scale",
             "turbo",
+            "rates.zork",
+            "warp",
+            "flux",
         ):
             assert name in message
 
@@ -317,6 +346,25 @@ class TestCliCommands:
         assert captured.err == "config error: unknown config keys: arrays.no_such\n"
         assert captured.out == ""
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("case", CONFIG_INPUTS)
+    def test_config_input_errors_are_config_errors(self, tmp_path, monkeypatch, case, capsys):
+        path, text, sets, code, named = CONFIG_INPUTS[case]
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / path).write_text(text)
+        argv = (["-c", path] if path else []) + [arg for s in sets for arg in ("--set", s)]
+        before = sorted(tmp_path.iterdir())
+        assert main(["validate-config", *argv]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "spacing_khz: 30" in captured.out
+            return
+        assert captured.err.startswith("config error:")
+        assert named in captured.err
+        assert main(["simulate", *argv, "-o", "out"]) == code
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         config = self.write_tiny(tmp_path)
