@@ -15,7 +15,6 @@ from .campaign import (
 from .channels import (
     OfdmGrid,
     ScenarioConfig,
-    SubcarrierChannels,
     UserPaths,
     path_loss,
     pulse_triangle,
@@ -53,14 +52,9 @@ from .rates import (
     RATE_SCHEMES,
     ImpairedLinkConfig,
     RateReport,
-    dl_dpc_sum_rate,
-    dl_linear_sum_rate,
-    duality_precoders,
     evaluate_rate_scheme,
     high_snr_ceiling,
     logdet_hpd,
-    ul_linear_sum_rate,
-    ul_sic_sum_rate,
     zero_interference_bound,
 )
 

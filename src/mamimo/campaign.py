@@ -20,7 +20,6 @@ from .channels import (
     LOS_DOMINANT,
     OfdmGrid,
     ScenarioConfig,
-    SubcarrierChannels,
     UserPaths,
     sample_user_positions,
     subcarrier_channels,
@@ -341,7 +340,7 @@ class Placement:
 
     layout: ArrayLayout
     swarm: Swarm | None
-    channels: SubcarrierChannels
+    channels: np.ndarray  # (S, M, K) complex
 
 
 def draw_realization(spec: ExperimentSpec, index: int, users: int) -> Realization:

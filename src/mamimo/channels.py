@@ -175,18 +175,6 @@ class ScenarioConfig:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-@dataclass(frozen=True, eq=False)
-class SubcarrierChannels:
-    """Frequency-domain channel matrices, one M-by-K matrix per subcarrier,
-    of one channel instance or of a stack of P instances."""
-
-    matrices: np.ndarray  # (S, M, K) or (P, S, M, K) complex
-
-    def __post_init__(self) -> None:
-        if self.matrices.ndim not in (3, 4):
-            raise ValueError("matrices must have shape (S, M, K) or (P, S, M, K)")
-
-
 def path_loss(distance_3d: float, intercept_db: float, slope_db: float) -> float:
     """Linear power gain of the log-distance law intercept + slope * log10(d)."""
     if not distance_3d > 0:
@@ -434,9 +422,10 @@ class ChannelModel:
         self._phasors = np.empty((0, start), dtype=complex)
         self._scratch = None
 
-    def channels(self, positions: np.ndarray) -> SubcarrierChannels:
-        """(S, M, K) channels of antennas at `positions` (M, 3), in meters, or
-        the (P, S, M, K) stack of P placements at `positions` (P, M, 3).
+    def channels(self, positions: np.ndarray) -> np.ndarray:
+        """The (S, M, K) complex channel array of antennas at `positions`
+        (M, 3), in meters, one M-by-K matrix per subcarrier, or the
+        (P, S, M, K) stack of P placements at `positions` (P, M, 3).
 
         The phase signatures of all users' paths come from one
         :func:`_unit_phasors` call per placement over the (M, N_1 + ... + N_K)
@@ -468,22 +457,23 @@ class ChannelModel:
             phasors = _unit_phasors(self._phase, out=self._phasors, scratch=self._scratch)
             for k, (cols, weights) in enumerate(self.users):
                 out[:, :, k] = (phasors[:, cols] @ weights).T
-        return SubcarrierChannels(matrices if positions.ndim == 3 else matrices[0])
+        return matrices if positions.ndim == 3 else matrices[0]
 
 
 def subcarrier_channels(
     paths: Sequence[UserPaths], layout: ArrayLayout | Sequence[ArrayLayout], grid: OfdmGrid
-) -> SubcarrierChannels | list[SubcarrierChannels]:
-    """Frequency-domain channels computed directly from the path parameters.
+) -> np.ndarray:
+    """Frequency-domain channels computed directly from the path parameters:
+    the (S, M, K) complex array of one layout.
 
     Algebraically identical to transforming the materialized taps; the FIR
     stage is folded into a per-path subcarrier weight so no (K, T+1, M) tensor
-    is formed. A sequence of layouts at one wavelength gives the list of
-    their channels, bit-equal to single calls, from one model and one call.
+    is formed. A sequence of P layouts at one wavelength gives the
+    (P, S, M, K) stack of their channels, each instance bit-equal to its
+    single call, from one model and one call.
     """
     if isinstance(layout, ArrayLayout):
         return ChannelModel(paths, grid, layout.wavelength).channels(layout.positions)
     if len({item.wavelength for item in layout}) != 1:
         raise ValueError("a sequence of layouts must share one wavelength")
-    stack = ChannelModel(paths, grid, layout[0].wavelength).channels(np.stack([a.positions for a in layout]))
-    return [SubcarrierChannels(matrices) for matrices in stack.matrices]
+    return ChannelModel(paths, grid, layout[0].wavelength).channels(np.stack([a.positions for a in layout]))

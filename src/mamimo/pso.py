@@ -77,12 +77,16 @@ class OptimizationTrace:
     spacing_feasible: bool
 
 
-def repair_to_regions(coords: np.ndarray, regions: Sequence[MoveRegion]) -> np.ndarray:
-    """Clamp (..., M, 2) yz-coordinates into their closed boxes. Idempotent."""
-    coords = np.asarray(coords, dtype=float)
+def _region_bounds(regions: Sequence[MoveRegion]) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, 2) lower and upper yz-corners of the movement boxes."""
     lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
     hi = np.array([[r.center_y + r.half, r.center_z + r.half] for r in regions])
-    return np.clip(coords, lo, hi)
+    return lo, hi
+
+
+def repair_to_regions(coords: np.ndarray, regions: Sequence[MoveRegion]) -> np.ndarray:
+    """Clamp (..., M, 2) yz-coordinates into their closed boxes. Idempotent."""
+    return np.clip(np.asarray(coords, dtype=float), *_region_bounds(regions))
 
 
 def spacing_penalty(
@@ -137,8 +141,7 @@ def pso_optimize(
     n = config.particle_count
     spacing = min_spacing(wavelength)
 
-    lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
-    hi = np.array([[r.center_y + r.half, r.center_z + r.half] for r in regions])
+    lo, hi = _region_bounds(regions)
     sides = np.array([[r.side, r.side] for r in regions])
     vmax = config.velocity_clamp * sides
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import SubcarrierChannels
-
 UL_LIN = "ul-lin"
 UL_SIC = "ul-sic"
 DL_LIN = "dl-lin"
@@ -113,6 +111,17 @@ def _report(scheme: str, rates: np.ndarray | None, per_subcarrier: np.ndarray) -
     )
 
 
+def _check_channels(h: np.ndarray, config: ImpairedLinkConfig) -> None:
+    """Require (S, M, K) or (P, S, M, K) channels whose S and K match
+    `config.powers`, so no rate broadcasts powers over other users or
+    subcarriers."""
+    if h.ndim not in (3, 4) or (h.shape[-3], h.shape[-1]) != config.powers.shape:
+        raise ValueError(
+            f"channels of shape {h.shape} do not match powers of shape {config.powers.shape}: "
+            "expected (S, M, K) or (P, S, M, K) with (S, K) the powers' shape"
+        )
+
+
 def logdet_hpd(matrices: np.ndarray) -> np.ndarray:
     """log2-determinants of Hermitian positive definite matrices (..., N, N).
 
@@ -173,7 +182,7 @@ def _sic_user_rates(gram: np.ndarray, kappa: float, noise_variance: float) -> np
     return 2.0 * np.log2(np.diagonal(chol, axis1=-2, axis2=-1).real[..., ::-1])
 
 
-def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) -> np.ndarray:
+def _mmse_sinr_matrix(h: np.ndarray, config: ImpairedLinkConfig) -> np.ndarray:
     """MMSE-combining SINRs for all users and subcarriers at once, shape (..., S, K).
 
     With the full received covariance Q and t_k = p_k h_k^H Q^-1 h_k, the
@@ -182,7 +191,7 @@ def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) 
     (1 - kappa) + kappa (1 - t) is formed without cancellation. One K x K
     inverse per subcarrier serves all users.
     """
-    gram = _gram(channels.matrices, config.powers)
+    gram = _gram(h, config.powers)
     sigma2 = config.noise_variance
     inverse = np.linalg.inv(gram + sigma2 * np.eye(gram.shape[-1]))
     t = np.einsum("...kj,...jk->...k", gram, inverse).real
@@ -190,30 +199,28 @@ def _mmse_sinr_matrix(channels: SubcarrierChannels, config: ImpairedLinkConfig) 
     return config.kappa * t / (1.0 - config.kappa + config.kappa * slack)
 
 
-def ul_linear_sum_rate(
-    channels: SubcarrierChannels, config: ImpairedLinkConfig, include_user_rates: bool = True
-) -> RateReport:
-    """Achievable sum rate with per-user MMSE combining."""
-    rates = np.log2(1.0 + _mmse_sinr_matrix(channels, config))
-    return _report(UL_LIN, rates if include_user_rates else None, rates.sum(axis=-1))
+# The registry entries below share one signature: (h, config, user_rates) ->
+# (per-subcarrier sums (..., S), per-user rates (..., S, K) or None when
+# `user_rates` is false), of checked (S, M, K) or (P, S, M, K) channels.
+_Rates = tuple[np.ndarray, "np.ndarray | None"]
 
 
-def ul_sic_sum_rate(
-    channels: SubcarrierChannels,
-    config: ImpairedLinkConfig,
-    include_user_rates: bool = True,
-) -> RateReport:
-    """Uplink sum rate with successive interference cancellation.
+def _ul_linear(h: np.ndarray, config: ImpairedLinkConfig, user_rates: bool) -> _Rates:
+    """Achievable rates with per-user MMSE combining."""
+    rates = np.log2(1.0 + _mmse_sinr_matrix(h, config))
+    return rates.sum(axis=-1), rates if user_rates else None
+
+
+def _ul_sic(h: np.ndarray, config: ImpairedLinkConfig, user_rates: bool) -> _Rates:
+    """Uplink rates with successive interference cancellation.
 
     The distortion penalty term vanishes identically for EVM = 0. The
     per-user entries use the ascending decode order; they cost one more
     solve and Cholesky factorization per subcarrier and can be skipped.
     """
-    gram = _gram(channels.matrices, config.powers)
-    per_user = None
-    if include_user_rates:
-        per_user = _sic_user_rates(gram, config.kappa, config.noise_variance)
-    return _report(UL_SIC, per_user, _sic_gap(gram, config.kappa, config.noise_variance))
+    gram = _gram(h, config.powers)
+    per_user = _sic_user_rates(gram, config.kappa, config.noise_variance) if user_rates else None
+    return _sic_gap(gram, config.kappa, config.noise_variance), per_user
 
 
 def high_snr_ceiling(user_count: int, antenna_count: int, evm: float) -> float:
@@ -223,24 +230,18 @@ def high_snr_ceiling(user_count: int, antenna_count: int, evm: float) -> float:
     return min(user_count, antenna_count) * float(np.log2(1.0 / evm**2))
 
 
-def dl_linear_sum_rate(
-    channels: SubcarrierChannels, config: ImpairedLinkConfig, include_user_rates: bool = True
-) -> RateReport:
-    """Downlink sum rate with the uplink/downlink duality precoders."""
-    h = channels.matrices
-    precoders = duality_precoders(channels, config)
+def _dl_linear(h: np.ndarray, config: ImpairedLinkConfig, user_rates: bool) -> _Rates:
+    """Downlink rates with the uplink/downlink duality precoders."""
+    precoders = _duality_precoders(h, config)
     gains = np.abs(_cross_gram(h, precoders)) ** 2  # (..., S, K, K)
     own = np.diagonal(gains, axis1=-2, axis2=-1)  # (..., S, K)
     interference = gains.sum(axis=-1) - own
     sinr = config.kappa * own / (interference + (1.0 - config.kappa) * own + config.noise_variance)
     rates = np.log2(1.0 + sinr)
-    return _report(DL_LIN, rates if include_user_rates else None, rates.sum(axis=-1))
+    return rates.sum(axis=-1), rates if user_rates else None
 
 
-def duality_precoders(
-    channels: SubcarrierChannels,
-    config: ImpairedLinkConfig,
-) -> np.ndarray:
+def _duality_precoders(h: np.ndarray, config: ImpairedLinkConfig) -> np.ndarray:
     """Downlink precoders pointing along the uplink MMSE combining directions, (..., S, M, K).
 
     User k's MMSE direction Q_k^-1 h_k, with Q_k its disturbance covariance,
@@ -252,7 +253,6 @@ def duality_precoders(
     """
     if config.total_power is None:
         raise ValueError("config.total_power must be set for downlink precoding")
-    h = channels.matrices
     scaled = h * np.sqrt(config.powers)[:, None, :]
     noise = config.noise_variance * np.eye(h.shape[-2])
     q_all = np.einsum("...smk,...snk->...smn", scaled, scaled.conj()) + noise
@@ -282,10 +282,8 @@ def _project_weighted(y: np.ndarray, weight: np.ndarray, budget: float) -> np.nd
     return np.maximum(clipped - candidates[support - 1] / weight, 0.0)
 
 
-def dl_dpc_sum_rate(
-    channels: SubcarrierChannels, config: ImpairedLinkConfig, include_user_rates: bool = True
-) -> RateReport:
-    """Downlink sum rate with dirty paper coding via the dual uplink problem.
+def _dl_dpc(h: np.ndarray, config: ImpairedLinkConfig, user_rates: bool) -> _Rates:
+    """Downlink rates with dirty paper coding via the dual uplink problem.
 
     Maximizes the distortion-aware dual uplink objective over the diagonal
     power allocations d of all subcarriers under the budget
@@ -306,8 +304,9 @@ def dl_dpc_sum_rate(
     (curvature w / t) promised. The ascent ends on a relative gain below
     `_DPC_REL_TOL`, on a candidate equal to the current allocation (a fixed
     point of the projected step, hence stationary), at t below
-    `_DPC_STEP_FLOOR`, or after `_DPC_MAX_ITERATIONS` passes. The reported
-    sum rate is the ascent's final objective value.
+    `_DPC_STEP_FLOOR`, or after `_DPC_MAX_ITERATIONS` passes. The
+    per-subcarrier sums are those of the last accepted allocation, so their
+    mean is the ascent's final objective value.
 
     The ascent works on the (S, K, K) Gram matrices G = H^H H, formed once:
     the objective scales G by sqrt(d) on both sides, and by the push-through
@@ -320,11 +319,10 @@ def dl_dpc_sum_rate(
     """
     if config.total_power is None:
         raise ValueError("config.total_power must be set for downlink schemes")
-    h = channels.matrices
     if h.ndim == 4:
-        reports = [dl_dpc_sum_rate(SubcarrierChannels(m), config, include_user_rates) for m in h]
-        per_user = np.array([r.per_user_rates for r in reports]) if include_user_rates else None
-        return RateReport(DL_DPC, np.array([r.sum_rate for r in reports]), per_user)
+        solved = [_dl_dpc(instance, config, user_rates) for instance in h]
+        per_user = np.array([rates for _, rates in solved]) if user_rates else None
+        return np.array([sums for sums, _ in solved]), per_user
     total_power = config.total_power
     s, _, k = h.shape
     sigma2 = config.noise_variance
@@ -336,8 +334,8 @@ def dl_dpc_sum_rate(
         amplitude = np.sqrt(d)
         return gram * (amplitude[:, :, None] * amplitude[:, None, :])
 
-    def objective(d: np.ndarray) -> float:
-        return float(_sic_gap(scaled(d), config.kappa, sigma2).mean())
+    def gap(d: np.ndarray) -> np.ndarray:
+        return _sic_gap(scaled(d), config.kappa, sigma2)
 
     def gradient_and_curvature(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gd = gram * d[:, None, :]
@@ -351,7 +349,8 @@ def dl_dpc_sum_rate(
         return g / (s * _LN2), w / (s * _LN2)
 
     d = np.full((s, k), total_power / (s * k))
-    value = objective(d)
+    per_subcarrier = gap(d)
+    value = float(per_subcarrier.mean())
     t = 1.0
     for _ in range(_DPC_MAX_ITERATIONS):
         grad, weight = gradient_and_curvature(d)
@@ -360,7 +359,8 @@ def dl_dpc_sum_rate(
             candidate = _project_weighted(d + t * grad / weight, weight, total_power)
             if np.array_equal(candidate, d):
                 break  # a fixed point of the projected step is stationary
-            candidate_value = objective(candidate)
+            candidate_gap = gap(candidate)
+            candidate_value = float(candidate_gap.mean())
             if candidate_value > value:
                 improved = True
                 break
@@ -370,56 +370,48 @@ def dl_dpc_sum_rate(
         gain = candidate_value - value
         move = candidate - d
         model_gain = float(np.sum(grad * move) - 0.5 * np.sum(weight * move * move) / t)
-        d, value = candidate, candidate_value
+        d, value, per_subcarrier = candidate, candidate_value, candidate_gap
         if gain > _DPC_EXPAND_RATIO * model_gain:
             t *= 2.0
         if gain < _DPC_REL_TOL * max(abs(value), 1.0):
             break
 
-    per_user = None
-    if include_user_rates:
-        per_user = _sic_user_rates(scaled(d), config.kappa, sigma2).mean(axis=0)
-    return RateReport(DL_DPC, value, per_user)
+    per_user = _sic_user_rates(scaled(d), config.kappa, sigma2) if user_rates else None
+    return per_subcarrier, per_user
 
 
-def zero_interference_bound(
-    channels: SubcarrierChannels, config: ImpairedLinkConfig
-) -> RateReport:
+def zero_interference_bound(h: np.ndarray, config: ImpairedLinkConfig) -> RateReport:
     """Per-user matched-filter rates with every cross-user term removed.
 
     Upper-bounds both the linear and the SIC sum rate on the same channel
     instance; only each user's own distortion and thermal noise remain.
+    `h` is checked as in :func:`evaluate_rate_scheme`.
     """
-    g = config.powers * np.sum(np.abs(channels.matrices) ** 2, axis=-2)  # (..., S, K)
+    _check_channels(h, config)
+    g = config.powers * np.sum(np.abs(h) ** 2, axis=-2)  # (..., S, K)
     sinr = config.kappa * g / ((1.0 - config.kappa) * g + config.noise_variance)
     rates = np.log2(1.0 + sinr)
     return _report(ZERO_INTERFERENCE, rates, rates.sum(axis=-1))
 
 
 def evaluate_rate_scheme(
-    scheme: str,
-    channels: SubcarrierChannels,
-    config: ImpairedLinkConfig,
-    *,
-    summary_only: bool = False,
+    scheme: str, h: np.ndarray, config: ImpairedLinkConfig, *, summary_only: bool = False
 ) -> RateReport:
-    """Dispatch a rate scheme name in `RATE_SCHEMES` to its sum-rate computation.
+    """Rates of the scheme named `scheme`, one of `RATE_SCHEMES`, on channels `h`.
 
-    `channels` holds one instance or a stack of them; a stack gets one report
-    whose values are (P,) arrays, each equal to its instance's own report.
-    `summary_only` skips the per-user breakdowns that optimization loops do
-    not need.
+    `h` is one (S, M, K) complex channel instance or a (P, S, M, K) stack of
+    them, with (S, K) equal to `config.powers.shape`; other shapes raise
+    ValueError naming both. A stack gets one report whose values are (P,)
+    arrays, each equal to its instance's own report. `summary_only` skips
+    the per-user breakdowns that optimization loops do not need.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown rate scheme {scheme!r}")
-    return _SCHEMES[scheme](channels, config, include_user_rates=not summary_only)
+    _check_channels(h, config)
+    per_subcarrier, rates = _SCHEMES[scheme](h, config, not summary_only)
+    return _report(scheme, rates, per_subcarrier)
 
 
 # The rate-scheme registry, in the order configs and reports list the schemes.
-_SCHEMES = {
-    UL_LIN: ul_linear_sum_rate,
-    UL_SIC: ul_sic_sum_rate,
-    DL_LIN: dl_linear_sum_rate,
-    DL_DPC: dl_dpc_sum_rate,
-}
+_SCHEMES = {UL_LIN: _ul_linear, UL_SIC: _ul_sic, DL_LIN: _dl_linear, DL_DPC: _dl_dpc}
 RATE_SCHEMES = tuple(_SCHEMES)

@@ -18,7 +18,6 @@ from mamimo.channels import (
     _PHASOR_TABLE,
     _PHASOR_TABLE_SIZE,
     OfdmGrid,
-    SubcarrierChannels,
     UserPaths,
     _carrier_phase,
     _dft_matrix,
@@ -62,11 +61,11 @@ def build_tap_channel(
     return TapChannel(taps, eta, n_taps)
 
 
-def subcarriers_from_taps(tap_channel: TapChannel, grid: OfdmGrid) -> SubcarrierChannels:
+def subcarriers_from_taps(tap_channel: TapChannel, grid: OfdmGrid) -> np.ndarray:
     """Frequency-domain channels obtained by transforming materialized taps."""
     dft = _dft_matrix(tap_channel.tap_count, grid.subcarrier_count)
     matrices = np.einsum("klm,ls->smk", tap_channel.taps, dft)
-    return SubcarrierChannels(np.ascontiguousarray(matrices))
+    return np.ascontiguousarray(matrices)
 
 
 def disturbance_covariance(
@@ -113,7 +112,7 @@ def ul_linear_sinr(
 
 
 def ul_sic_per_user_rates(
-    channels: SubcarrierChannels,
+    channels: np.ndarray,
     config: ImpairedLinkConfig,
     decode_order: Sequence[int] | None = None,
 ) -> np.ndarray:
@@ -125,7 +124,7 @@ def ul_sic_per_user_rates(
     1 - kappa. For any decode order and EVM the user rates sum to the SIC sum
     rate.
     """
-    gram = _gram(channels.matrices, config.powers)
+    gram = _gram(channels, config.powers)
     k = gram.shape[-1]
     order = np.arange(k) if decode_order is None else np.asarray(decode_order, dtype=int)
     if sorted(order.tolist()) != list(range(k)):

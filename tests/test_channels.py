@@ -385,7 +385,7 @@ class TestSubcarrierChannels:
         tap = build_tap_channel(users, layout, grid)
         h = subcarrier_channels(users, layout, grid)
         np.testing.assert_allclose(
-            h.matrices[0], tap.taps.sum(axis=1).T, rtol=1e-10
+            h[0], tap.taps.sum(axis=1).T, rtol=1e-10
         )
 
     @pytest.mark.parametrize("subcarriers", [1, 16, 64])
@@ -397,8 +397,8 @@ class TestSubcarrierChannels:
         grid = OfdmGrid(subcarriers, 15e3)
         direct = subcarrier_channels(users, layout, grid)
         via_taps = subcarriers_from_taps(build_tap_channel(users, layout, grid), grid)
-        err = np.linalg.norm(direct.matrices - via_taps.matrices)
-        assert err <= 1e-10 * np.linalg.norm(direct.matrices)
+        err = np.linalg.norm(direct - via_taps)
+        assert err <= 1e-10 * np.linalg.norm(direct)
 
     def test_equal_delays_are_frequency_flat(self):
         layout = ArrayLayout(np.array([[0.0, 0.03, 0.01]]), 0.1)
@@ -407,7 +407,7 @@ class TestSubcarrierChannels:
         ]
         h = subcarrier_channels(users, layout, OfdmGrid(8, 15e3))
         for nu in range(1, 8):
-            np.testing.assert_allclose(h.matrices[nu], h.matrices[0], rtol=1e-12)
+            np.testing.assert_allclose(h[nu], h[0], rtol=1e-12)
 
     def test_regenerating_with_larger_grid_keeps_paths(self):
         rng = np.random.default_rng(2)
@@ -555,7 +555,7 @@ def swarm_narrow_model(subcarriers=1):
 
 
 def fresh_channels(users, grid, positions):
-    return ChannelModel(users, grid, DEFAULT_SCENARIO.wavelength).channels(positions).matrices
+    return ChannelModel(users, grid, DEFAULT_SCENARIO.wavelength).channels(positions)
 
 
 class TestChannelModel:
@@ -571,8 +571,8 @@ class TestChannelModel:
         grid = OfdmGrid(subcarriers, 15e3)
         model = ChannelModel(users, grid, lam)
         for layout in random_movable_layouts(rng, lam, 5):
-            got = model.channels(layout.positions).matrices
-            assert np.array_equal(subcarrier_channels(users, layout, grid).matrices, got)
+            got = model.channels(layout.positions)
+            assert np.array_equal(subcarrier_channels(users, layout, grid), got)
             error = np.abs(got - per_user_reference(users, layout, grid))
             assert np.all(error <= phasor_contract_bound(users, layout, grid))
 
@@ -591,7 +591,7 @@ class TestChannelModel:
         grid = OfdmGrid(subcarriers, 15e3)
         model = ChannelModel(users, grid, lam)
         for layout in random_movable_layouts(rng, lam, 3):
-            got = model.channels(layout.positions).matrices
+            got = model.channels(layout.positions)
             error = np.abs(got - per_user_reference(users, layout, grid))
             assert np.all(error <= phasor_contract_bound(users, layout, grid))
 
@@ -654,10 +654,10 @@ class TestChannelModel:
         grid = OfdmGrid(subcarriers, 15e3)
         model = ChannelModel(users, grid, lam)
         layouts = list(random_movable_layouts(rng, lam, 5))
-        stacked = model.channels(np.array([layout.positions for layout in layouts])).matrices
+        stacked = model.channels(np.array([layout.positions for layout in layouts]))
         assert stacked.shape == (5, subcarriers, 4, 3)
         for got, layout in zip(stacked, layouts):
-            assert np.array_equal(got, subcarrier_channels(users, layout, grid).matrices)
+            assert np.array_equal(got, subcarrier_channels(users, layout, grid))
 
     @pytest.mark.parametrize("subcarriers", [1, 16])
     def test_layout_sequence_has_the_bits_of_single_calls(self, subcarriers):
@@ -673,7 +673,7 @@ class TestChannelModel:
             got = subcarrier_channels(users, layouts, grid)
             assert len(got) == len(layouts)
             for h, layout in zip(got, layouts):
-                assert np.array_equal(h.matrices, subcarrier_channels(users, layout, grid).matrices)
+                assert np.array_equal(h, subcarrier_channels(users, layout, grid))
 
     def test_layout_sequence_with_mixed_wavelengths_rejected(self):
         rng = np.random.default_rng(62)
@@ -688,9 +688,9 @@ class TestChannelModel:
         model, users, grid = swarm_narrow_model()
         rng = np.random.default_rng(6)
         first, second = (rng.uniform(-0.1, 0.1, size=(16, 3)) for _ in range(2))
-        h1 = model.channels(first).matrices
+        h1 = model.channels(first)
         kept = h1.copy()
-        h2 = model.channels(second).matrices
+        h2 = model.channels(second)
         assert np.array_equal(h1, kept)
         assert np.array_equal(h1, fresh_channels(users, grid, first))
         assert np.array_equal(h2, fresh_channels(users, grid, second))
@@ -700,7 +700,7 @@ class TestChannelModel:
         rng = np.random.default_rng(7)
         for m in (16, 4, 16):
             positions = rng.uniform(-0.1, 0.1, size=(m, 3))
-            got = model.channels(positions).matrices
+            got = model.channels(positions)
             assert got.shape == (1, m, 10)
             assert np.array_equal(got, fresh_channels(users, grid, positions))
 
@@ -710,7 +710,7 @@ class TestChannelModel:
         model.channels(positions)
         with pytest.raises(ValueError, match="phases must be finite"):
             model.channels(np.full((16, 3), 1e30))
-        assert np.array_equal(model.channels(positions).matrices, fresh_channels(users, grid, positions))
+        assert np.array_equal(model.channels(positions), fresh_channels(users, grid, positions))
 
 
 class TestPathLoss:

@@ -294,15 +294,14 @@ class TestObjectiveAdapter:
         penalty = spacing_penalty(layout.positions, lam)
         assert penalty > 0
         from mamimo.channels import subcarrier_channels
-        from mamimo.rates import ul_linear_sum_rate, ul_sic_sum_rate
 
         h = subcarrier_channels(paths, layout, grid)
         assert sic_obj(layout) != lin_obj(layout)
         assert sic_obj(layout) == pytest.approx(
-            ul_sic_sum_rate(h, config).sum_rate - penalty, rel=1e-12
+            evaluate_rate_scheme("ul-sic", h, config).sum_rate - penalty, rel=1e-12
         )
         assert lin_obj(layout) == pytest.approx(
-            ul_linear_sum_rate(h, config).sum_rate - penalty, rel=1e-12
+            evaluate_rate_scheme("ul-lin", h, config).sum_rate - penalty, rel=1e-12
         )
 
     def test_seeded_run_never_below_seed(self, small_realization):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,26 +8,22 @@ from hypothesis import strategies as st
 
 import mamimo.rates as rates_module
 from mamimo.campaign import SPARSE_UPA, STAGGERED_URA, build_fixed_layouts, draw_realization
-from mamimo.channels import ChannelModel, SubcarrierChannels
+from mamimo.channels import ChannelModel
 from mamimo.config import parse_config
 from mamimo.rates import (
     RATE_SCHEMES,
     ImpairedLinkConfig,
     RateReport,
-    dl_dpc_sum_rate,
-    dl_linear_sum_rate,
-    duality_precoders,
     evaluate_rate_scheme,
     high_snr_ceiling,
     logdet_hpd,
-    ul_linear_sum_rate,
-    ul_sic_sum_rate,
     zero_interference_bound,
 )
 from mamimo.rates import (
     _DPC_MAX_ITERATIONS,
     _LN2,
     _cross_gram,
+    _duality_precoders,
     _gram,
     _project_weighted,
     _sic_gap,
@@ -50,22 +47,22 @@ def random_channels(rng, subcarriers, antennas, users):
     h = rng.normal(size=(subcarriers, antennas, users)) + 1j * rng.normal(
         size=(subcarriers, antennas, users)
     )
-    return SubcarrierChannels(h / np.sqrt(2.0))
+    return h / np.sqrt(2.0)
 
 
 def sic_eigenvalue_oracle(channels, config):
     """Independent eigen-decomposition route to the SIC sum rate."""
     total = 0.0
     resid = 1.0 - config.kappa
-    for nu in range(len(channels.matrices)):
-        h = channels.matrices[nu]
+    for nu in range(len(channels)):
+        h = channels[nu]
         hdh = (h * config.powers[nu]) @ h.conj().T
         eig = np.clip(np.linalg.eigvalsh(hdh), 0.0, None)
         total += np.sum(
             np.log2(1.0 + eig / config.noise_variance)
             - np.log2(1.0 + resid * eig / config.noise_variance)
         )
-    return total / len(channels.matrices)
+    return total / len(channels)
 
 
 def _project_euclidean(x, budget):
@@ -73,17 +70,16 @@ def _project_euclidean(x, budget):
     return _project_weighted(x, np.ones_like(x), budget)
 
 
-def mm_dpc_oracle(channels, config, gain_stop=1e-8):
+def mm_dpc_oracle(h, config, gain_stop=1e-8):
     """DPC sum rate by projected gradient ascent in M x M covariance form.
 
-    The gradient solves with sigma^2 I + H D H^H, the form `dl_dpc_sum_rate`
+    The gradient solves with sigma^2 I + H D H^H, the form the `dl-dpc` entry
     replaces by K x K Gram solves. The step is Euclidean and its line search
     starts at the whole budget. The ascent stops once a step gains less than
     `gain_stop` relatively; with `gain_stop=None` it runs on to a fixed point
     of the projected step or to the line search's floor.
     """
     total_power = config.total_power
-    h = channels.matrices
     s, m, k = h.shape
     sigma2 = config.noise_variance
     resid = 1.0 - config.kappa
@@ -127,17 +123,16 @@ def mm_dpc_oracle(channels, config, gain_stop=1e-8):
     return float(_sic_gap(_gram(h, d), config.kappa, sigma2).mean())
 
 
-def budget_start_dpc(channels, config, include_user_rates=True):
+def budget_start_dpc(h, config, user_rates=True):
     """The Gram-form projected gradient ascent with its line search started at
     the whole budget and a 1e-8 relative gain stop.
 
-    This is `dl_dpc_sum_rate` before its steps were scaled by the curvature
+    This is the `dl-dpc` entry before its steps were scaled by the curvature
     or its first trial step by the gradient: no stationary stop either, and
     the report evaluates the final allocation once more. `_sic_gap` is
     looked up on the module so that a patched counter sees these calls too.
     """
     total_power = config.total_power
-    h = channels.matrices
     s, _, k = h.shape
     sigma2 = config.noise_variance
     resid = 1.0 - config.kappa
@@ -182,7 +177,7 @@ def budget_start_dpc(channels, config, include_user_rates=True):
 
     best = scaled(d)
     per_user = None
-    if include_user_rates:
+    if user_rates:
         per_user = _sic_user_rates(best, config.kappa, sigma2).mean(axis=0)
     return float(rates_module._sic_gap(best, config.kappa, sigma2).mean()), per_user
 
@@ -340,18 +335,18 @@ class TestUplinkLinearSinr:
 
 class TestUplinkLinearSumRate:
     def test_scalar_single_user(self):
-        h = SubcarrierChannels(np.full((1, 1, 1), 1.5 + 0j))
+        h = np.full((1, 1, 1), 1.5 + 0j)
         cfg = ImpairedLinkConfig.uniform(1, 1, 2.0, 0.0, 0.5)
-        report = ul_linear_sum_rate(h, cfg)
+        report = evaluate_rate_scheme("ul-lin", h, cfg)
         assert report.sum_rate == pytest.approx(np.log2(1 + 2.0 * 1.5**2 / 0.5), rel=1e-12)
 
     def test_identical_channels_saturate_below_sic(self):
         rng = np.random.default_rng(7)
         col = rng.normal(size=(1, 4, 1)) + 1j * rng.normal(size=(1, 4, 1))
-        h = SubcarrierChannels(np.concatenate([col, col], axis=2))
+        h = np.concatenate([col, col], axis=2)
         cfg = ImpairedLinkConfig.uniform(2, 1, 1e6, 0.0, 1.0)
-        lin = ul_linear_sum_rate(h, cfg)
-        sic = ul_sic_sum_rate(h, cfg)
+        lin = evaluate_rate_scheme("ul-lin", h, cfg)
+        sic = evaluate_rate_scheme("ul-sic", h, cfg)
         # Each user's interference dominates; both SINRs stay below one.
         assert np.all(2.0**lin.per_user_rates - 1 < 1.0)
         assert lin.sum_rate < sic.sum_rate
@@ -365,24 +360,24 @@ class TestUplinkLinearSumRate:
         cfg = ImpairedLinkConfig(
             rng.uniform(0.1, 2.0, size=(s, k)), rng.uniform(0.0, 0.6), 0.3
         )
-        lin = ul_linear_sum_rate(channels, cfg)
-        sic = ul_sic_sum_rate(channels, cfg)
+        lin = evaluate_rate_scheme("ul-lin", channels, cfg)
+        sic = evaluate_rate_scheme("ul-sic", channels, cfg)
         assert lin.sum_rate >= 0.0
         assert sic.sum_rate >= lin.sum_rate - 1e-10
 
     @pytest.mark.parametrize("snr", [1e16, 1e20])
     def test_high_snr_scalar_keeps_sinr(self, snr):
         # With ideal hardware the scalar SINR is p|h|^2/sigma^2 at any SNR.
-        h = SubcarrierChannels(np.full((1, 1, 1), 2.0 + 0j))
+        h = np.full((1, 1, 1), 2.0 + 0j)
         cfg = ImpairedLinkConfig.uniform(1, 1, snr * 0.5 / 4.0, 0.0, 0.5)
-        rate = ul_linear_sum_rate(h, cfg).sum_rate
+        rate = evaluate_rate_scheme("ul-lin", h, cfg).sum_rate
         assert 2.0**rate - 1.0 == pytest.approx(snr, rel=1e-12)
 
     def test_report_invariant(self):
         rng = np.random.default_rng(8)
         channels = random_channels(rng, 3, 4, 2)
         cfg = ImpairedLinkConfig.uniform(2, 3, 1.0, 0.1, 0.5)
-        report = ul_linear_sum_rate(channels, cfg)
+        report = evaluate_rate_scheme("ul-lin", channels, cfg)
         assert report.sum_rate == pytest.approx(report.per_user_rates.sum(), rel=1e-12)
 
 
@@ -417,15 +412,18 @@ class TestRegistry:
         assert summary.per_user_rates is None
         assert summary.sum_rate == full.sum_rate
 
+    @pytest.mark.parametrize("subcarriers", [1, 3, 50])
     @pytest.mark.parametrize(
         "scheme, summary_only",
         [(s, only) for s in RATE_SCHEMES for only in (False, True)] + [("zero-interference", False)],
     )
-    def test_stack_report_holds_each_instance_report(self, scheme, summary_only):
+    def test_stack_report_has_the_bits_of_each_instance_report(self, scheme, summary_only, subcarriers):
+        # At S = 50 the report averages a stacked (P, S) DPC gap along its
+        # last axis, where each instance's report averages its own (S,) gap.
         rng = np.random.default_rng(5)
-        instances = [random_channels(rng, 3, 4, 3) for _ in range(4)]
-        stack = SubcarrierChannels(np.array([c.matrices for c in instances]))
-        cfg = ImpairedLinkConfig.uniform(3, 3, 1.0, 0.05, 0.1, total_power=9.0)
+        instances = [random_channels(rng, subcarriers, 4, 3) for _ in range(4)]
+        stack = np.array(instances)
+        cfg = ImpairedLinkConfig.uniform(3, subcarriers, 1.0, 0.05, 0.1, total_power=3.0 * subcarriers)
 
         def rate(channels):
             if scheme == "zero-interference":
@@ -439,6 +437,27 @@ class TestRegistry:
         else:
             assert np.array_equal(stacked.per_user_rates, [r.per_user_rates for r in singles])
 
+    @pytest.mark.parametrize("scheme", RATE_SCHEMES + ("zero-interference",))
+    @pytest.mark.parametrize(
+        "shape, subcarriers, users",
+        [
+            ((1, 4, 2), 5, 2),  # subcarrier count differs from the powers'
+            ((1, 4, 2), 1, 1),  # user count differs from the powers'
+            ((2, 3, 4, 2), 5, 2),  # a stack's subcarrier count differs
+            ((4, 2), 1, 2),  # no subcarrier axis
+            ((1, 1, 1, 4, 2), 1, 2),  # one axis too many
+        ],
+    )
+    def test_channels_that_do_not_match_the_powers_rejected(self, scheme, shape, subcarriers, users):
+        h = np.ones(shape, dtype=complex)
+        cfg = ImpairedLinkConfig.uniform(users, subcarriers, 1.0, 0.05, 0.1, total_power=2.0)
+        both_shapes = rf"{re.escape(str(shape))}.*{re.escape(str((subcarriers, users)))}"
+        with pytest.raises(ValueError, match=both_shapes):
+            if scheme == "zero-interference":
+                zero_interference_bound(h, cfg)
+            else:
+                evaluate_rate_scheme(scheme, h, cfg)
+
     def test_unknown_scheme_rejected(self):
         channels = random_channels(np.random.default_rng(4), 1, 2, 2)
         cfg = ImpairedLinkConfig.uniform(2, 1, 1.0, 0.05, 0.1, total_power=2.0)
@@ -451,21 +470,21 @@ class TestUplinkSic:
         rng = np.random.default_rng(9)
         channels = random_channels(rng, 2, 3, 2)
         cfg = ImpairedLinkConfig.uniform(2, 2, 1.0, 0.0, 0.5)
-        report = ul_sic_sum_rate(channels, cfg)
+        report = evaluate_rate_scheme("ul-sic", channels, cfg)
         assert report.sum_rate == pytest.approx(sic_eigenvalue_oracle(channels, cfg), rel=1e-12)
 
     def test_single_user_scalar_equals_linear(self):
-        h = SubcarrierChannels(np.full((1, 1, 1), 0.8 + 0.3j))
+        h = np.full((1, 1, 1), 0.8 + 0.3j)
         cfg = ImpairedLinkConfig.uniform(1, 1, 2.0, 0.0, 0.5)
-        assert ul_sic_sum_rate(h, cfg).sum_rate == pytest.approx(
-            ul_linear_sum_rate(h, cfg).sum_rate, rel=1e-12
+        assert evaluate_rate_scheme("ul-sic", h, cfg).sum_rate == pytest.approx(
+            evaluate_rate_scheme("ul-lin", h, cfg).sum_rate, rel=1e-12
         )
 
     def test_eigenvalue_oracle(self):
         rng = np.random.default_rng(10)
         channels = random_channels(rng, 2, 2, 2)
         cfg = ImpairedLinkConfig(rng.uniform(0.5, 2.0, size=(2, 2)), 0.15, 0.3)
-        value = ul_sic_sum_rate(channels, cfg).sum_rate
+        value = evaluate_rate_scheme("ul-sic", channels, cfg).sum_rate
         assert value == pytest.approx(sic_eigenvalue_oracle(channels, cfg), rel=1e-9)
 
     def test_monotone_in_power_and_bounded_by_ceiling(self):
@@ -475,7 +494,7 @@ class TestUplinkSic:
         previous = -1.0
         for rho in 10.0 ** np.arange(0, 9):
             cfg = ImpairedLinkConfig.uniform(3, 1, rho, evm, 1.0)
-            rate = ul_sic_sum_rate(channels, cfg).sum_rate
+            rate = evaluate_rate_scheme("ul-sic", channels, cfg).sum_rate
             assert rate >= previous - 1e-9
             previous = rate
         assert previous <= high_snr_ceiling(3, 4, evm)
@@ -489,7 +508,7 @@ class TestSicPerUser:
             channels = random_channels(rng, s, m, k)
             cfg = ImpairedLinkConfig(rng.uniform(0.2, 2.0, size=(s, k)), 0.0, 0.4)
             per_user = ul_sic_per_user_rates(channels, cfg)
-            total = ul_sic_sum_rate(channels, cfg).sum_rate
+            total = evaluate_rate_scheme("ul-sic", channels, cfg).sum_rate
             assert per_user.sum() == pytest.approx(total, rel=1e-9)
 
     def test_telescoping_with_distortion(self):
@@ -505,14 +524,14 @@ class TestSicPerUser:
                 )
                 order = rng.permutation(k)
                 per_user = ul_sic_per_user_rates(channels, cfg, decode_order=order)
-                total = ul_sic_sum_rate(channels, cfg).sum_rate
+                total = evaluate_rate_scheme("ul-sic", channels, cfg).sum_rate
                 assert per_user.sum() == pytest.approx(total, rel=1e-12)
                 # Per subcarrier too: the split SIC and DPC reports share.
-                gram = _gram(channels.matrices, cfg.powers)
+                gram = _gram(channels, cfg.powers)
                 np.testing.assert_allclose(
                     [
                         ul_sic_per_user_rates(
-                            SubcarrierChannels(channels.matrices[nu : nu + 1]),
+                            channels[nu : nu + 1],
                             ImpairedLinkConfig(cfg.powers[nu : nu + 1], evm, 0.4),
                             decode_order=order,
                         ).sum()
@@ -526,7 +545,7 @@ class TestSicPerUser:
                     _sic_gap(gram, cfg.kappa, 0.4),
                     rtol=1e-12,
                 )
-                dpc = dl_dpc_sum_rate(channels, cfg)
+                dpc = evaluate_rate_scheme("dl-dpc", channels, cfg)
                 assert dpc.per_user_rates.sum() == pytest.approx(dpc.sum_rate, rel=1e-12)
 
     def test_last_decoded_sees_no_interference_when_ideal(self):
@@ -534,7 +553,7 @@ class TestSicPerUser:
         channels = random_channels(rng, 1, 4, 3)
         cfg = ImpairedLinkConfig.uniform(3, 1, 1.5, 0.0, 0.3)
         per_user = ul_sic_per_user_rates(channels, cfg, decode_order=[0, 1, 2])
-        h_last = channels.matrices[0][:, 2]
+        h_last = channels[0][:, 2]
         expected = np.log2(1 + 1.5 * np.linalg.norm(h_last) ** 2 / 0.3)
         assert per_user[2] == pytest.approx(expected, rel=1e-12)
 
@@ -543,7 +562,7 @@ class TestSicPerUser:
         channels = random_channels(rng, 2, 3, 1)
         cfg = ImpairedLinkConfig.uniform(1, 2, 1.0, 0.2, 0.3)
         per_user = ul_sic_per_user_rates(channels, cfg)
-        lin = ul_linear_sum_rate(channels, cfg)
+        lin = evaluate_rate_scheme("ul-lin", channels, cfg)
         assert per_user[0] == pytest.approx(lin.sum_rate, rel=1e-10)
 
     def test_invalid_order_rejected(self):
@@ -566,7 +585,7 @@ class TestSicPerUser:
         rng = np.random.default_rng(antennas * users)
         channels = random_channels(rng, 6, antennas, users)
         powers = rng.uniform(0.2, 2.0, size=(3, users))
-        gram = _gram(channels.matrices.reshape(2, 3, antennas, users), powers)
+        gram = _gram(channels.reshape(2, 3, antennas, users), powers)
         for evm in (0.0, 0.02, 0.3):
             for noise in (1e-6, 1e-2, 1.0, 1e2) if users <= antennas else (1e-2, 1.0, 1e2):
                 kappa = 1.0 - evm**2
@@ -603,7 +622,7 @@ class TestCeiling:
         channels = random_channels(np.random.default_rng(31), 1, antennas, users)
         evm = 0.1
         cfg = ImpairedLinkConfig.uniform(users, 1, 1e8, evm, 1.0)
-        rate = ul_sic_sum_rate(channels, cfg).sum_rate
+        rate = evaluate_rate_scheme("ul-sic", channels, cfg).sum_rate
         ceiling = high_snr_ceiling(users, antennas, evm)
         assert ceiling == pytest.approx(antennas * np.log2(100.0), rel=1e-12)
         assert rate <= ceiling
@@ -651,9 +670,9 @@ class TestDownlinkLinear:
         assert sinr == pytest.approx(expected, rel=1e-12)
 
     def test_scalar_sum_rate(self):
-        h = SubcarrierChannels(np.full((1, 1, 1), 1.2 + 0j))
+        h = np.full((1, 1, 1), 1.2 + 0j)
         cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 0.5, total_power=4.0)
-        report = dl_linear_sum_rate(h, cfg)
+        report = evaluate_rate_scheme("dl-lin", h, cfg)
         assert report.sum_rate == pytest.approx(np.log2(1 + 4.0 * 1.2**2 / 0.5), rel=1e-12)
 
 
@@ -674,25 +693,25 @@ class TestLinearSchemesMatchScalarOracles:
         channels, cfg = self.instance(evm, antennas, users, subcarriers)
         rates = np.empty((subcarriers, users))
         for nu in range(subcarriers):
-            h, p = channels.matrices[nu], cfg.powers[nu]
+            h, p = channels[nu], cfg.powers[nu]
             for k in range(users):
                 w = mmse_combiner(h, p, cfg.kappa, cfg.noise_variance, k)
                 sinr = ul_linear_sinr(w, h, p, cfg.kappa, cfg.noise_variance, k)
                 rates[nu, k] = np.log2(1 + sinr)
-        report = ul_linear_sum_rate(channels, cfg)
+        report = evaluate_rate_scheme("ul-lin", channels, cfg)
         np.testing.assert_allclose(report.per_user_rates, rates.mean(axis=0), rtol=1e-10)
         assert report.sum_rate == pytest.approx(rates.sum(axis=1).mean(), rel=1e-10)
 
     def test_downlink_duality(self, evm, antennas, users, subcarriers):
         channels, cfg = self.instance(evm, antennas, users, subcarriers)
-        precoders = duality_precoders(channels, cfg)
+        precoders = _duality_precoders(channels, cfg)
         rates = np.empty((subcarriers, users))
         for nu in range(subcarriers):
-            h = channels.matrices[nu]
+            h = channels[nu]
             for k in range(users):
                 sinr = dl_linear_sinr(precoders[nu], h, k, cfg.kappa, cfg.noise_variance)
                 rates[nu, k] = np.log2(1 + sinr)
-        report = dl_linear_sum_rate(channels, cfg)
+        report = evaluate_rate_scheme("dl-lin", channels, cfg)
         np.testing.assert_allclose(report.per_user_rates, rates.mean(axis=0), rtol=1e-10)
         assert report.sum_rate == pytest.approx(rates.sum(axis=1).mean(), rel=1e-10)
 
@@ -702,8 +721,8 @@ class TestDuality:
         rng = np.random.default_rng(20)
         channels = random_channels(rng, 1, 4, 1)
         cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 0.3, total_power=2.0)
-        p = duality_precoders(channels, cfg)[0, :, 0]
-        h = channels.matrices[0][:, 0]
+        p = _duality_precoders(channels, cfg)[0, :, 0]
+        h = channels[0][:, 0]
         cos = abs(p.conj() @ h) / (np.linalg.norm(p) * np.linalg.norm(h))
         assert cos == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(p) ** 2 == pytest.approx(2.0, rel=1e-12)
@@ -712,7 +731,7 @@ class TestDuality:
         rng = np.random.default_rng(21)
         channels = random_channels(rng, 3, 4, 2)
         cfg = ImpairedLinkConfig.uniform(2, 3, 1.0, 0.1, 0.3, total_power=5.0)
-        precoders = duality_precoders(channels, cfg)
+        precoders = _duality_precoders(channels, cfg)
         assert np.sum(np.abs(precoders) ** 2) == pytest.approx(5.0, rel=1e-9)
 
     def test_orthogonal_channels_match_uplink_sinrs(self):
@@ -721,10 +740,9 @@ class TestDuality:
         h = np.zeros((1, 4, 2), dtype=complex)
         h[0, 0, 0] = 1.3
         h[0, 2, 1] = 0.7
-        channels = SubcarrierChannels(h)
         rho = 1.5
         cfg = ImpairedLinkConfig.uniform(2, 1, rho, 0.0, 0.3, total_power=2 * rho)
-        precoders = duality_precoders(channels, cfg)
+        precoders = _duality_precoders(h, cfg)
         for k in range(2):
             w = mmse_combiner(h[0], np.full(2, rho), 1.0, 0.3, k)
             ul = ul_linear_sinr(w, h[0], np.full(2, rho), 1.0, 0.3, k)
@@ -740,10 +758,10 @@ class TestDuality:
         channels = random_channels(rng, s, m, k)
         powers = rng.uniform(0.5, 2.0, size=(s, k))
         cfg = ImpairedLinkConfig(powers, 0.1, 0.3, total_power=4.0)
-        vectors = duality_precoders(channels, cfg)
+        vectors = _duality_precoders(channels, cfg)
         for nu in range(s):
             for user in range(k):
-                w = mmse_combiner(channels.matrices[nu], powers[nu], cfg.kappa, 0.3, user)
+                w = mmse_combiner(channels[nu], powers[nu], cfg.kappa, 0.3, user)
                 p = vectors[nu, :, user]
                 np.testing.assert_allclose(
                     p / np.linalg.norm(p), w / np.linalg.norm(w), rtol=0, atol=1e-10
@@ -797,8 +815,8 @@ class TestDpc:
         channels = random_channels(rng, 1, 4, 1)
         total = 2.5
         cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 0.3, total_power=total)
-        report = dl_dpc_sum_rate(channels, cfg)
-        norm2 = np.linalg.norm(channels.matrices[0]) ** 2
+        report = evaluate_rate_scheme("dl-dpc", channels, cfg)
+        norm2 = np.linalg.norm(channels[0]) ** 2
         assert report.sum_rate == pytest.approx(np.log2(1 + total * norm2 / 0.3), rel=1e-9)
 
     def test_at_least_uniform_allocation(self):
@@ -807,8 +825,8 @@ class TestDpc:
         total = 3.0
         cfg = ImpairedLinkConfig.uniform(2, 2, 1.0, 0.2, 0.4, total_power=total)
         uniform_cfg = ImpairedLinkConfig.uniform(2, 2, total / 4, 0.2, 0.4)
-        uniform_value = ul_sic_sum_rate(channels, uniform_cfg).sum_rate
-        assert dl_dpc_sum_rate(channels, cfg).sum_rate >= uniform_value - 1e-12
+        uniform_value = evaluate_rate_scheme("ul-sic", channels, uniform_cfg).sum_rate
+        assert evaluate_rate_scheme("dl-dpc", channels, cfg).sum_rate >= uniform_value - 1e-12
 
     def test_power_sweep_approaches_ceiling(self):
         rng = np.random.default_rng(25)
@@ -817,7 +835,7 @@ class TestDpc:
         previous = -1.0
         for total in 10.0 ** np.arange(0, 8):
             cfg = ImpairedLinkConfig.uniform(2, 1, 1.0, evm, 1.0, total_power=float(total))
-            value = dl_dpc_sum_rate(channels, cfg).sum_rate
+            value = evaluate_rate_scheme("dl-dpc", channels, cfg).sum_rate
             assert value >= previous - 1e-9
             previous = value
         ceiling = high_snr_ceiling(2, 4, evm)
@@ -832,8 +850,8 @@ class TestDpc:
             cfg = ImpairedLinkConfig.uniform(
                 k, s, 1.0, float(rng.uniform(0, 0.4)), 0.5, total_power=float(rng.uniform(1, 10))
             )
-            lin = dl_linear_sum_rate(channels, cfg).sum_rate
-            dpc = dl_dpc_sum_rate(channels, cfg).sum_rate
+            lin = evaluate_rate_scheme("dl-lin", channels, cfg).sum_rate
+            dpc = evaluate_rate_scheme("dl-dpc", channels, cfg).sum_rate
             assert dpc >= lin - 1e-10
 
     @pytest.mark.parametrize("users", [4, 16, 20])
@@ -849,7 +867,7 @@ class TestDpc:
         for evm in (0.0, 0.02, 0.3):
             for noise in (1e-6, 1e-3, 1.0, 1e2):
                 cfg = ImpairedLinkConfig.uniform(users, subcarriers, 1.0, evm, noise, total_power=total)
-                value = dl_dpc_sum_rate(channels, cfg).sum_rate
+                value = evaluate_rate_scheme("dl-dpc", channels, cfg).sum_rate
                 stopped = mm_dpc_oracle(channels, cfg)
                 assert value >= stopped - 1e-8 * abs(stopped), (evm, noise)
                 reference = mm_dpc_oracle(channels, cfg, gain_stop=None)
@@ -863,10 +881,10 @@ class TestDpc:
         # 55.582842265 while the ascent stays at 55.582837910. Unscaled, the
         # case passes only because the oracle stalls at the same point.
         rng = np.random.default_rng(100 * 20 + 8)
-        channels = SubcarrierChannels(random_channels(rng, 8, 16, 20).matrices * (1.0 + 1e-15))
+        channels = random_channels(rng, 8, 16, 20) * (1.0 + 1e-15)
         cfg = ImpairedLinkConfig.uniform(20, 8, 1.0, 0.3, 1e-6, total_power=160.0)
         reference = mm_dpc_oracle(channels, cfg, gain_stop=None)
-        assert dl_dpc_sum_rate(channels, cfg).sum_rate >= reference - 1e-8 * abs(reference)
+        assert evaluate_rate_scheme("dl-dpc", channels, cfg).sum_rate >= reference - 1e-8 * abs(reference)
 
     def test_reaches_the_optimum_at_high_snr_with_strong_distortion(self):
         # K = M, sigma^2 = 1e-6, EVM 0.3: a projected gradient ascent with a
@@ -876,7 +894,7 @@ class TestDpc:
         cfg = ImpairedLinkConfig.uniform(16, 1, 1.0, 0.3, 1e-6, total_power=16.0)
         reference = mm_dpc_oracle(channels, cfg, gain_stop=None)
         assert reference == pytest.approx(55.58256492, rel=1e-9)
-        assert dl_dpc_sum_rate(channels, cfg).sum_rate == pytest.approx(reference, rel=1e-8)
+        assert evaluate_rate_scheme("dl-dpc", channels, cfg).sum_rate == pytest.approx(reference, rel=1e-8)
 
     def test_more_users_than_antennas(self):
         rng = np.random.default_rng(29)
@@ -884,11 +902,11 @@ class TestDpc:
         channels = random_channels(rng, s, m, k)
         total = float(s * k)
         cfg = ImpairedLinkConfig.uniform(k, s, 1.0, evm, 1.0, total_power=total)
-        report = dl_dpc_sum_rate(channels, cfg)
+        report = evaluate_rate_scheme("dl-dpc", channels, cfg)
         assert report.per_user_rates.sum() == pytest.approx(report.sum_rate, rel=0, abs=1e-12)
         uniform_cfg = ImpairedLinkConfig.uniform(k, s, total / (s * k), evm, 1.0)
-        assert report.sum_rate >= ul_sic_sum_rate(channels, uniform_cfg).sum_rate - 1e-12
-        lin = dl_linear_sum_rate(channels, cfg).sum_rate
+        assert report.sum_rate >= evaluate_rate_scheme("ul-sic", channels, uniform_cfg).sum_rate - 1e-12
+        lin = evaluate_rate_scheme("dl-lin", channels, cfg).sum_rate
         assert report.sum_rate >= lin - 1e-10
 
     @pytest.mark.parametrize("evm", [0.02, 0.1])
@@ -897,26 +915,26 @@ class TestDpc:
         config = spec.link_config(10, 50, evm)
         for channels in instances:
             expected_sum, _ = budget_start_dpc(channels, config)
-            full = dl_dpc_sum_rate(channels, config)
+            full = evaluate_rate_scheme("dl-dpc", channels, config)
             assert full.sum_rate >= expected_sum
             assert full.per_user_rates.sum() == pytest.approx(full.sum_rate, rel=0, abs=1e-12)
-            summary = dl_dpc_sum_rate(channels, config, include_user_rates=False)
+            summary = evaluate_rate_scheme("dl-dpc", channels, config, summary_only=True)
             assert summary.sum_rate == full.sum_rate
             assert summary.per_user_rates is None
 
     @pytest.mark.parametrize("evm", [0.02, 0.1])
-    @pytest.mark.parametrize("include_user_rates", [False, True])
+    @pytest.mark.parametrize("user_rates", [False, True])
     def test_fewer_objective_evaluations_than_budget_start(
-        self, workload_dpc_channels, sic_gap_calls, evm, include_user_rates
+        self, workload_dpc_channels, sic_gap_calls, evm, user_rates
     ):
         spec, instances = workload_dpc_channels
         config = spec.link_config(10, 50, evm)
         for channels in instances:
             sic_gap_calls["calls"] = 0
-            budget_start_dpc(channels, config, include_user_rates)
+            budget_start_dpc(channels, config, user_rates)
             before = sic_gap_calls["calls"]
             sic_gap_calls["calls"] = 0
-            dl_dpc_sum_rate(channels, config, include_user_rates=include_user_rates)
+            evaluate_rate_scheme("dl-dpc", channels, config, summary_only=not user_rates)
             assert sic_gap_calls["calls"] <= before - 12, (before, sic_gap_calls["calls"])
 
     def test_few_objective_evaluations_on_workload_channels(self, workload_dpc_channels, sic_gap_calls):
@@ -924,7 +942,7 @@ class TestDpc:
         config = spec.link_config(10, 50, spec.evms[0])
         for channels in instances:
             sic_gap_calls["calls"] = 0
-            dl_dpc_sum_rate(channels, config, include_user_rates=False)
+            evaluate_rate_scheme("dl-dpc", channels, config, summary_only=True)
             assert sic_gap_calls["calls"] <= 12
 
     def test_single_user_single_subcarrier_stops_at_once(self, sic_gap_calls):
@@ -933,16 +951,16 @@ class TestDpc:
         rng = np.random.default_rng(23)
         channels = random_channels(rng, 1, 4, 1)
         cfg = ImpairedLinkConfig.uniform(1, 1, 1.0, 0.1, 0.3, total_power=2.5)
-        report = dl_dpc_sum_rate(channels, cfg)
+        report = evaluate_rate_scheme("dl-dpc", channels, cfg)
         assert sic_gap_calls["calls"] == 1
-        whole_budget = _gram(channels.matrices, np.full((1, 1), 2.5))
+        whole_budget = _gram(channels, np.full((1, 1), 2.5))
         assert report.sum_rate == _sic_gap(whole_budget, cfg.kappa, 0.3)[0]
 
     def test_all_zero_channels_give_zero_rate(self):
         # Zero gradient and zero curvature: the step stays finite and moves nothing.
-        channels = SubcarrierChannels(np.zeros((3, 4, 2), dtype=complex))
+        channels = np.zeros((3, 4, 2), dtype=complex)
         cfg = ImpairedLinkConfig.uniform(2, 3, 1.0, 0.02, 1.0, total_power=6.0)
-        report = dl_dpc_sum_rate(channels, cfg)
+        report = evaluate_rate_scheme("dl-dpc", channels, cfg)
         assert report.sum_rate == 0.0
         assert np.array_equal(report.per_user_rates, np.zeros(2))
 
@@ -954,8 +972,8 @@ class TestDpc:
             cfg = ImpairedLinkConfig.uniform(3, 4, 1.0, evm, 0.5, total_power=12.0)
             cases.append((random_channels(rng, 4, 6, 3), cfg))
         for channels, cfg in cases:
-            full = dl_dpc_sum_rate(channels, cfg).sum_rate
-            assert dl_dpc_sum_rate(channels, cfg, include_user_rates=False).sum_rate == full
+            full = evaluate_rate_scheme("dl-dpc", channels, cfg).sum_rate
+            assert evaluate_rate_scheme("dl-dpc", channels, cfg, summary_only=True).sum_rate == full
 
     def test_rejects_nonpositive_budget(self):
         rng = np.random.default_rng(27)
@@ -963,7 +981,7 @@ class TestDpc:
         with pytest.raises(ValueError):
             ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 1.0, total_power=0.0)
         with pytest.raises(ValueError):
-            dl_dpc_sum_rate(channels, ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 1.0))
+            evaluate_rate_scheme("dl-dpc", channels, ImpairedLinkConfig.uniform(1, 1, 1.0, 0.0, 1.0))
 
 
 class TestGramProducts:
