@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -21,6 +21,7 @@ from .channels import (
     OfdmGrid,
     ScenarioConfig,
     UserPaths,
+    channel_model_floats,
     sample_user_positions,
     subcarrier_channels,
     synthesize_paths,
@@ -95,14 +96,15 @@ class ExperimentSpec:
 
     Each field declares its config key once, through `_key`: the dotted
     `section.key` name that `mamimo.config` parses and emits, the default,
-    and, outside the `scenario` section, the range check that `validate`
-    applies. The `scenario.*` fields are checked by the `ScenarioConfig`
-    that `scenario()` builds from them. Fields carry the units of the config
-    file (GHz, kHz, pW, mW/MHz) so the manifest round-trips exactly; SI
-    values are derived through the builder methods. The defaults
-    are those of an empty config file: the headline simulation parameters
-    with the paper's swarm (`PsoConfig`'s defaults: 150 particles, 100
-    iterations) and 20 realizations.
+    and, outside the `scenario` section, the range check that `__post_init__`
+    applies, so a spec that exists is a valid one, including one that
+    `dataclasses.replace` makes. The `scenario.*` fields are checked by the
+    `ScenarioConfig` that `scenario()` builds from them. Fields carry the
+    units of the config file (GHz, kHz, pW, mW/MHz) so the manifest
+    round-trips exactly; SI values are derived through the builder methods.
+    The defaults are those of an empty config file: the headline simulation
+    parameters with the paper's swarm (`PsoConfig`'s defaults: 150
+    particles, 100 iterations) and 20 realizations.
     """
 
     scenario_kind: str = _key("scenario.kind", LOS_DOMINANT)
@@ -145,10 +147,6 @@ class ExperimentSpec:
     optimize_scheme: str | None = _key("rates.optimize_scheme", None, _one_of(RATE_SCHEMES))
     pso_particles: int = _key("pso.particles", PsoConfig.particle_count, _AT_LEAST_ONE)
     pso_iterations: int = _key("pso.iterations", PsoConfig.max_iterations, _NONNEGATIVE)
-    pso_inertia: float = _key("pso.inertia", PsoConfig.inertia, _NONNEGATIVE)
-    pso_cognitive: float = _key("pso.cognitive", PsoConfig.cognitive, _NONNEGATIVE)
-    pso_social: float = _key("pso.social", PsoConfig.social, _NONNEGATIVE)
-    pso_velocity_clamp: float = _key("pso.velocity_clamp", PsoConfig.velocity_clamp, _NONNEGATIVE)
     pso_penalty_weight: float = _key("pso.penalty_weight", PENALTY_WEIGHT, _NONNEGATIVE)
     realizations: int = _key("campaign.realizations", 20, _AT_LEAST_ONE)
     user_counts: tuple[int, ...] = _key("campaign.user_counts", (10,), _AT_LEAST_ONE, swept=True)
@@ -156,13 +154,14 @@ class ExperimentSpec:
     fdd_eval_carriers_ghz: tuple[float, ...] = _key("campaign.fdd_eval_carriers_ghz", (), _POSITIVE)
     cross_pairs: tuple[tuple[str, str], ...] = _key("campaign.cross_pairs", (), _RATE_PAIR)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check the `scenario.*` keys by building their `ScenarioConfig`,
         then each field against its declaration (finite, in range, a sweep
-        list non-empty, list entries distinct), then that no FDD carrier, its
-        wavelength or the subcarrier spacing overflows in Hz, and that the FIR
-        pulse matrices and the channel model's subcarrier weights fit in
-        1 GiB. Every error names the config key."""
+        list non-empty, list entries distinct), then that the spec yields
+        rows, that no FDD carrier, its wavelength or the subcarrier spacing
+        overflows in Hz, and that the FIR pulse matrices and the channel
+        model's subcarrier weights fit in 1 GiB. Every error names the
+        config key."""
         scenario = self.scenario()
         for f in fields(self):
             key, check = f.metadata["key"], f.metadata["check"]
@@ -183,6 +182,12 @@ class ExperimentSpec:
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise ValueError(f"{key} entries must be distinct, got {v!r} twice")
+        if (self.array_schemes == (ZERO_INTERFERENCE,) and not self.cross_pairs
+                and not self.fdd_eval_carriers_ghz and not {UL_LIN, UL_SIC} & set(self.rate_schemes)):
+            raise ValueError(
+                "arrays.schemes and rates.schemes yield no rows: the zero-interference bound alone "
+                "has rows only for ul-lin and ul-sic, and there are no cross pairs or FDD carriers"
+            )
         for hz in (c * 1e9 for c in self.fdd_eval_carriers_ghz):
             if not math.isfinite(hz):
                 raise ValueError(f"campaign.fdd_eval_carriers_ghz overflows in Hz, got {hz!r}")
@@ -190,20 +195,9 @@ class ExperimentSpec:
                 raise ValueError(f"campaign.fdd_eval_carriers_ghz: the wavelength overflows at {hz!r} Hz")
         if not math.isfinite(self.subcarrier_spacing_hz):
             raise ValueError(f"grid.spacing_khz overflows in Hz, got {self.subcarrier_spacing_hz!r}")
-        # K users x N paths x (T + 1) taps of FIR pulses, plus the model's stored
-        # complex weights, K x N x S, bounded in floats so an infinite bound is rejected.
-        height = scenario.bs_height_m - scenario.user_height_m
-        spread = (scenario.delay_stretch * math.hypot(scenario.r_max_m, height)
-                  - math.hypot(scenario.r_min_m, height)) / SPEED_OF_LIGHT
-        paths = (1 + self.cluster_count * self.paths_per_cluster if self.scenario_kind == LOS_DOMINANT
-                 else self.rich_cluster_count * self.rich_paths_per_cluster)
-        try:
-            subcarriers = max(self.subcarrier_counts)
-            taps = np.ceil(subcarriers * self.subcarrier_spacing_hz * spread)
-            floats = max(self.user_counts) * paths * (taps + 1 + 2 * subcarriers)
-        except OverflowError:  # a count beyond the float range
-            floats = math.inf
-        if not floats <= 2**27:  # 1 GiB of float64
+        grid = self.grid(max(self.subcarrier_counts))
+        floats = channel_model_floats(scenario, max(self.user_counts), grid)
+        if not floats <= 2**27:  # 1 GiB of float64, so an infinite bound is rejected
             raise ValueError(
                 "scenario.delay_stretch, scenario.r_max_m, grid.subcarrier_counts, grid.spacing_khz and "
                 "campaign.user_counts: the FIR pulse matrices and subcarrier weights need up to "
@@ -240,16 +234,6 @@ class ExperimentSpec:
 
     def grid(self, subcarriers: int) -> OfdmGrid:
         return OfdmGrid(subcarriers, self.subcarrier_spacing_hz)
-
-    def pso_config(self) -> PsoConfig:
-        return PsoConfig(
-            particle_count=self.pso_particles,
-            max_iterations=self.pso_iterations,
-            inertia=self.pso_inertia,
-            cognitive=self.pso_cognitive,
-            social=self.pso_social,
-            velocity_clamp=self.pso_velocity_clamp,
-        )
 
     def link_config(self, user_count: int, subcarriers: int, evm: float) -> ImpairedLinkConfig:
         return ImpairedLinkConfig.uniform(
@@ -382,7 +366,7 @@ def run_swarm(
         objective,
         regions,
         lam,
-        replace(spec.pso_config(), seed=seed),
+        PsoConfig(spec.pso_particles, spec.pso_iterations, seed),
         [fixed[STAGGERED_URA], fixed[SPARSE_UPA], fixed[COMPACT_UPA]],
     )
     key = f"r{index:04d}_k{users}_s{subcarriers}_evm{evm:g}_{scheme}"
@@ -479,7 +463,6 @@ def run_realization(spec: ExperimentSpec, index: int) -> CampaignResult:
 
 def run_campaign(spec: ExperimentSpec, workers: int = 1) -> CampaignResult:
     """Run all realizations; results are identical for any worker count."""
-    spec.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     indices = range(spec.realizations)

@@ -281,6 +281,24 @@ def sync_and_tap_count(paths: Sequence[UserPaths], grid: OfdmGrid) -> tuple[floa
     return eta, int(taps)
 
 
+def channel_model_floats(scenario: ScenarioConfig, users: int, grid: OfdmGrid) -> float:
+    """Upper bound, in floats, on the storage of a realization's channel model:
+    K users x N paths x (T + 1) taps of FIR pulses, plus the stored complex
+    weights, K x N x S. N is the path count of :func:`synthesize_paths`, and
+    T the tap count of :func:`sync_and_tap_count` at the widest delay spread
+    the scenario can draw. A count beyond the float range gives infinity."""
+    height = scenario.bs_height_m - scenario.user_height_m
+    spread = (scenario.delay_stretch * math.hypot(scenario.r_max_m, height)
+              - math.hypot(scenario.r_min_m, height)) / SPEED_OF_LIGHT
+    paths = (1 + scenario.cluster_count * scenario.paths_per_cluster if scenario.kind == LOS_DOMINANT
+             else scenario.rich_cluster_count * scenario.rich_paths_per_cluster)
+    try:
+        taps = np.ceil(grid.subcarrier_count * grid.subcarrier_spacing * spread)
+        return users * paths * (taps + 1 + 2 * grid.subcarrier_count)
+    except OverflowError:
+        return math.inf
+
+
 def _carrier_phase(delays: np.ndarray, eta: float, wavelength: float) -> np.ndarray:
     """Carrier rotation accumulated by the excess propagation delay."""
     return np.exp(-2j * np.pi * SPEED_OF_LIGHT * (delays - eta) / wavelength)

@@ -25,8 +25,8 @@ class ConfigError(ValueError):
 
 
 def _float(v: Any) -> float:
-    """Type check only: `ExperimentSpec.validate` rejects NaN and infinities,
-    so parsed and Python-built specs fail alike, naming the key."""
+    """Type check only: building an `ExperimentSpec` rejects NaN and
+    infinities, so parsed and Python-built specs fail alike, naming the key."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"expected a number, got {v!r}")
     try:
@@ -138,12 +138,10 @@ def parse_config_dict(data: dict | None, overrides: dict[str, Any] | None = None
                 raise ConfigError(f"{section}.{key}: {exc}") from None
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    spec = ExperimentSpec(**fields)
     try:
-        spec.validate()
+        return ExperimentSpec(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return spec
 
 
 def parse_config(path: str | Path | None, overrides: dict[str, Any] | None = None) -> ExperimentSpec:

@@ -265,5 +265,8 @@ def load_layout(path: str | Path) -> ArrayLayout:
     if wavelength is None:
         raise ValueError("wavelength not found in file header")
     rows.sort(key=lambda r: r[0])
+    indices = [r[0] for r in rows]
+    if indices != list(range(len(rows))):
+        raise ValueError(f"{path}: antenna indices must be 0 to {len(rows) - 1} once each, got {indices}")
     positions = np.array([[x, y, z] for _, x, y, z in rows])
     return ArrayLayout(positions, wavelength)

@@ -7,7 +7,6 @@ the objective and the best penalty-free placement seen is the one returned.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -32,20 +31,22 @@ PENALTY_WEIGHT = 1e3
 # channels in chunks of at most this many bytes (at least one layout each).
 # Unchunked, 150 layouts at S=50, M=16 and K=10 would hold 19 MB.
 _CHUNK_BYTES = 64 * 1024
+# Clerc and Kennedy's constriction constants ("The particle swarm - explosion,
+# stability, and convergence in a multidimensional complex space", IEEE TEVC
+# 2002): inertia and acceleration coefficients. Velocities are clamped per
+# coordinate to a fraction of the region side.
+_INERTIA = 0.7298
+_COGNITIVE = _SOCIAL = 1.4962
+_VELOCITY_CLAMP = 0.5
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters. The inertia/coefficient defaults are the
-    standard constriction values; velocities are clamped per coordinate to a
-    fraction of the region side."""
+    """Swarm size, round count and random seed; the velocity update uses the
+    constriction constants above."""
 
     particle_count: int = 150
     max_iterations: int = 100
-    inertia: float = 0.7298
-    cognitive: float = 1.4962
-    social: float = 1.4962
-    velocity_clamp: float = 0.5
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -53,10 +54,6 @@ class PsoConfig:
             raise ValueError(f"particle_count must be >= 1, got {self.particle_count!r}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
-        for name in ("inertia", "cognitive", "social", "velocity_clamp"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +140,7 @@ def pso_optimize(
 
     lo, hi = _region_bounds(regions)
     sides = np.array([[r.side, r.side] for r in regions])
-    vmax = config.velocity_clamp * sides
+    vmax = _VELOCITY_CLAMP * sides
 
     positions = lo + rng.uniform(size=(n, m, 2)) * (hi - lo)
     slot = 0
@@ -170,9 +167,9 @@ def pso_optimize(
             r_cog = rng.uniform(size=(n, m, 2))
             r_soc = rng.uniform(size=(n, m, 2))
             velocities = (
-                config.inertia * velocities
-                + config.cognitive * r_cog * (pbest_pos - positions)
-                + config.social * r_soc * (gbest_pos[None] - positions)
+                _INERTIA * velocities
+                + _COGNITIVE * r_cog * (pbest_pos - positions)
+                + _SOCIAL * r_soc * (gbest_pos[None] - positions)
             )
             velocities = np.clip(velocities, -vmax, vmax)
             positions = np.clip(positions + velocities, lo, hi)

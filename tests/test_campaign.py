@@ -48,13 +48,14 @@ def tiny_spec(**overrides):
 
 
 def non_finite_specs():
-    """(dotted key, spec) with NaN, +inf or -inf in each float or float-list
-    field, one field at a time; new keys are covered as they are declared."""
+    """(dotted key, spec keyword arguments) with NaN, +inf or -inf in each
+    float or float-list field, one field at a time; new keys are covered as
+    they are declared."""
     for f in dataclasses.fields(ExperimentSpec):
         if f.type in ("float", "tuple[float, ...]"):
             for bad in (math.nan, math.inf, -math.inf):
                 value = (bad,) if f.type.startswith("tuple") else bad
-                yield f.metadata["key"], tiny_spec(**{f.name: value})
+                yield f.metadata["key"], {f.name: value}
 
 
 @pytest.fixture(scope="module")
@@ -483,13 +484,33 @@ class TestCampaign:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            tiny_spec(realizations=0).validate()
+            tiny_spec(realizations=0)
         with pytest.raises(ValueError):
-            tiny_spec(rate_schemes=()).validate()
+            tiny_spec(rate_schemes=())
         with pytest.raises(ValueError):
-            tiny_spec(rate_schemes=("ul-zf",)).validate()
+            tiny_spec(rate_schemes=("ul-zf",))
         with pytest.raises(ValueError):
-            tiny_spec(evms=(1.0,)).validate()
+            tiny_spec(evms=(1.0,))
+
+    def test_replace_checks_the_new_spec(self):
+        # A spec used to be checked only by parse_config and run_campaign:
+        # run_realization on this one returned two identical rows per array.
+        with pytest.raises(ValueError, match=r"campaign\.user_counts entries must be distinct"):
+            dataclasses.replace(tiny_spec(), user_counts=(3, 3))
+        with pytest.raises(ValueError, match=r"rates\.schemes must be non-empty"):
+            dataclasses.replace(tiny_spec(), rate_schemes=())
+
+    def test_spec_without_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"arrays\.schemes and rates\.schemes yield no rows"):
+            tiny_spec(array_schemes=("zero-interference",), rate_schemes=("dl-lin", "dl-dpc"))
+        # The bound has uplink rows, and cross pairs and FDD carriers add movable rows.
+        for overrides in (
+            {"rate_schemes": ("dl-lin", "ul-lin")},
+            {"rate_schemes": ("dl-lin",), "cross_pairs": (("ul-sic", "dl-lin"),)},
+            {"rate_schemes": ("dl-lin",), "fdd_eval_carriers_ghz": (3.5,)},
+        ):
+            spec = tiny_spec(array_schemes=("zero-interference",), realizations=1, **overrides)
+            assert run_campaign(spec).rows
 
     @pytest.mark.parametrize(
         "overrides", [{"delay_stretch": 1e8}, {"r_max_m": 1e9}, {"user_counts": (10**400,)}]
@@ -502,7 +523,7 @@ class TestCampaign:
         keys = ("scenario.delay_stretch", "scenario.r_max_m", "grid.subcarrier_counts",
                 "grid.spacing_khz", "campaign.user_counts")
         with pytest.raises(ValueError, match="over 1 GiB") as error:
-            ExperimentSpec(**overrides).validate()
+            ExperimentSpec(**overrides)
         assert all(key in str(error.value) for key in keys)
 
     def test_stored_subcarrier_weights_beyond_memory_rejected(self):
@@ -510,25 +531,25 @@ class TestCampaign:
         # the channel model also stores 2 x 10 users x 121 paths x S = 159 M
         # floats of subcarrier weights.
         with pytest.raises(ValueError, match="over 1 GiB") as error:
-            ExperimentSpec(subcarrier_counts=(65536,)).validate()
+            ExperimentSpec(subcarrier_counts=(65536,))
         assert "grid.subcarrier_counts" in str(error.value)
 
     def test_non_finite_floats_name_the_key(self):
         checked = 0
-        for key, spec in non_finite_specs():
+        for key, overrides in non_finite_specs():
             with pytest.raises(ValueError, match=f"{re.escape(key)}: expected a finite number"):
-                spec.validate()
+                tiny_spec(**overrides)
             checked += 1
-        assert checked >= 3 * 27  # 25 float keys and 2 float lists
+        assert checked >= 3 * 23  # 21 float keys and 2 float lists
 
     def test_non_finite_floats_stop_the_campaign_before_any_realization(self, monkeypatch):
         def realization_ran(*args):
             raise AssertionError("a realization ran")
 
         monkeypatch.setattr(mamimo.campaign, "run_realization", realization_ran)
-        for key, spec in non_finite_specs():
+        for key, overrides in non_finite_specs():
             with pytest.raises(ValueError, match=re.escape(key)):
-                run_campaign(spec)
+                run_campaign(tiny_spec(**overrides))
 
     def test_worker_count_below_one_rejected(self):
         for workers in (0, -1):

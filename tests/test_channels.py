@@ -238,8 +238,8 @@ class TestScenarioConfig:
                     replace(DEFAULT_SCENARIO, **{name: bad})
 
     def test_spec_boundaries_still_build(self):
-        # Every boundary value that ExperimentSpec.validate accepts still
-        # builds a scenario.
+        # Every boundary value that an ExperimentSpec accepts still builds a
+        # scenario.
         spec = ExperimentSpec(
             cluster_count=1,
             paths_per_cluster=1,
@@ -254,7 +254,6 @@ class TestScenarioConfig:
             bs_height_m=1.25,
             rice_factor_db=-30.0,
         )
-        spec.validate()
         for kind in SCENARIO_KINDS:
             scenario = replace(spec, scenario_kind=kind).scenario()
             rng = np.random.default_rng(3)

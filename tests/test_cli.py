@@ -15,7 +15,10 @@ from mamimo.config import (
 from mamimo.campaign import ExperimentSpec
 from mamimo.geometry import load_layout
 
-PSO_COEFFICIENTS = ("inertia", "cognitive", "social", "velocity_clamp", "penalty_weight")
+PSO_COEFFICIENTS = ("penalty_weight",)
+# Swarm keys that a manifest written before the constriction coefficients
+# became constants still names.
+REMOVED_PSO_KEYS = ("inertia", "cognitive", "social", "velocity_clamp")
 SCENARIO_COUNTS = ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster")
 SCENARIO_SPREADS = ("cluster_azimuth_spread_deg", "cluster_elevation_spread_deg", "path_angle_spread_deg")
 # Scenario values each rejected alone; azimuth_min_rad = 2 exceeds the default
@@ -98,6 +101,10 @@ CONFIG_INPUTS = {
                            "'grid.subcarrier_counts=[1,2'"),
     "set-without-equals": (None, None, ["grid.spacing_khz"], 1, "'grid.spacing_khz'"),
     "set-without-dot": (None, None, ["grid=5"], 1, "'grid=5'"),
+    # The bound alone has uplink rows only; simulate used to exit 2 after
+    # writing the manifest and both tables.
+    "no-rows": (None, None, ["arrays.schemes=[zero-interference]", "rates.schemes=[dl-lin]",
+                             "campaign.realizations=1"], 1, "arrays.schemes and rates.schemes"),
 }
 
 TINY = {
@@ -143,6 +150,7 @@ class TestParseConfig:
                         "nlos_pathloss_slope_db": 38.0,
                     },
                     "campaign": {"paper_scale": True},
+                    "pso": {"particles": 5, **{key: 1.0 for key in REMOVED_PSO_KEYS}},
                     "turbo": {"x": 2},
                     "warp": 9,
                 },
@@ -159,8 +167,10 @@ class TestParseConfig:
             "rates.zork",
             "warp",
             "flux",
+            *(f"pso.{key}" for key in REMOVED_PSO_KEYS),
         ):
             assert name in message
+        assert "pso.particles" not in message
 
     def test_out_of_range_names_constraint(self):
         with pytest.raises(ConfigError, match="noise_pw"):

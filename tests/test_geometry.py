@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,4 +248,13 @@ class TestSerialization:
         path = tmp_path / "bare.txt"
         path.write_text("0 0.0 1.0 2.0\n")
         with pytest.raises(ValueError):
+            load_layout(path)
+
+    @pytest.mark.parametrize("indices", [(0, 0, 5), (0, 2), (1, 2)])
+    def test_indices_must_number_each_antenna_once(self, tmp_path, indices):
+        # Indices 0, 0, 5 used to load as a 3-antenna layout.
+        path = tmp_path / "layout.txt"
+        lines = [f"# wavelength_m = {LAM!r}"] + [f"{i} 0.0 {0.1 * i} 0.0" for i in indices]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(sorted(indices)))):
             load_layout(path)
