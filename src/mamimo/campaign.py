@@ -11,8 +11,9 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -90,21 +91,74 @@ def _key(name: str, default, check=None, swept: bool = False):
     return field(default=default, metadata={"key": name, "check": check, "swept": swept})
 
 
+def _float(v: Any) -> float:
+    """Type check only: the range checks reject NaN and infinities."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
+def _int(v: Any) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _str(v: Any) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
+def _opt_str(v: Any) -> str | None:
+    return None if v is None else _str(v)
+
+
+def _tuple_of(convert):
+    def convert_list(v: Any) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ValueError(f"expected a list, got {v!r}")
+        return tuple(convert(x) for x in v)
+    return convert_list
+
+
+def _pair(v: Any) -> tuple[str, str]:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"cross pair {v!r} must have exactly two entries")
+    return (_str(v[0]), _str(v[1]))
+
+
+# spec field annotation -> converter of a raw value (a config entry or a Python argument)
+_CONVERTERS = {
+    "float": _float,
+    "int": _int,
+    "str": _str,
+    "str | None": _opt_str,
+    "tuple[float, ...]": _tuple_of(_float),
+    "tuple[int, ...]": _tuple_of(_int),
+    "tuple[str, ...]": _tuple_of(_str),
+    "tuple[tuple[str, str], ...]": _tuple_of(_pair),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Fully resolved campaign description, and the config-file schema.
 
     Each field declares its config key once, through `_key`: the dotted
-    `section.key` name that `mamimo.config` parses and emits, the default,
-    and, outside the `scenario` section, the range check that `__post_init__`
-    applies, so a spec that exists is a valid one, including one that
-    `dataclasses.replace` makes. The `scenario.*` fields are checked by the
-    `ScenarioConfig` that `scenario()` builds from them. Fields carry the
-    units of the config file (GHz, kHz, pW, mW/MHz) so the manifest
-    round-trips exactly; SI values are derived through the builder methods.
-    The defaults are those of an empty config file: the headline simulation
-    parameters with the paper's swarm (`PsoConfig`'s defaults: 150
-    particles, 100 iterations) and 20 realizations.
+    `section.key` name that `mamimo.config` parses and emits, the default and,
+    outside the `scenario` section, the range check. `__post_init__` converts
+    each value by its annotation before any check, so a spec built in Python, by
+    `dataclasses.replace` or from a file is the same for the same values, and a
+    spec that exists is valid; the `ScenarioConfig` that `scenario()` builds
+    checks the `scenario.*` fields. Fields carry the units of the config file
+    (GHz, kHz, pW, mW/MHz) so the manifest round-trips exactly; SI values are
+    derived through the builder methods. The defaults are those of an empty
+    config file: the headline simulation parameters with the paper's swarm
+    (`PsoConfig`'s defaults: 150 particles, 100 iterations) and 20 realizations.
     """
 
     scenario_kind: str = _key("scenario.kind", LOS_DOMINANT)
@@ -155,24 +209,29 @@ class ExperimentSpec:
     cross_pairs: tuple[tuple[str, str], ...] = _key("campaign.cross_pairs", (), _RATE_PAIR)
 
     def __post_init__(self) -> None:
-        """Check the `scenario.*` keys by building their `ScenarioConfig`,
-        then each field against its declaration (finite, in range, a sweep
-        list non-empty, list entries distinct), then that the spec yields
-        rows, that no FDD carrier, its wavelength or the subcarrier spacing
-        overflows in Hz, and that the FIR pulse matrices and the channel
-        model's subcarrier weights fit in 1 GiB. Every error names the
-        config key."""
+        """Convert each field by its annotation (a number to a float, a list to
+        a tuple), then check the `scenario.*` keys through their `ScenarioConfig`,
+        then each field against its declaration (finite, in range, a sweep list
+        non-empty, list entries distinct), then that the spec yields rows, that
+        no FDD carrier, its wavelength or the subcarrier spacing overflows in
+        Hz, and that the FIR pulse matrices and the channel model's subcarrier
+        weights fit in 1 GiB. Each error names its config key."""
+        for f in fields(self):
+            try:
+                object.__setattr__(self, f.name, _FIELD_CONVERTERS[f.name](getattr(self, f.name)))
+            except ValueError as exc:
+                raise ValueError(f"{f.metadata['key']}: {exc}") from None
         scenario = self.scenario()
         for f in fields(self):
             key, check = f.metadata["key"], f.metadata["check"]
-            is_list = f.type.startswith("tuple")
-            values = getattr(self, f.name) if is_list else (getattr(self, f.name),)
+            value = getattr(self, f.name)
+            is_list = isinstance(value, tuple)
+            values = value if is_list else (value,)
             if f.metadata["swept"] and not values:
                 raise ValueError(f"{key} must be non-empty")
-            if f.type in ("float", "tuple[float, ...]"):
-                for v in values:
-                    if not math.isfinite(v):
-                        raise ValueError(f"{key}: expected a finite number, got {v!r}")
+            for v in values:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{key}: expected a finite number, got {v!r}")
             if check is not None:
                 ok, text = check
                 for v in values:
@@ -247,6 +306,10 @@ class ExperimentSpec:
 
     def resolved_optimize_scheme(self) -> str:
         return self.optimize_scheme or self.rate_schemes[0]
+
+
+# spec field name -> converter of its annotation; an annotation without one fails at import
+_FIELD_CONVERTERS = {f.name: _CONVERTERS[f.type] for f in fields(ExperimentSpec)}
 
 
 @dataclass(frozen=True)
@@ -491,16 +554,11 @@ def empirical_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
-def _series_key(row: ResultRow) -> tuple:
-    return (
-        row.array_scheme,
-        row.rate_scheme,
-        row.optimized_for or "",
-        row.subcarriers,
-        row.evm,
-        row.users,
-        row.carrier_ghz,
-    )
+# the `ResultRow` fields that name a data series, in column and sort order
+_SERIES_FIELDS = (
+    "array_scheme", "rate_scheme", "optimized_for", "subcarriers", "evm", "users", "carrier_ghz"
+)
+_series_key = attrgetter(*_SERIES_FIELDS)
 
 
 def aggregate(rows: Sequence[ResultRow]) -> dict:
@@ -517,19 +575,14 @@ def aggregate(rows: Sequence[ResultRow]) -> dict:
     for row in rows:
         groups.setdefault(_series_key(row), {}).setdefault(row.realization, row)
     series = []
-    for key in sorted(groups):
+    # None (`optimized_for` of an unoptimized row) sorts as ""
+    for key in sorted(groups, key=lambda k: ["" if v is None else v for v in k]):
         members = [groups[key][i] for i in sorted(groups[key])]
         sums = [r.sum_rate for r in members]
         user_rates = np.array([r.per_user_rates for r in members])
         series.append(
             {
-                "array_scheme": key[0],
-                "rate_scheme": key[1],
-                "optimized_for": key[2] or None,
-                "subcarriers": key[3],
-                "evm": key[4],
-                "users": key[5],
-                "carrier_ghz": key[6],
+                **dict(zip(_SERIES_FIELDS, key)),
                 "realizations": len(members),
                 "mean_sum_rate": float(np.mean(sums)),
                 "mean_user_rates": [float(v) for v in user_rates.mean(axis=0)],
@@ -539,13 +592,15 @@ def aggregate(rows: Sequence[ResultRow]) -> dict:
     return {"series": series}
 
 
-_KEY_HEADER = "realization,array_scheme,rate_scheme,optimized_for,subcarriers,evm,users,carrier_ghz"
+_KEY_HEADER = ",".join(("realization",) + _SERIES_FIELDS)
 
 
 def _key_fields(r: ResultRow) -> list[str]:
     """The leading columns that identify a row in both result tables: the
     realization, then the series key."""
-    return [str(r.realization)] + [repr(v) if isinstance(v, float) else str(v) for v in _series_key(r)]
+    return [str(r.realization)] + [
+        "" if v is None else repr(v) if isinstance(v, float) else str(v) for v in _series_key(r)
+    ]
 
 
 def write_results_csv(rows: Sequence[ResultRow], path: str | Path) -> None:

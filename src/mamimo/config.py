@@ -4,14 +4,15 @@ The file format is nested key/value text with one section per subsystem
 (scenario, grid, arrays, rates, pso, campaign). Keys carry explicit units
 (carrier_ghz, noise_pw, ul_psd_mw_per_mhz, ...). The schema is read off the
 `ExperimentSpec` field declarations, which hold each key's name, default and
-range. Dotted `section.key=value` overrides (the CLI's `--set`) replace a file's
-entries. A manifest is simply a fully resolved config, so parsing a manifest
-reproduces the spec exactly.
+range. Dotted `section.key=value` overrides (the CLI's `--set`) replace a
+file's entries. This module reads sections, merges overrides and reports
+unknown keys; `ExperimentSpec` converts each value, then checks the scenario,
+then the ranges. A manifest is simply a fully resolved config, so parsing a
+manifest reproduces the spec exactly.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from pathlib import Path
 from typing import Any
 
@@ -24,68 +25,11 @@ class ConfigError(ValueError):
     """Raised for an unreadable or malformed config source, an unknown key or a bad value."""
 
 
-def _float(v: Any) -> float:
-    """Type check only: building an `ExperimentSpec` rejects NaN and
-    infinities, so parsed and Python-built specs fail alike, naming the key."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"expected a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:  # an integer beyond the float range
-        return math.inf
-
-
-def _int(v: Any) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"expected an integer, got {v!r}")
-    return v
-
-
-def _str(v: Any) -> str:
-    if not isinstance(v, str):
-        raise ConfigError(f"expected a string, got {v!r}")
-    return v
-
-
-def _opt_str(v: Any) -> str | None:
-    if v is None:
-        return None
-    return _str(v)
-
-
-def _tuple_of(convert):
-    def convert_list(v: Any) -> tuple:
-        if not isinstance(v, (list, tuple)):
-            raise ConfigError(f"expected a list, got {v!r}")
-        return tuple(convert(x) for x in v)
-
-    return convert_list
-
-
-def _pair(v: Any) -> tuple[str, str]:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ConfigError(f"cross pair {v!r} must have exactly two entries")
-    return (_str(v[0]), _str(v[1]))
-
-
-# spec field annotation -> converter of a raw config value
-_CONVERTERS = {
-    "float": _float,
-    "int": _int,
-    "str": _str,
-    "str | None": _opt_str,
-    "tuple[float, ...]": _tuple_of(_float),
-    "tuple[int, ...]": _tuple_of(_int),
-    "tuple[str, ...]": _tuple_of(_str),
-    "tuple[tuple[str, str], ...]": _tuple_of(_pair),
-}
-
-# section -> config key -> (spec field, converter), from the fields' declarations;
-# a field type without a converter fails here, at import
-_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {}
+# section -> config key -> spec field, from the fields' declarations
+_SCHEMA: dict[str, dict[str, str]] = {}
 for _field in dataclasses.fields(ExperimentSpec):
     _section, _name = _field.metadata["key"].split(".")
-    _SCHEMA.setdefault(_section, {})[_name] = (_field.name, _CONVERTERS[_field.type])
+    _SCHEMA.setdefault(_section, {})[_name] = _field.name
 
 
 def parse_overrides(texts: list[str]) -> dict[str, Any]:
@@ -105,9 +49,10 @@ def parse_overrides(texts: list[str]) -> dict[str, Any]:
 def parse_config_dict(data: dict | None, overrides: dict[str, Any] | None = None) -> ExperimentSpec:
     """Build a fully resolved spec from a raw config mapping and dotted overrides.
 
-    An override `section.key` replaces the mapping's entry before any value is
-    converted. Unknown sections or keys, from either source, are reported all at
-    once; out-of-range values raise an error naming the violated constraint.
+    An override `section.key` replaces the mapping's entry. Unknown sections or
+    keys, from either source, are reported all at once, before any value is
+    converted; the spec's conversion and range errors name the key and, for a
+    range, the violated constraint.
     """
     data = {} if data is None else data
     if not isinstance(data, dict):
@@ -127,15 +72,11 @@ def parse_config_dict(data: dict | None, overrides: dict[str, Any] | None = None
             unknown.append(str(section))
             continue
         for key, value in content.items():
-            entry = _SCHEMA[section].get(key)
-            if entry is None:
+            field_name = _SCHEMA[section].get(key)
+            if field_name is None:
                 unknown.append(f"{section}.{key}")
-                continue
-            field_name, convert = entry
-            try:
-                fields[field_name] = convert(value)
-            except ConfigError as exc:
-                raise ConfigError(f"{section}.{key}: {exc}") from None
+            else:
+                fields[field_name] = value
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
     try:
@@ -162,7 +103,7 @@ def spec_to_config_dict(spec: ExperimentSpec) -> dict:
     out: dict[str, dict[str, Any]] = {}
     for section, keys in _SCHEMA.items():
         out[section] = {}
-        for key, (field_name, _) in keys.items():
+        for key, field_name in keys.items():
             value = getattr(spec, field_name)
             if isinstance(value, tuple):
                 value = [list(v) if isinstance(v, tuple) else v for v in value]

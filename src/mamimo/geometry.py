@@ -247,23 +247,24 @@ def save_layout(layout: ArrayLayout, path: str | Path) -> None:
 
 
 def load_layout(path: str | Path) -> ArrayLayout:
-    """Read a layout written by :func:`save_layout`, wavelength from its header."""
+    """Read a layout written by :func:`save_layout`; a parse error names the path and line."""
     wavelength = None
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "wavelength_m" in line:
-                wavelength = float(line.split("=", 1)[1])
-            continue
         fields = line.split()
-        if len(fields) != 4:
-            raise ValueError(f"malformed layout line: {line!r}")
-        rows.append((int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])))
+        try:
+            if line.startswith("#"):
+                if "wavelength_m" in line:
+                    wavelength = float(line.partition("=")[2].strip())
+            elif len(fields) == 4:
+                rows.append((int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])))
+            elif fields:
+                raise ValueError(f"malformed layout line: {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
     if wavelength is None:
-        raise ValueError("wavelength not found in file header")
+        raise ValueError(f"{path}: wavelength not found in file header")
     rows.sort(key=lambda r: r[0])
     indices = [r[0] for r in rows]
     if indices != list(range(len(rows))):

@@ -231,7 +231,9 @@ def high_snr_ceiling(user_count: int, antenna_count: int, evm: float) -> float:
 
 
 def _dl_linear(h: np.ndarray, config: ImpairedLinkConfig, user_rates: bool) -> _Rates:
-    """Downlink rates with the uplink/downlink duality precoders."""
+    """Downlink rates of precoders along the uplink MMSE directions with the
+    budget split in proportion to the uplink powers: an achievable scheme, not
+    the UL/DL duality's power allocation, whose downlink meets the uplink SINRs."""
     precoders = _duality_precoders(h, config)
     gains = np.abs(_cross_gram(h, precoders)) ** 2  # (..., S, K, K)
     own = np.diagonal(gains, axis1=-2, axis2=-1)  # (..., S, K)
@@ -249,7 +251,7 @@ def _duality_precoders(h: np.ndarray, config: ImpairedLinkConfig) -> np.ndarray:
     Q = Q_k + kappa p_k h_k h_k^H (Sherman-Morrison), so one solve per
     subcarrier serves all users. Power is split across users and subcarriers
     proportionally to the uplink allocation and scaled to saturate the total
-    budget.
+    budget, which is not the duality's power allocation (see `_dl_linear`).
     """
     if config.total_power is None:
         raise ValueError("config.total_power must be set for downlink precoding")

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 import mamimo.campaign
 from mamimo.campaign import (
@@ -27,7 +28,7 @@ from mamimo.rates import (
     evaluate_rate_scheme,
     zero_interference_bound,
 )
-from mamimo.config import parse_config_dict, spec_to_config_dict
+from mamimo.config import emit_manifest, parse_config_dict, spec_to_config_dict
 
 
 def tiny_spec(**overrides):
@@ -45,6 +46,11 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def output_files(outdir):
+    """Every file a campaign wrote under `outdir`: relative path -> bytes."""
+    return {str(p.relative_to(outdir)): p.read_bytes() for p in outdir.rglob("*") if p.is_file()}
 
 
 def non_finite_specs():
@@ -499,6 +505,43 @@ class TestCampaign:
             dataclasses.replace(tiny_spec(), user_counts=(3, 3))
         with pytest.raises(ValueError, match=r"rates\.schemes must be non-empty"):
             dataclasses.replace(tiny_spec(), rate_schemes=())
+
+    def test_python_built_spec_reruns_from_its_manifest(self, tmp_path):
+        # Built from ints and lists, this spec used to compare equal to its
+        # parsed manifest yet run another swarm: derive_seed hashed repr(0),
+        # not repr(0.0), so the movable row read 29.4414, not 28.8460.
+        spec = ExperimentSpec(
+            m_rows=2, m_cols=2, user_counts=(3,), evms=(0,), realizations=1, pso_particles=4,
+            pso_iterations=2, rate_schemes=("ul-sic",), carrier_ghz=3, fdd_eval_carriers_ghz=[4],
+            subcarrier_counts=[1],
+        )
+        parsed = parse_config_dict(yaml.safe_load(emit_manifest(spec)))
+        for f in dataclasses.fields(ExperimentSpec):
+            value, parsed_value = getattr(spec, f.name), getattr(parsed, f.name)
+            assert type(value) is type(parsed_value), f.name
+            if isinstance(value, tuple):
+                assert [type(v) for v in value] == [type(v) for v in parsed_value], f.name
+        assert type(dataclasses.replace(parsed, evms=[0]).evms[0]) is float
+        assert emit_manifest(spec) == emit_manifest(parsed)
+        write_campaign_outputs(run_campaign(spec), tmp_path / "built")
+        write_campaign_outputs(run_campaign(parsed), tmp_path / "parsed")
+        assert output_files(tmp_path / "built") == output_files(tmp_path / "parsed")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"m_rows": 4.5}, "arrays.m_rows: expected an integer, got 4.5"),
+            ({"user_counts": (10.5,)}, "campaign.user_counts: expected an integer, got 10.5"),
+            ({"rate_schemes": "ul-sic"}, "rates.schemes: expected a list, got 'ul-sic'"),
+            ({"carrier_ghz": "3"}, "scenario.carrier_ghz: expected a number, got '3'"),
+        ],
+        ids=["m_rows", "user_counts", "rate_schemes", "carrier_ghz"],
+    )
+    def test_wrong_types_name_the_key(self, overrides, message):
+        # The first two used to be accepted, the third was read as a list of
+        # letters, and the fourth raised a TypeError naming no key.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(**overrides)
 
     def test_spec_without_rows_rejected(self):
         with pytest.raises(ValueError, match=r"arrays\.schemes and rates\.schemes yield no rows"):

@@ -258,3 +258,25 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(sorted(indices)))):
             load_layout(path)
+
+    @pytest.mark.parametrize(
+        "lines, number, text",
+        [
+            # Each used to raise a bare int() or float() message naming no file or line.
+            ([f"# wavelength_m = {LAM!r}", "0 0.0 0.0 0.0", "0.5 0.0 0.1 0.0"], 3, "'0.5'"),
+            (["# antenna layout", "# wavelength_m = abc", "0 0.0 0.0 0.0"], 2, "'abc'"),
+            ([f"# wavelength_m = {LAM!r}", "0 0.0 0.0"], 2, "malformed layout line: '0 0.0 0.0'"),
+        ],
+        ids=["index", "wavelength", "malformed"],
+    )
+    def test_parse_errors_name_path_and_line(self, tmp_path, lines, number, text):
+        path = tmp_path / "layout.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {number}: ") + ".*" + re.escape(text)):
+            load_layout(path)
+
+    def test_missing_wavelength_names_path(self, tmp_path):
+        path = tmp_path / "bare.txt"
+        path.write_text("0 0.0 1.0 2.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: wavelength not found")):
+            load_layout(path)
