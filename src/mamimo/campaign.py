@@ -9,7 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import Field, dataclass, field, fields
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -18,11 +19,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from .channels import (
-    LOS_DOMINANT,
     OfdmGrid,
     ScenarioConfig,
     UserPaths,
     channel_model_floats,
+    check_carrier,
     sample_user_positions,
     subcarrier_channels,
     synthesize_paths,
@@ -93,7 +94,7 @@ def _key(name: str, default, check=None, swept: bool = False):
 
 def _float(v: Any) -> float:
     """Type check only: the range checks reject NaN and infinities."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"expected a number, got {v!r}")
     try:
         return float(v)
@@ -102,36 +103,42 @@ def _float(v: Any) -> float:
 
 
 def _int(v: Any) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise ValueError(f"expected an integer, got {v!r}")
-    return v
+    return int(v)
 
 
 def _str(v: Any) -> str:
     if not isinstance(v, str):
         raise ValueError(f"expected a string, got {v!r}")
-    return v
+    return str(v)
 
 
 def _opt_str(v: Any) -> str | None:
     return None if v is None else _str(v)
 
 
+def _is_list(v: Any) -> bool:
+    return isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim == 1
+
+
 def _tuple_of(convert):
     def convert_list(v: Any) -> tuple:
-        if not isinstance(v, (list, tuple)):
+        if not _is_list(v):
             raise ValueError(f"expected a list, got {v!r}")
         return tuple(convert(x) for x in v)
     return convert_list
 
 
 def _pair(v: Any) -> tuple[str, str]:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
+    if not _is_list(v) or len(v) != 2:
         raise ValueError(f"cross pair {v!r} must have exactly two entries")
     return (_str(v[0]), _str(v[1]))
 
 
-# spec field annotation -> converter of a raw value (a config entry or a Python argument)
+# spec field annotation -> converter of a raw value (a config entry or a Python argument):
+# Python and numpy numbers (not booleans) become `int` and `float`, and lists,
+# tuples and 1-D arrays become tuples, so a spec holds the same values whatever built it
 _CONVERTERS = {
     "float": _float,
     "int": _int,
@@ -145,42 +152,23 @@ _CONVERTERS = {
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(ScenarioConfig):
     """Fully resolved campaign description, and the config-file schema.
 
-    Each field declares its config key once, through `_key`: the dotted
-    `section.key` name that `mamimo.config` parses and emits, the default and,
-    outside the `scenario` section, the range check. `__post_init__` converts
-    each value by its annotation before any check, so a spec built in Python, by
-    `dataclasses.replace` or from a file is the same for the same values, and a
-    spec that exists is valid; the `ScenarioConfig` that `scenario()` builds
-    checks the `scenario.*` fields. Fields carry the units of the config file
-    (GHz, kHz, pW, mW/MHz) so the manifest round-trips exactly; SI values are
-    derived through the builder methods. The defaults are those of an empty
-    config file: the headline simulation parameters with the paper's swarm
-    (`PsoConfig`'s defaults: 150 particles, 100 iterations) and 20 realizations.
+    A spec is its own `scenario` section: the `scenario.*` keys are the
+    fields inherited from `ScenarioConfig` (`kind` is `scenario.kind`). Every
+    other field declares its config key once, through `_key`: the dotted
+    `section.key` name that `mamimo.config` parses and emits, the default and
+    the range check. `__post_init__` converts each value by its annotation
+    before any check, so a spec built in Python, by `dataclasses.replace` or
+    from a file is the same for the same values, and a spec that exists is
+    valid. Fields carry the units of the config file (GHz, kHz, pW, mW/MHz) so
+    the manifest round-trips exactly; SI values are derived through the builder
+    methods. The defaults are those of an empty config file: the headline
+    simulation parameters with the paper's swarm (`PsoConfig`'s defaults: 150
+    particles, 100 iterations) and 20 realizations.
     """
 
-    scenario_kind: str = _key("scenario.kind", LOS_DOMINANT)
-    carrier_ghz: float = _key("scenario.carrier_ghz", 3.0)
-    rice_factor_db: float = _key("scenario.rice_factor_db", 10.0)
-    r_min_m: float = _key("scenario.r_min_m", 100.0)
-    r_max_m: float = _key("scenario.r_max_m", 300.0)
-    azimuth_min_rad: float = _key("scenario.azimuth_min_rad", -np.pi / 3)
-    azimuth_max_rad: float = _key("scenario.azimuth_max_rad", np.pi / 3)
-    bs_height_m: float = _key("scenario.bs_height_m", 4.0)
-    user_height_m: float = _key("scenario.user_height_m", 1.25)
-    cluster_count: int = _key("scenario.cluster_count", 6)
-    paths_per_cluster: int = _key("scenario.paths_per_cluster", 20)
-    cluster_azimuth_spread_deg: float = _key("scenario.cluster_azimuth_spread_deg", 40.0)
-    cluster_elevation_spread_deg: float = _key("scenario.cluster_elevation_spread_deg", 20.0)
-    path_angle_spread_deg: float = _key("scenario.path_angle_spread_deg", 5.0)
-    rich_cluster_count: int = _key("scenario.rich_cluster_count", 100)
-    rich_paths_per_cluster: int = _key("scenario.rich_paths_per_cluster", 2)
-    delay_stretch: float = _key("scenario.delay_stretch", 10.0)
-    los_pathloss_intercept_db: float = _key("scenario.los_pathloss_intercept_db", 30.18)
-    los_pathloss_slope_db: float = _key("scenario.los_pathloss_slope_db", 26.0)
-    normalized_gain: float = _key("scenario.normalized_gain", 1e-9)
     spacing_khz: float = _key("grid.spacing_khz", 15.0, _POSITIVE)
     subcarrier_counts: tuple[int, ...] = _key(
         "grid.subcarrier_counts", (1,), _AT_LEAST_ONE, swept=True
@@ -210,19 +198,19 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         """Convert each field by its annotation (a number to a float, a list to
-        a tuple), then check the `scenario.*` keys through their `ScenarioConfig`,
-        then each field against its declaration (finite, in range, a sweep list
-        non-empty, list entries distinct), then that the spec yields rows, that
-        no FDD carrier, its wavelength or the subcarrier spacing overflows in
-        Hz, and that the FIR pulse matrices and the channel model's subcarrier
-        weights fit in 1 GiB. Each error names its config key."""
+        a tuple), then check the `scenario.*` keys as `ScenarioConfig` does,
+        then each other field against its declaration (finite, in range, a
+        sweep list non-empty, list entries distinct), then that the spec yields
+        rows, that no FDD carrier, its wavelength or the subcarrier spacing
+        overflows in Hz, and that the FIR pulse matrices and the channel
+        model's subcarrier weights fit in 1 GiB. Each error names its key."""
         for f in fields(self):
             try:
                 object.__setattr__(self, f.name, _FIELD_CONVERTERS[f.name](getattr(self, f.name)))
             except ValueError as exc:
-                raise ValueError(f"{f.metadata['key']}: {exc}") from None
-        scenario = self.scenario()
-        for f in fields(self):
+                raise ValueError(f"{config_key(f)}: {exc}") from None
+        ScenarioConfig.__post_init__(self)
+        for f in _OWN_FIELDS:
             key, check = f.metadata["key"], f.metadata["check"]
             value = getattr(self, f.name)
             is_list = isinstance(value, tuple)
@@ -247,15 +235,12 @@ class ExperimentSpec:
                 "arrays.schemes and rates.schemes yield no rows: the zero-interference bound alone "
                 "has rows only for ul-lin and ul-sic, and there are no cross pairs or FDD carriers"
             )
-        for hz in (c * 1e9 for c in self.fdd_eval_carriers_ghz):
-            if not math.isfinite(hz):
-                raise ValueError(f"campaign.fdd_eval_carriers_ghz overflows in Hz, got {hz!r}")
-            if not math.isfinite(SPEED_OF_LIGHT / hz):
-                raise ValueError(f"campaign.fdd_eval_carriers_ghz: the wavelength overflows at {hz!r} Hz")
+        for ghz in self.fdd_eval_carriers_ghz:
+            check_carrier("campaign.fdd_eval_carriers_ghz", ghz)
         if not math.isfinite(self.subcarrier_spacing_hz):
             raise ValueError(f"grid.spacing_khz overflows in Hz, got {self.subcarrier_spacing_hz!r}")
         grid = self.grid(max(self.subcarrier_counts))
-        floats = channel_model_floats(scenario, max(self.user_counts), grid)
+        floats = channel_model_floats(self, max(self.user_counts), grid)
         if not floats <= 2**27:  # 1 GiB of float64, so an infinite bound is rejected
             raise ValueError(
                 "scenario.delay_stretch, scenario.r_max_m, grid.subcarrier_counts, grid.spacing_khz and "
@@ -285,11 +270,9 @@ class ExperimentSpec:
         return self.dl_psd_mw_per_mhz * 1e-9 * subcarriers * self.subcarrier_spacing_hz
 
     def scenario(self) -> ScenarioConfig:
-        """The `scenario` section: each `scenario.*` key under its own name."""
-        return ScenarioConfig(**{
-            f.metadata["key"].removeprefix("scenario."): getattr(self, f.name)
-            for f in fields(self) if f.metadata["key"].startswith("scenario.")
-        })
+        """The `scenario` section, which is the spec itself; kept for its
+        callers in perfbench/checks.py, the README example and the tests."""
+        return self
 
     def grid(self, subcarriers: int) -> OfdmGrid:
         return OfdmGrid(subcarriers, self.subcarrier_spacing_hz)
@@ -310,6 +293,14 @@ class ExperimentSpec:
 
 # spec field name -> converter of its annotation; an annotation without one fails at import
 _FIELD_CONVERTERS = {f.name: _CONVERTERS[f.type] for f in fields(ExperimentSpec)}
+# the fields declared through `_key`, after the inherited ones that ScenarioConfig checks
+_OWN_FIELDS = fields(ExperimentSpec)[len(fields(ScenarioConfig)):]
+
+
+def config_key(f: Field) -> str:
+    """The dotted `section.key` name of a spec field: `scenario.<name>` for a
+    field inherited from `ScenarioConfig`, else the name its `_key` declares."""
+    return f.metadata.get("key", f"scenario.{f.name}")
 
 
 @dataclass(frozen=True)
@@ -340,7 +331,7 @@ class CampaignResult:
 
 
 def build_fixed_layouts(spec: ExperimentSpec) -> dict[str, ArrayLayout]:
-    lam = spec.scenario().wavelength
+    lam = spec.wavelength
     return {name: fn(spec.m_rows, spec.m_cols, lam) for name, fn in FIXED_ARRAY_BUILDERS.items()}
 
 
@@ -398,9 +389,8 @@ def draw_realization(spec: ExperimentSpec, index: int, users: int) -> Realizatio
     """
     channel_seed = derive_seed(spec.master_seed, "channel", index, users)
     rng = np.random.default_rng(channel_seed)
-    scenario = spec.scenario()
-    positions = sample_user_positions(rng, scenario, users)
-    paths = [synthesize_paths(rng, scenario, pos) for pos in positions]
+    positions = sample_user_positions(rng, spec, users)
+    paths = [synthesize_paths(rng, spec, pos) for pos in positions]
     return Realization(index, users, channel_seed, paths)
 
 
@@ -415,7 +405,7 @@ def run_swarm(
     """
     index, users = realization.index, realization.users
     seed = derive_seed(spec.master_seed, "pso", index, users, subcarriers, evm, scheme)
-    lam = spec.scenario().wavelength
+    lam = spec.wavelength
     regions = make_move_regions(spec.m_rows, spec.m_cols, spec.region_side_wavelengths * lam)
     fixed = build_fixed_layouts(spec)
     objective = objective_adapter(

@@ -83,31 +83,31 @@ class ScenarioConfig:
     (GHz, meters, radians for the user sector, degrees for the spreads); the
     channel code converts a value to SI where it uses it. `normalized_gain`
     replaces the log-distance path loss in the rich-scattering mode so that
-    receive SNRs stay comparable to the direct-path scenario.
-    `ExperimentSpec.scenario()` builds one from a spec, which holds the
-    defaults.
+    receive SNRs stay comparable to the direct-path scenario. The defaults
+    are those of an empty config file; `ExperimentSpec` inherits the fields,
+    so a spec passes to the channel functions as its own scenario.
     """
 
-    kind: str
-    carrier_ghz: float
-    rice_factor_db: float
-    r_min_m: float
-    r_max_m: float
-    azimuth_min_rad: float
-    azimuth_max_rad: float
-    bs_height_m: float
-    user_height_m: float
-    cluster_count: int
-    paths_per_cluster: int
-    cluster_azimuth_spread_deg: float
-    cluster_elevation_spread_deg: float
-    path_angle_spread_deg: float
-    rich_cluster_count: int
-    rich_paths_per_cluster: int
-    delay_stretch: float
-    los_pathloss_intercept_db: float
-    los_pathloss_slope_db: float
-    normalized_gain: float
+    kind: str = LOS_DOMINANT
+    carrier_ghz: float = 3.0
+    rice_factor_db: float = 10.0
+    r_min_m: float = 100.0
+    r_max_m: float = 300.0
+    azimuth_min_rad: float = -np.pi / 3
+    azimuth_max_rad: float = np.pi / 3
+    bs_height_m: float = 4.0
+    user_height_m: float = 1.25
+    cluster_count: int = 6
+    paths_per_cluster: int = 20
+    cluster_azimuth_spread_deg: float = 40.0
+    cluster_elevation_spread_deg: float = 20.0
+    path_angle_spread_deg: float = 5.0
+    rich_cluster_count: int = 100
+    rich_paths_per_cluster: int = 2
+    delay_stretch: float = 10.0
+    los_pathloss_intercept_db: float = 30.18
+    los_pathloss_slope_db: float = 26.0
+    normalized_gain: float = 1e-9
 
     def __post_init__(self) -> None:
         """The one check of the section: each value's range, the two
@@ -120,7 +120,7 @@ class ScenarioConfig:
         counts = ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster")
         spreads = ("cluster_azimuth_spread_deg", "cluster_elevation_spread_deg", "path_angle_spread_deg")
         lower = {**dict.fromkeys(counts + ("delay_stretch",), 1), **dict.fromkeys(spreads, 0)}
-        for f in fields(self):
+        for f in fields(ScenarioConfig):  # not a subclass's own fields
             key, value = f"scenario.{f.name}", getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{key}: expected a finite number, got {value!r}")
@@ -132,10 +132,7 @@ class ScenarioConfig:
             raise ValueError("scenario.r_min_m must be < scenario.r_max_m")
         if not self.azimuth_min_rad <= self.azimuth_max_rad:
             raise ValueError("scenario.azimuth_min_rad must be <= scenario.azimuth_max_rad")
-        if not math.isfinite(self.carrier_hz):
-            raise ValueError(f"scenario.carrier_ghz overflows in Hz, got {self.carrier_hz!r}")
-        if not math.isfinite(self.wavelength):
-            raise ValueError(f"scenario.carrier_ghz: the wavelength overflows at {self.carrier_hz!r} Hz")
+        check_carrier("scenario.carrier_ghz", self.carrier_ghz)
         height = self.bs_height_m - self.user_height_m
         if not math.isfinite(self.r_max_m * self.r_max_m + height * height):
             raise ValueError(
@@ -173,6 +170,15 @@ class ScenarioConfig:
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
+
+
+def check_carrier(key: str, ghz: float) -> None:
+    """Reject a carrier in GHz, named by its config key, whose Hz or wavelength overflows."""
+    hz = ghz * 1e9
+    if not math.isfinite(hz):
+        raise ValueError(f"{key} overflows in Hz, got {hz!r}")
+    if not math.isfinite(SPEED_OF_LIGHT / hz):
+        raise ValueError(f"{key}: the wavelength overflows at {hz!r} Hz")
 
 
 def path_loss(distance_3d: float, intercept_db: float, slope_db: float) -> float:

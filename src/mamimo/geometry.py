@@ -247,7 +247,8 @@ def save_layout(layout: ArrayLayout, path: str | Path) -> None:
 
 
 def load_layout(path: str | Path) -> ArrayLayout:
-    """Read a layout written by :func:`save_layout`; a parse error names the path and line."""
+    """Read a layout written by :func:`save_layout`; a parse error names the
+    path and line, and a value that `ArrayLayout` rejects names the path."""
     wavelength = None
     rows = []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -270,4 +271,7 @@ def load_layout(path: str | Path) -> ArrayLayout:
     if indices != list(range(len(rows))):
         raise ValueError(f"{path}: antenna indices must be 0 to {len(rows) - 1} once each, got {indices}")
     positions = np.array([[x, y, z] for _, x, y, z in rows])
-    return ArrayLayout(positions, wavelength)
+    try:
+        return ArrayLayout(positions, wavelength)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -12,6 +12,7 @@ from mamimo.campaign import (
     ExperimentSpec,
     aggregate,
     build_fixed_layouts,
+    config_key,
     derive_seed,
     draw_realization,
     empirical_cdf,
@@ -21,7 +22,13 @@ from mamimo.campaign import (
     run_swarm,
     write_campaign_outputs,
 )
-from mamimo.channels import OfdmGrid, sample_user_positions, subcarrier_channels, synthesize_paths
+from mamimo.channels import (
+    OfdmGrid,
+    ScenarioConfig,
+    sample_user_positions,
+    subcarrier_channels,
+    synthesize_paths,
+)
 from mamimo.geometry import make_staggered_ura
 from mamimo.rates import (
     ImpairedLinkConfig,
@@ -61,7 +68,7 @@ def non_finite_specs():
         if f.type in ("float", "tuple[float, ...]"):
             for bad in (math.nan, math.inf, -math.inf):
                 value = (bad,) if f.type.startswith("tuple") else bad
-                yield f.metadata["key"], {f.name: value}
+                yield config_key(f), {f.name: value}
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +550,43 @@ class TestCampaign:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentSpec(**overrides)
 
+    def test_numpy_values_convert_like_python_values(self):
+        # Each numpy value used to raise "expected an integer", "expected a
+        # list" or "expected a number", naming its key.
+        evms = np.linspace(0, 0.3, 4)
+        spec = tiny_spec(
+            m_rows=np.int64(2), evms=evms, carrier_ghz=np.float32(3.0), user_counts=np.array([3]),
+            rate_schemes=np.array(["ul-lin", "ul-sic"]), fdd_eval_carriers_ghz=np.array([4]),
+            realizations=1,
+        )
+        twin = tiny_spec(
+            m_rows=2, evms=evms.tolist(), carrier_ghz=3.0, user_counts=[3],
+            rate_schemes=["ul-lin", "ul-sic"], fdd_eval_carriers_ghz=[4.0], realizations=1,
+        )
+        assert spec == twin
+        for f in dataclasses.fields(ExperimentSpec):
+            value, twin_value = getattr(spec, f.name), getattr(twin, f.name)
+            assert type(value) is type(twin_value), f.name
+            if isinstance(value, tuple):
+                assert [type(v) for v in value] == [type(v) for v in twin_value], f.name
+        parsed = parse_config_dict(yaml.safe_load(emit_manifest(spec)))
+        assert emit_manifest(parsed) == emit_manifest(twin)
+        assert run_realization(spec, 0).rows == run_realization(parsed, 0).rows
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"m_rows": np.bool_(True)}, "arrays.m_rows: expected an integer"),
+            ({"carrier_ghz": np.bool_(False)}, "scenario.carrier_ghz: expected a number"),
+            ({"evms": np.zeros((2, 2))}, "rates.evms: expected a list"),
+            ({"cross_pairs": np.array([["ul-sic", "ul-lin"]])}, "campaign.cross_pairs: expected a list"),
+        ],
+        ids=["bool-int", "bool-float", "2d-floats", "2d-pairs"],
+    )
+    def test_numpy_bools_and_2d_arrays_name_the_key(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(**overrides)
+
     def test_spec_without_rows_rejected(self):
         with pytest.raises(ValueError, match=r"arrays\.schemes and rates\.schemes yield no rows"):
             tiny_spec(array_schemes=("zero-interference",), rate_schemes=("dl-lin", "dl-dpc"))
@@ -601,6 +645,38 @@ class TestCampaign:
 
     def test_file_and_programmatic_defaults_agree(self):
         assert parse_config_dict({}) == ExperimentSpec()
+
+    def test_scenario_section_is_declared_once(self):
+        # ScenarioConfig used to take all 20 values as required arguments, and
+        # ExperimentSpec declared each `scenario.*` key a second time.
+        names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+        defaults = ScenarioConfig()
+        for spec in (ExperimentSpec(), parse_config_dict({})):
+            assert [getattr(spec, n) for n in names] == [getattr(defaults, n) for n in names]
+        own = [f for f in dataclasses.fields(ExperimentSpec) if f.name not in names]
+        assert not [f.metadata["key"] for f in own if f.metadata["key"].startswith("scenario.")]
+        scenario_keys = [config_key(f) for f in dataclasses.fields(ExperimentSpec)
+                         if config_key(f).startswith("scenario.")]
+        assert scenario_keys == [f"scenario.{n}" for n in names]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"kind": "urban"},
+            {"cluster_count": 0},
+            {"r_min_m": 400.0},
+            {"bs_height_m": math.nan},
+            {"carrier_ghz": 1e300},
+            {"carrier_ghz": 1e-320},
+            {"kind": "rich-scattering", "normalized_gain": 1e300, "rice_factor_db": -100.0},
+        ],
+    )
+    def test_scenario_and_spec_reject_alike(self, overrides):
+        with pytest.raises(ValueError) as scenario:
+            ScenarioConfig(**overrides)
+        with pytest.raises(ValueError) as spec:
+            ExperimentSpec(**overrides)
+        assert str(spec.value) == str(scenario.value)
 
     def test_every_scenario_key_reaches_the_channels(self):
         # Bump each scenario key in turn; the staggered URA's channels must

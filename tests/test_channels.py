@@ -255,7 +255,7 @@ class TestScenarioConfig:
             rice_factor_db=-30.0,
         )
         for kind in SCENARIO_KINDS:
-            scenario = replace(spec, scenario_kind=kind).scenario()
+            scenario = replace(spec, kind=kind).scenario()
             rng = np.random.default_rng(3)
             (position,) = sample_user_positions(rng, scenario, 1)
             assert synthesize_paths(rng, scenario, position).n_paths >= 1

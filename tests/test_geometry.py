@@ -280,3 +280,20 @@ class TestSerialization:
         path.write_text("0 0.0 1.0 2.0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: wavelength not found")):
             load_layout(path)
+
+    @pytest.mark.parametrize(
+        "lines, text",
+        [
+            # Each used to raise the bare ArrayLayout message, naming no file.
+            ([f"# wavelength_m = {LAM!r}", "0 nan 0.0 0.0"], "positions must have finite components"),
+            (["# wavelength_m = -0.1", "0 0.0 0.0 0.0"], "wavelength must be finite and positive"),
+            (["# wavelength_m = nan", "0 0.0 0.0 0.0"], "wavelength must be finite and positive"),
+            ([f"# wavelength_m = {LAM!r}"], "positions must be a nonempty (M, 3) array"),
+        ],
+        ids=["nan-coordinate", "negative-wavelength", "nan-wavelength", "header-only"],
+    )
+    def test_rejected_values_name_path(self, tmp_path, lines, text):
+        path = tmp_path / "layout.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {text}")):
+            load_layout(path)
