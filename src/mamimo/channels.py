@@ -7,7 +7,9 @@ channel matrices.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -110,7 +112,7 @@ class ScenarioConfig:
     normalized_gain: float = 1e-9
 
     def __post_init__(self) -> None:
-        """The one check of the section: each value's range, the two
+        """The one check of the section: each value's type and range, the two
         relations between values, then every derived quantity that would
         overflow, from the channel model's own formulas. Such a value would
         fail later naming no key, or run with an infinite or NaN quantity."""
@@ -122,8 +124,17 @@ class ScenarioConfig:
         lower = {**dict.fromkeys(counts + ("delay_stretch",), 1), **dict.fromkeys(spreads, 0)}
         for f in fields(ScenarioConfig):  # not a subclass's own fields
             key, value = f"scenario.{f.name}", getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{key}: expected a finite number, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{key}: expected an integer, got {value!r}")
+            if f.type == "float":
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{key}: expected a number, got {value!r}")
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an integer beyond the float range
+                    finite = False
+                if not finite:
+                    raise ValueError(f"{key}: expected a finite number, got {value!r}")
             if f.name in positive and not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value!r}")
             if f.name in lower and not value >= lower[f.name]:
@@ -342,6 +353,13 @@ _ROUNDING_SHIFT = 1.5 * 2.0**52
 # warm 25-layout S = 1 stack from about 250 to 185 us per layout, and a warm
 # S = 50 call from about 970 to 540 us and 67 minor page faults to none.
 _PHASOR_BLOCK = 20480
+# Bytes of one group's stacked weights (at least one user's). glibc maps an
+# array above its 128 KiB threshold by itself, and freeing one raises the
+# threshold to that size, after which smaller arrays grow the heap: one
+# 2.56 MB stack of eval-sweep's 16 users of 200 paths at S = 50 raised the
+# peak RSS of 60 campaigns in one process by 0.2-0.3 MB. Small S, where
+# batching the users saves the most per-op overhead, stays one group.
+_GROUP_BYTES = 128 * 1024
 
 
 def _phasor_scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -410,15 +428,20 @@ def _unit_phasors(
 class ChannelModel:
     """Layout-independent channel factors of one realization at one wavelength.
 
-    It holds every user's wave vectors side by side (3, N_1 + ... + N_K),
-    and per user the column slice of its paths and its complex subcarrier
-    weights (N, S): the path gains (amplitude times carrier rotation) times
-    the pulse-filter matrix (N, T+1) times the DFT matrix (T+1, S). The
-    weights are formed once here and stored, N S 16 bytes per user: 19 KiB
-    for K=10 users of 121 paths at S=1, 968 KB at S=50, and 2.56 MB for 16
-    users of 200 paths at S=50. Only the phase signature exp(j p.k) depends
-    on the antenna positions, so a placement search builds the model once
-    and calls :meth:`channels` per candidate or per stack of candidates.
+    It holds every user's wave vectors side by side (3, N_1 + ... + N_K)
+    and every user's complex subcarrier weights (N, S): the path gains
+    (amplitude times carrier rotation) times the pulse-filter matrix
+    (N, T+1) times the DFT matrix (T+1, S). The weights are stored grouped:
+    a group is a run of consecutive users with equal N, one (K_g, N, S)
+    stack over K_g users and K_g N adjacent columns, of at most
+    `_GROUP_BYTES` or one user. Every realization the program draws gives
+    each user the same path count, so at S=1 it is one group, and at S=50
+    each user is its own. The weights are formed once here and stored, N S
+    16 bytes per user: 19 KiB for K=10 users of 121 paths at S=1, 968 KB at
+    S=50, and 2.56 MB for 16 users of 200 paths at S=50. Only the phase
+    signature exp(j p.k) depends on the antenna positions, so a placement
+    search builds the model once and calls :meth:`channels` per candidate
+    or per stack of candidates.
     """
 
     def __init__(self, paths: Sequence[UserPaths], grid: OfdmGrid, wavelength: float) -> None:
@@ -427,23 +450,35 @@ class ChannelModel:
         dft = _dft_matrix(n_taps, grid.subcarrier_count)
         self.wavelength = wavelength
         self.subcarrier_count = grid.subcarrier_count
+        self.user_count = len(paths)
         self.waves = wave_vector(
             np.concatenate([user.azimuths for user in paths]),
             np.concatenate([user.elevations for user in paths]),
             wavelength,
         )
-        self.users: list[tuple[slice, np.ndarray]] = []
-        start = 0
-        for user in paths:
-            x = grid.subcarrier_count * grid.subcarrier_spacing * (user.delays - eta)
-            gains = user.amplitudes * _carrier_phase(user.delays, eta, wavelength)
-            pulses = pulse_triangle(ells[None, :] - x[:, None])
-            self.users.append((slice(start, start + user.n_paths), gains[:, None] * (pulses @ dft)))
-            start += user.n_paths
-        # The (M, N_1 + ... + N_K) phases and phasors and the kernel's block
-        # scratch, sized for the antenna count of the last call.
+        # Per group: its users, its columns and its (K_g, N, S) weights.
+        self.groups: list[tuple[slice, slice, np.ndarray]] = []
+        first = start = 0
+        for n_paths, run in itertools.groupby(paths, key=lambda user: user.n_paths):
+            run = list(run)
+            size = max(1, _GROUP_BYTES // (16 * n_paths * grid.subcarrier_count))
+            for group in (run[i:i + size] for i in range(0, len(run), size)):
+                weights = np.empty((len(group), n_paths, grid.subcarrier_count), dtype=complex)
+                for out, user in zip(weights, group):
+                    x = grid.subcarrier_count * grid.subcarrier_spacing * (user.delays - eta)
+                    gains = user.amplitudes * _carrier_phase(user.delays, eta, wavelength)
+                    pulses = pulse_triangle(ells[None, :] - x[:, None])
+                    np.multiply(gains[:, None], pulses @ dft, out=out)
+                users = slice(first, first + len(group))
+                cols = slice(start, start + len(group) * n_paths)
+                self.groups.append((users, cols, weights))
+                first, start = users.stop, cols.stop
+        # The (M, N_1 + ... + N_K) phases and phasors, each group's
+        # (K_g, M, S) products and the kernel's block scratch, sized for the
+        # antenna count of the last call.
         self._phase = np.empty((0, start))
         self._phasors = np.empty((0, start), dtype=complex)
+        self._products: list[np.ndarray] = []
         self._scratch = None
 
     def channels(self, positions: np.ndarray) -> np.ndarray:
@@ -459,28 +494,39 @@ class ChannelModel:
         within sum_n |w_n| 4 2^-52 (1 + |p . k_n|) of the libm formula, w_n
         being path n's subcarrier weight, and phases beyond 2^40 rad raise
         ValueError. The per-path weights are stored in the model, O(N S) per
-        user, so a call only phases the layout and forms one (M, N) @ (N, S)
-        product per user. A stack's placements are computed one after the
-        other, so each instance has the bits of its own unstacked call.
+        user, so a call only phases the layout and, per group, forms all its
+        users' (M, N) @ (N, S) products with one batched matmul and writes
+        them into the result with one transposed copy. Each batch instance is
+        the BLAS call of that user's own product, with the same operand
+        strides, so the grouping keeps every bit. A stack's placements are
+        computed one after the other, so each instance has the bits of its
+        own unstacked call.
 
         The model owns the (M, N_1 + ... + N_K) phase and phasor buffers,
-        above glibc's 128 KiB mmap threshold at swarm sizes, and the kernel's
-        block scratch; they are reallocated only when M changes, so a warm
-        call faults no pages in, and a model serves one thread at a time.
-        Only the returned array is fresh; it never aliases a buffer.
+        above glibc's 128 KiB mmap threshold at swarm sizes, the groups'
+        product buffers and the kernel's block scratch; they are reallocated
+        only when M changes, so a warm call faults no pages in, and a model
+        serves one thread at a time. Only the returned array is fresh; it
+        never aliases a buffer.
         """
         stack = positions if positions.ndim == 3 else positions[None]
-        shape = (stack.shape[1], self.waves.shape[1])
-        if self._phase.shape != shape:
-            self._phase = np.empty(shape)
-            self._phasors = np.empty(shape, dtype=complex)
+        m = stack.shape[1]
+        if self._phase.shape[0] != m:
+            self._phase = np.empty((m, self.waves.shape[1]))
+            self._phasors = np.empty((m, self.waves.shape[1]), dtype=complex)
+            self._products = [
+                np.empty((w.shape[0], m, self.subcarrier_count), dtype=complex) for _, _, w in self.groups
+            ]
             self._scratch = _phasor_scratch(self._phase.size)
-        matrices = np.empty((len(stack), self.subcarrier_count, shape[0], len(self.users)), dtype=complex)
+        matrices = np.empty((len(stack), self.subcarrier_count, m, self.user_count), dtype=complex)
         for out, placement in zip(matrices, stack):
             np.matmul(placement, self.waves, out=self._phase)
             phasors = _unit_phasors(self._phase, out=self._phasors, scratch=self._scratch)
-            for k, (cols, weights) in enumerate(self.users):
-                out[:, :, k] = (phasors[:, cols] @ weights).T
+            for (users, cols, weights), product in zip(self.groups, self._products):
+                # (M, K_g N) -> (K_g, M, N): a view, each user's own columns.
+                phases_g = phasors[:, cols].reshape(m, *weights.shape[:2]).transpose(1, 0, 2)
+                np.matmul(phases_g, weights, out=product)
+                out[:, :, users] = product.transpose(2, 1, 0)
         return matrices if positions.ndim == 3 else matrices[0]
 
 

@@ -19,6 +19,7 @@ from .geometry import (
     ArrayLayout,
     MoveRegion,
     min_pairwise_distance,
+    min_pairwise_distances,
     min_spacing,
     pairwise_distances,
 )
@@ -187,10 +188,15 @@ def pso_optimize(
         if pbest_val[g] > gbest_val:
             gbest_val = float(pbest_val[g])
             gbest_pos = pbest_pos[g].copy()
-        for p, v in zip(positions, values):
-            # (M, 2) yz-coordinates: the common x = 0 adds nothing to a distance
-            if v > feasible_val and min_pairwise_distance(p) >= spacing:
-                feasible_pos, feasible_val = p.copy(), v
+        # Only particles above the feasible best can replace it, so one pass
+        # tests their (M, 2) yz-coordinates (the common x = 0 adds nothing to
+        # a distance), and the first best of the feasible ones wins, as a
+        # scan in particle order would find.
+        ahead = np.flatnonzero(values > feasible_val)
+        ahead = ahead[min_pairwise_distances(positions[ahead]) >= spacing]
+        if ahead.size:
+            best = ahead[np.argmax(values[ahead])]
+            feasible_pos, feasible_val = positions[best].copy(), values[best]
         history.append(gbest_val)
 
     feasible = feasible_pos is not None
@@ -219,7 +225,11 @@ def objective_adapter(
     phase signatures. The model is rebuilt whenever layouts arrive at a
     wavelength other than the one it was built for. A sequence is served in
     chunks: the stacked channels of at most `_CHUNK_BYTES` bytes, then one
-    rate evaluation over that stack.
+    rate evaluation over that stack. The spacing is tested once per call:
+    one :func:`min_pairwise_distances` pass over the call's (P, M, 3)
+    positions finds the layouts with a pair closer than half a wavelength,
+    and only those pay the exact per-layout :func:`spacing_penalty` sum; the
+    others' penalty is zero, so every value keeps its bits.
     """
     model: ChannelModel | None = None
 
@@ -241,8 +251,11 @@ def objective_adapter(
             h = model.channels(positions[start:start + chunk])
             report = evaluate_rate_scheme(scheme, h, config, summary_only=True)
             values[start:start + chunk] = report.sum_rate
-        for i, layout in enumerate(layouts):
-            values[i] -= spacing_penalty(layout.positions, layout.wavelength, penalty_weight)
+        # The penalty is zero exactly when no pair is closer than
+        # min_spacing, so only the call's violators need its sum.
+        violators = min_pairwise_distances(positions) < min_spacing(wavelength)
+        for i in np.flatnonzero(violators):
+            values[i] -= spacing_penalty(layouts[i].positions, wavelength, penalty_weight)
         return float(values[0]) if single else values
 
     return objective

@@ -229,6 +229,23 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=field):
             replace(DEFAULT_SCENARIO, **overrides)
 
+    # A scenario built directly converts nothing, unlike a spec: a fractional
+    # or boolean count used to build, and a string or an integer beyond the
+    # float range in a float field raised TypeError or OverflowError from
+    # math.isfinite, naming no key.
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("scenario.cluster_count", {"cluster_count": 2.5}),
+            ("scenario.rich_cluster_count", {"rich_cluster_count": True}),
+            ("scenario.carrier_ghz", {"carrier_ghz": "3"}),
+            ("scenario.r_max_m", {"r_max_m": 10**400}),
+        ],
+    )
+    def test_direct_build_rejects_bad_value_naming_the_key(self, key, overrides):
+        with pytest.raises(ValueError, match=key):
+            ScenarioConfig(**overrides)
+
     def test_every_float_field_must_be_finite(self):
         floats = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
         assert len(floats) == 15
@@ -553,6 +570,16 @@ def swarm_narrow_model(subcarriers=1):
     return ChannelModel(users, grid, DEFAULT_SCENARIO.wavelength), users, grid
 
 
+def eval_sweep_model(subcarriers):
+    """A model at eval-sweep's largest sizes: rich scattering, K = 16 users
+    of 200 paths."""
+    rng = np.random.default_rng(6)
+    rich = replace(DEFAULT_SCENARIO, kind="rich-scattering")
+    users = [synthesize_paths(rng, rich, p) for p in sample_user_positions(rng, rich, 16)]
+    grid = OfdmGrid(subcarriers, 15e3)
+    return ChannelModel(users, grid, DEFAULT_SCENARIO.wavelength), users, grid
+
+
 def fresh_channels(users, grid, positions):
     return ChannelModel(users, grid, DEFAULT_SCENARIO.wavelength).channels(positions)
 
@@ -643,9 +670,64 @@ class TestChannelModel:
             tracemalloc.stop()
         assert peak < 160 * 1024
 
+    def test_warm_eval_sweep_wideband_call_allocates_little(self):
+        # K = 16 users of 200 paths at S = 50: the returned (50, 16, 16)
+        # channels take 200 KiB and the model owns its groups' (K_g, 16, 50)
+        # product buffers. A fresh product per call would add another 200 KiB.
+        model, _, _ = eval_sweep_model(subcarriers=50)
+        positions = make_staggered_ura(4, 4, DEFAULT_SCENARIO.wavelength).positions
+        model.channels(positions)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            model.channels(positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    @pytest.mark.parametrize(
+        "kind, count, paths",
+        [("los-dominant", 10, None), ("rich-scattering", 16, None), ("los-dominant", 3, (1, 2, 121))],
+        ids=["10x121", "16x200", "1-2-121"],
+    )
+    @pytest.mark.parametrize("subcarriers", [1, 16, 50])
+    def test_grouped_product_has_the_bits_of_per_user_products(self, kind, count, paths, subcarriers):
+        # Each group's users are multiplied in one batched matmul; every
+        # channel must keep the bits of the per-user form: the model's own
+        # phasors times each user's (N, S) weights, formed by
+        # per_user_factors with the model's expressions, one product per user.
+        rng = np.random.default_rng(subcarriers)
+        scen = replace(DEFAULT_SCENARIO, kind=kind)
+        users = [synthesize_paths(rng, scen, p) for p in sample_user_positions(rng, scen, count)]
+        if paths:
+            users = [
+                UserPaths(u.amplitudes[:n], u.delays[:n], u.azimuths[:n], u.elevations[:n], u.position)
+                for u, n in zip(users, paths)
+            ]
+        lam = DEFAULT_SCENARIO.wavelength
+        grid = OfdmGrid(subcarriers, 15e3)
+        model = ChannelModel(users, grid, lam)
+        regions = make_move_regions(4, 4, 5 * lam)
+        lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
+        stack = np.zeros((3, 16, 3))
+        stack[:, :, 1:] = lo + rng.uniform(size=(3, 16, 2)) * 5 * lam
+        got = model.channels(stack)
+        for h, positions in zip(got, stack):
+            layout = ArrayLayout(positions, lam)
+            phasors = _unit_phasors(positions @ model.waves)
+            expected = np.empty_like(h)
+            start = 0
+            for k, (user, (_, weights)) in enumerate(zip(users, per_user_factors(users, layout, grid))):
+                cols = slice(start, start + user.n_paths)
+                expected[:, :, k] = (phasors[:, cols] @ weights).T
+                start = cols.stop
+            assert np.array_equal(h.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(h, model.channels(positions))
+
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     @pytest.mark.parametrize("subcarriers", [1, 16])
-    def test_stacked_call_equals_per_layout_calls(self, kind, subcarriers):
+    def test_stacked_call_has_the_bits_of_per_layout_calls(self, kind, subcarriers):
         rng = np.random.default_rng(40 + subcarriers)
         scen = replace(DEFAULT_SCENARIO, kind=kind)
         lam = scen.wavelength

@@ -15,6 +15,7 @@ from mamimo.geometry import (
     make_sparse_upa,
     make_staggered_ura,
     min_pairwise_distance,
+    min_pairwise_distances,
     pairwise_distances,
     save_layout,
     validate_layout,
@@ -233,6 +234,19 @@ class TestValidateLayout:
     def test_region_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ArrayLayout(np.zeros((2, 3)), LAM, (MoveRegion(0, 0, 1.0),))
+
+
+class TestMinPairwiseDistances:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 17), st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_has_the_bits_of_per_placement_minima(self, seed, count, antennas, dims):
+        # Coordinates on a coarse grid give exact ties and coincident
+        # antennas; the x column is nonzero, unlike a layout's.
+        rng = np.random.default_rng(seed)
+        stack = rng.integers(-4, 5, size=(count, antennas, dims)) * rng.uniform(0.01, 0.1)
+        stack += rng.normal(scale=rng.choice([0.0, 1e-3]), size=stack.shape)
+        expected = [min_pairwise_distance(placement) for placement in stack]
+        assert np.array_equal(min_pairwise_distances(stack), expected)
 
 
 class TestSerialization:

@@ -153,6 +153,23 @@ class TestPsoOptimize:
             assert trace.best_objective == value
             np.testing.assert_array_equal(trace.best_layout.positions[:, 1:], coords)
 
+    def test_tied_values_keep_the_first_feasible_particle(self):
+        # A flat objective ties every particle, so the best penalty-free
+        # layout is the first feasible particle of round 0, the one a scan in
+        # particle order keeps, and no later round replaces it.
+        regions = make_move_regions(1, 3, 0.6 * LAM)
+        scored = []
+
+        def flat(layout):
+            scored.append(layout.positions[:, 1:].copy())
+            return 0.0
+
+        config = PsoConfig(particle_count=8, max_iterations=3, seed=5)
+        trace = pso_optimize(per_layout(flat), regions, LAM, config)
+        feasible = [min_pairwise_distance(c) >= min_spacing(LAM) for c in scored[:8]]
+        assert sum(feasible) >= 2 and not feasible[0]
+        np.testing.assert_array_equal(trace.best_layout.positions[:, 1:], scored[feasible.index(True)])
+
     @pytest.mark.parametrize("bad_call, round_", [(4, 0), (57, 5)])
     def test_non_finite_objective_value_raises(self, bad_call, round_):
         # One NaN in round 0 used to win the argmax: every history entry came
@@ -376,6 +393,64 @@ class TestObjectiveAdapter:
             for layout, penalty in zip(layouts, penalties)
         ]
         assert np.array_equal(values, expected)
+
+    @given(st.integers(0, 10_000), st.integers(1, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_round_spacing_pass_has_the_bits_of_per_layout_forms(self, small_realization, seed, particles):
+        # Regions of 0.6 wavelengths let neighbours come closer than half a
+        # wavelength, so rounds mix feasible and violating particles. The
+        # adapter finds a call's violators, and pso_optimize the feasible
+        # particles among those of a round that beat its feasible best, in
+        # one pass each; the penalized values and the feasible best must be
+        # those of the per-layout forms, bit for bit.
+        scen, paths, grid, config = small_realization
+        lam = scen.wavelength
+        regions = make_move_regions(2, 2, 0.6 * lam)
+        objective = objective_adapter("ul-sic", paths, grid, config)
+        scored = []  # (value, layout) in call order
+
+        def recording(layouts):
+            values = objective(layouts)
+            scored.extend(zip(values, layouts))
+            return values
+
+        swarm = PsoConfig(particle_count=particles, max_iterations=3, seed=seed)
+        trace = pso_optimize(recording, regions, lam, swarm)
+        expected = [
+            evaluate_rate_scheme(
+                "ul-sic", subcarrier_channels(paths, layout, grid), config, summary_only=True
+            ).sum_rate - spacing_penalty(layout.positions, lam)
+            for _, layout in scored
+        ]
+        assert np.array_equal([value for value, _ in scored], expected)
+        feasible = [
+            (value, layout) for value, layout in scored
+            if min_pairwise_distance(layout.positions) >= min_spacing(lam)
+        ]
+        assert trace.spacing_feasible == bool(feasible)
+        if feasible:
+            value, layout = max(feasible, key=lambda item: item[0])  # the first maximum
+            assert trace.best_objective == value
+            assert np.array_equal(trace.best_layout.positions, layout.positions)
+
+    def test_warm_adapter_round_allocates_little(self, paper_realization):
+        # A swarm-narrow round: 50 layouts of 16 antennas, K = 10, S = 1. Its
+        # channels are scored in two chunks of 25 layouts and peak at about
+        # 311 KiB. A spacing pass over round-sized (50, 120, 3) pair
+        # arrays, 141 KiB each, would add at least 282 KiB.
+        spec, paths, regions = paper_realization
+        lam = spec.scenario().wavelength
+        objective = objective_adapter("ul-sic", paths, spec.grid(1), spec.link_config(10, 1, 0.02))
+        layouts = random_round(regions, lam, 50, np.random.default_rng(1))
+        objective(layouts)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            objective(layouts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 384 * 1024
 
     def test_warm_paper_scale_round_is_chunked(self, paper_realization):
         # 150 particles at S=50 would hold 19 MB of stacked channels.
