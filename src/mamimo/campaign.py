@@ -9,19 +9,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import (
+    _AT_LEAST_ONE,
+    _NONNEGATIVE,
+    _POSITIVE,
     OfdmGrid,
     ScenarioConfig,
     UserPaths,
+    _key,
+    _one_of,
     channel_model_floats,
     check_carrier,
     sample_user_positions,
@@ -74,81 +78,8 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest, "little")
 
 
-_POSITIVE = (lambda v: v > 0, "> 0")
-_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
-_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
 _RATE_PAIR = (lambda p: len(p) == 2 and all(s in RATE_SCHEMES for s in p), "two rate schemes")
-
-
-def _one_of(choices: tuple[str, ...]):
-    return (lambda v: v in choices, f"one of {choices}")
-
-
-def _key(name: str, default, check=None, swept: bool = False):
-    """Declare a config key on its spec field: the dotted `section.key` name,
-    the default, the (predicate, text) range check of each value (of each
-    entry, for a list), and whether the list is a sweep axis (non-empty)."""
-    return field(default=default, metadata={"key": name, "check": check, "swept": swept})
-
-
-def _float(v: Any) -> float:
-    """Type check only: the range checks reject NaN and infinities."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ValueError(f"expected a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:  # an integer beyond the float range
-        return math.inf
-
-
-def _int(v: Any) -> int:
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return int(v)
-
-
-def _str(v: Any) -> str:
-    if not isinstance(v, str):
-        raise ValueError(f"expected a string, got {v!r}")
-    return str(v)
-
-
-def _opt_str(v: Any) -> str | None:
-    return None if v is None else _str(v)
-
-
-def _is_list(v: Any) -> bool:
-    return isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim == 1
-
-
-def _tuple_of(convert):
-    def convert_list(v: Any) -> tuple:
-        if not _is_list(v):
-            raise ValueError(f"expected a list, got {v!r}")
-        return tuple(convert(x) for x in v)
-    return convert_list
-
-
-def _pair(v: Any) -> tuple[str, str]:
-    if not _is_list(v) or len(v) != 2:
-        raise ValueError(f"cross pair {v!r} must have exactly two entries")
-    return (_str(v[0]), _str(v[1]))
-
-
-# spec field annotation -> converter of a raw value (a config entry or a Python argument):
-# Python and numpy numbers (not booleans) become `int` and `float`, and lists,
-# tuples and 1-D arrays become tuples, so a spec holds the same values whatever built it
-_CONVERTERS = {
-    "float": _float,
-    "int": _int,
-    "str": _str,
-    "str | None": _opt_str,
-    "tuple[float, ...]": _tuple_of(_float),
-    "tuple[int, ...]": _tuple_of(_int),
-    "tuple[str, ...]": _tuple_of(_str),
-    "tuple[tuple[str, str], ...]": _tuple_of(_pair),
-}
 
 
 @dataclass(frozen=True)
@@ -157,14 +88,14 @@ class ExperimentSpec(ScenarioConfig):
 
     A spec is its own `scenario` section: the `scenario.*` keys are the
     fields inherited from `ScenarioConfig` (`kind` is `scenario.kind`). Every
-    other field declares its config key once, through `_key`: the dotted
-    `section.key` name that `mamimo.config` parses and emits, the default and
-    the range check. `__post_init__` converts each value by its annotation
-    before any check, so a spec built in Python, by `dataclasses.replace` or
-    from a file is the same for the same values, and a spec that exists is
-    valid. Fields carry the units of the config file (GHz, kHz, pW, mW/MHz) so
-    the manifest round-trips exactly; SI values are derived through the builder
-    methods. The defaults are those of an empty config file: the headline
+    field, inherited or not, declares its config key once, through `_key`:
+    the dotted `section.key` name that `mamimo.config` parses and emits, the
+    default and the range check. `ScenarioConfig.__post_init__` converts each
+    value by its annotation before its check, so a spec built in Python, by
+    `dataclasses.replace` or from a file is the same for the same values, and
+    a spec that exists is valid. Fields carry the units of the config file
+    (GHz, kHz, pW, mW/MHz) so the manifest round-trips exactly; SI values are
+    derived through the builder methods. The defaults are those of an empty config file: the headline
     simulation parameters with the paper's swarm (`PsoConfig`'s defaults: 150
     particles, 100 iterations) and 20 realizations.
     """
@@ -197,38 +128,12 @@ class ExperimentSpec(ScenarioConfig):
     cross_pairs: tuple[tuple[str, str], ...] = _key("campaign.cross_pairs", (), _RATE_PAIR)
 
     def __post_init__(self) -> None:
-        """Convert each field by its annotation (a number to a float, a list to
-        a tuple), then check the `scenario.*` keys as `ScenarioConfig` does,
-        then each other field against its declaration (finite, in range, a
-        sweep list non-empty, list entries distinct), then that the spec yields
-        rows, that no FDD carrier, its wavelength or the subcarrier spacing
-        overflows in Hz, and that the FIR pulse matrices and the channel
-        model's subcarrier weights fit in 1 GiB. Each error names its key."""
-        for f in fields(self):
-            try:
-                object.__setattr__(self, f.name, _FIELD_CONVERTERS[f.name](getattr(self, f.name)))
-            except ValueError as exc:
-                raise ValueError(f"{config_key(f)}: {exc}") from None
-        ScenarioConfig.__post_init__(self)
-        for f in _OWN_FIELDS:
-            key, check = f.metadata["key"], f.metadata["check"]
-            value = getattr(self, f.name)
-            is_list = isinstance(value, tuple)
-            values = value if is_list else (value,)
-            if f.metadata["swept"] and not values:
-                raise ValueError(f"{key} must be non-empty")
-            for v in values:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ValueError(f"{key}: expected a finite number, got {v!r}")
-            if check is not None:
-                ok, text = check
-                for v in values:
-                    if v is not None and not ok(v):
-                        entries = " entries" if is_list else ""
-                        raise ValueError(f"{key}{entries} must be {text}, got {v!r}")
-            for i, v in enumerate(values):
-                if v in values[:i]:
-                    raise ValueError(f"{key} entries must be distinct, got {v!r} twice")
+        """Convert and check every field as `ScenarioConfig` does, then check
+        that the spec yields rows, that no FDD carrier, its wavelength or the
+        subcarrier spacing overflows in Hz, and that the FIR pulse matrices
+        and the channel model's subcarrier weights fit in 1 GiB. Each error
+        names its key."""
+        super().__post_init__()
         if (self.array_schemes == (ZERO_INTERFERENCE,) and not self.cross_pairs
                 and not self.fdd_eval_carriers_ghz and not {UL_LIN, UL_SIC} & set(self.rate_schemes)):
             raise ValueError(
@@ -271,7 +176,7 @@ class ExperimentSpec(ScenarioConfig):
 
     def scenario(self) -> ScenarioConfig:
         """The `scenario` section, which is the spec itself; kept for its
-        callers in perfbench/checks.py, the README example and the tests."""
+        callers in perfbench/checks.py and the tests."""
         return self
 
     def grid(self, subcarriers: int) -> OfdmGrid:
@@ -289,18 +194,6 @@ class ExperimentSpec(ScenarioConfig):
 
     def resolved_optimize_scheme(self) -> str:
         return self.optimize_scheme or self.rate_schemes[0]
-
-
-# spec field name -> converter of its annotation; an annotation without one fails at import
-_FIELD_CONVERTERS = {f.name: _CONVERTERS[f.type] for f in fields(ExperimentSpec)}
-# the fields declared through `_key`, after the inherited ones that ScenarioConfig checks
-_OWN_FIELDS = fields(ExperimentSpec)[len(fields(ScenarioConfig)):]
-
-
-def config_key(f: Field) -> str:
-    """The dotted `section.key` name of a spec field: `scenario.<name>` for a
-    field inherited from `ScenarioConfig`, else the name its `_key` declares."""
-    return f.metadata.get("key", f"scenario.{f.name}")
 
 
 @dataclass(frozen=True)
@@ -624,18 +517,24 @@ def write_campaign_outputs(result: CampaignResult, outdir: str | Path) -> None:
     """Persist result tables, layouts, and traces under `outdir`.
 
     File contents are a pure function of the spec, so re-running the same
-    campaign overwrites every file with identical bytes.
+    campaign overwrites every file with identical bytes. A file in `layouts/`
+    or `traces/` that this result does not write, an earlier campaign's, is
+    removed; nothing else in `outdir` is touched.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(result.rows, out / "results.csv")
     write_user_rates_csv(result.rows, out / "user_rates.csv")
     write_summary_json(aggregate(result.rows), out / "summary.json")
-    layout_dir = out / "layouts"
-    layout_dir.mkdir(exist_ok=True)
-    for name, layout in sorted(result.layouts.items()):
-        save_layout(layout, layout_dir / f"{name}.txt")
-    trace_dir = out / "traces"
-    trace_dir.mkdir(exist_ok=True)
-    for name, trace in sorted(result.traces.items()):
-        write_trace_csv(trace, trace_dir / f"{name}.csv")
+    for subdir, items, suffix, write in (
+        ("layouts", result.layouts, ".txt", save_layout),
+        ("traces", result.traces, ".csv", write_trace_csv),
+    ):
+        directory = out / subdir
+        directory.mkdir(exist_ok=True)
+        names = {name + suffix for name in items}
+        for path in directory.iterdir():
+            if path.name not in names and path.is_file():
+                path.unlink()
+        for name, item in sorted(items.items()):
+            write(item, directory / (name + suffix))

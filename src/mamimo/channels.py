@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -77,68 +77,149 @@ class OfdmGrid:
             raise ValueError("subcarrier spacing must be positive")
 
 
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+
+
+def _one_of(choices: tuple[str, ...]):
+    return (lambda v: v in choices, f"one of {choices}")
+
+
+def _key(name: str, default, check=None, swept: bool = False):
+    """Declare a config key on its field: the dotted `section.key` name, the
+    default, the (predicate, text) range check of each value (of each entry,
+    for a list), and whether the list is a sweep axis (non-empty)."""
+    return field(default=default, metadata={"key": name, "check": check, "swept": swept})
+
+
+def _float(v: Any) -> float:
+    """Type check only: the range checks reject NaN and infinities."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
+def _int(v: Any) -> int:
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _str(v: Any) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return str(v)
+
+
+def _opt_str(v: Any) -> str | None:
+    return None if v is None else _str(v)
+
+
+def _is_list(v: Any) -> bool:
+    return isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim == 1
+
+
+def _tuple_of(convert):
+    def convert_list(v: Any) -> tuple:
+        if not _is_list(v):
+            raise ValueError(f"expected a list, got {v!r}")
+        return tuple(convert(x) for x in v)
+    return convert_list
+
+
+def _pair(v: Any) -> tuple[str, str]:
+    if not _is_list(v) or len(v) != 2:
+        raise ValueError(f"cross pair {v!r} must have exactly two entries")
+    return (_str(v[0]), _str(v[1]))
+
+
+# field annotation -> converter of a raw value (a config entry or a Python argument):
+# Python and numpy numbers (not booleans) become `int` and `float`, and lists,
+# tuples and 1-D arrays become tuples, so a config object holds the same values
+# whatever built it
+_CONVERTERS = {
+    "float": _float,
+    "int": _int,
+    "str": _str,
+    "str | None": _opt_str,
+    "tuple[float, ...]": _tuple_of(_float),
+    "tuple[int, ...]": _tuple_of(_int),
+    "tuple[str, ...]": _tuple_of(_str),
+    "tuple[tuple[str, str], ...]": _tuple_of(_pair),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """The `scenario` section of the config: propagation scenario and user drop.
 
-    Each field is one `scenario.*` key, named after it and held in its units
-    (GHz, meters, radians for the user sector, degrees for the spreads); the
-    channel code converts a value to SI where it uses it. `normalized_gain`
-    replaces the log-distance path loss in the rich-scattering mode so that
-    receive SNRs stay comparable to the direct-path scenario. The defaults
-    are those of an empty config file; `ExperimentSpec` inherits the fields,
-    so a spec passes to the channel functions as its own scenario.
+    Each field is one `scenario.*` key, declared through `_key` and held in
+    its units (GHz, meters, radians for the user sector, degrees for the
+    spreads); the channel code converts a value to SI where it uses it.
+    `normalized_gain` replaces the log-distance path loss in the
+    rich-scattering mode so that receive SNRs stay comparable to the
+    direct-path scenario. The defaults are those of an empty config file;
+    `ExperimentSpec` inherits the fields, so a spec passes to the channel
+    functions as its own scenario.
     """
 
-    kind: str = LOS_DOMINANT
-    carrier_ghz: float = 3.0
-    rice_factor_db: float = 10.0
-    r_min_m: float = 100.0
-    r_max_m: float = 300.0
-    azimuth_min_rad: float = -np.pi / 3
-    azimuth_max_rad: float = np.pi / 3
-    bs_height_m: float = 4.0
-    user_height_m: float = 1.25
-    cluster_count: int = 6
-    paths_per_cluster: int = 20
-    cluster_azimuth_spread_deg: float = 40.0
-    cluster_elevation_spread_deg: float = 20.0
-    path_angle_spread_deg: float = 5.0
-    rich_cluster_count: int = 100
-    rich_paths_per_cluster: int = 2
-    delay_stretch: float = 10.0
-    los_pathloss_intercept_db: float = 30.18
-    los_pathloss_slope_db: float = 26.0
-    normalized_gain: float = 1e-9
+    kind: str = _key("scenario.kind", LOS_DOMINANT, _one_of(SCENARIO_KINDS))
+    carrier_ghz: float = _key("scenario.carrier_ghz", 3.0, _POSITIVE)
+    rice_factor_db: float = _key("scenario.rice_factor_db", 10.0)
+    r_min_m: float = _key("scenario.r_min_m", 100.0, _POSITIVE)
+    r_max_m: float = _key("scenario.r_max_m", 300.0)
+    azimuth_min_rad: float = _key("scenario.azimuth_min_rad", -np.pi / 3)
+    azimuth_max_rad: float = _key("scenario.azimuth_max_rad", np.pi / 3)
+    bs_height_m: float = _key("scenario.bs_height_m", 4.0)
+    user_height_m: float = _key("scenario.user_height_m", 1.25)
+    cluster_count: int = _key("scenario.cluster_count", 6, _AT_LEAST_ONE)
+    paths_per_cluster: int = _key("scenario.paths_per_cluster", 20, _AT_LEAST_ONE)
+    cluster_azimuth_spread_deg: float = _key("scenario.cluster_azimuth_spread_deg", 40.0, _NONNEGATIVE)
+    cluster_elevation_spread_deg: float = _key("scenario.cluster_elevation_spread_deg", 20.0, _NONNEGATIVE)
+    path_angle_spread_deg: float = _key("scenario.path_angle_spread_deg", 5.0, _NONNEGATIVE)
+    rich_cluster_count: int = _key("scenario.rich_cluster_count", 100, _AT_LEAST_ONE)
+    rich_paths_per_cluster: int = _key("scenario.rich_paths_per_cluster", 2, _AT_LEAST_ONE)
+    delay_stretch: float = _key("scenario.delay_stretch", 10.0, _AT_LEAST_ONE)
+    los_pathloss_intercept_db: float = _key("scenario.los_pathloss_intercept_db", 30.18)
+    los_pathloss_slope_db: float = _key("scenario.los_pathloss_slope_db", 26.0)
+    normalized_gain: float = _key("scenario.normalized_gain", 1e-9, _POSITIVE)
 
     def __post_init__(self) -> None:
-        """The one check of the section: each value's type and range, the two
-        relations between values, then every derived quantity that would
-        overflow, from the channel model's own formulas. Such a value would
-        fail later naming no key, or run with an infinite or NaN quantity."""
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"scenario.kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
-        positive = ("carrier_ghz", "r_min_m", "normalized_gain")
-        counts = ("cluster_count", "paths_per_cluster", "rich_cluster_count", "rich_paths_per_cluster")
-        spreads = ("cluster_azimuth_spread_deg", "cluster_elevation_spread_deg", "path_angle_spread_deg")
-        lower = {**dict.fromkeys(counts + ("delay_stretch",), 1), **dict.fromkeys(spreads, 0)}
-        for f in fields(ScenarioConfig):  # not a subclass's own fields
-            key, value = f"scenario.{f.name}", getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{key}: expected an integer, got {value!r}")
-            if f.type == "float":
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"{key}: expected a number, got {value!r}")
-                try:
-                    finite = math.isfinite(value)
-                except OverflowError:  # an integer beyond the float range
-                    finite = False
-                if not finite:
-                    raise ValueError(f"{key}: expected a finite number, got {value!r}")
-            if f.name in positive and not value > 0:
-                raise ValueError(f"{key} must be > 0, got {value!r}")
-            if f.name in lower and not value >= lower[f.name]:
-                raise ValueError(f"{key} must be >= {lower[f.name]}, got {value!r}")
+        """The one convert-and-check path of every config key, a subclass's
+        included: each field's value converted by its annotation (a number to
+        a float, a list to a tuple) and checked against its declaration
+        (finite, in range, a sweep list non-empty, list entries distinct);
+        then the section's two relations, then every derived quantity that
+        would overflow, from the channel model's own formulas. Such a value
+        would fail later naming no key, or run with an infinite or NaN
+        quantity. Each error names its key."""
+        for f in fields(self):
+            key, check = f.metadata["key"], f.metadata["check"]
+            try:
+                value = _CONVERTERS[f.type](getattr(self, f.name))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+            object.__setattr__(self, f.name, value)
+            is_list = isinstance(value, tuple)
+            values = value if is_list else (value,)
+            if f.metadata["swept"] and not values:
+                raise ValueError(f"{key} must be non-empty")
+            for v in values:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{key}: expected a finite number, got {v!r}")
+            if check is not None:
+                ok, text = check
+                for v in values:
+                    if v is not None and not ok(v):
+                        entries = " entries" if is_list else ""
+                        raise ValueError(f"{key}{entries} must be {text}, got {v!r}")
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"{key} entries must be distinct, got {v!r} twice")
         if not self.r_min_m < self.r_max_m:
             raise ValueError("scenario.r_min_m must be < scenario.r_max_m")
         if not self.azimuth_min_rad <= self.azimuth_max_rad:

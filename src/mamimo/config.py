@@ -3,12 +3,11 @@
 The file format is nested key/value text with one section per subsystem
 (scenario, grid, arrays, rates, pso, campaign). Keys carry explicit units
 (carrier_ghz, noise_pw, ul_psd_mw_per_mhz, ...). The schema is read off the
-`ExperimentSpec` fields, each key named by `config_key`. Dotted
+`ExperimentSpec` fields, each key named by its `_key` declaration. Dotted
 `section.key=value` overrides (the CLI's `--set`) replace a file's entries.
 This module reads sections, merges overrides and reports unknown keys;
-`ExperimentSpec` converts each value, then checks the scenario, then the
-ranges. A manifest is simply a fully resolved config, so parsing a
-manifest reproduces the spec exactly.
+`ExperimentSpec` converts and checks each value. A manifest is simply a
+fully resolved config, so parsing a manifest reproduces the spec exactly.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from typing import Any
 
 import yaml
 
-from .campaign import ExperimentSpec, config_key
+from .campaign import ExperimentSpec
 
 
 class ConfigError(ValueError):
@@ -28,7 +27,7 @@ class ConfigError(ValueError):
 # section -> config key -> spec field, from the fields' declarations
 _SCHEMA: dict[str, dict[str, str]] = {}
 for _field in dataclasses.fields(ExperimentSpec):
-    _section, _name = config_key(_field).split(".")
+    _section, _name = _field.metadata["key"].split(".")
     _SCHEMA.setdefault(_section, {})[_name] = _field.name
 
 

@@ -12,7 +12,6 @@ from mamimo.campaign import (
     ExperimentSpec,
     aggregate,
     build_fixed_layouts,
-    config_key,
     derive_seed,
     draw_realization,
     empirical_cdf,
@@ -68,7 +67,7 @@ def non_finite_specs():
         if f.type in ("float", "tuple[float, ...]"):
             for bad in (math.nan, math.inf, -math.inf):
                 value = (bad,) if f.type.startswith("tuple") else bad
-                yield config_key(f), {f.name: value}
+                yield f.metadata["key"], {f.name: value}
 
 
 @pytest.fixture(scope="module")
@@ -495,6 +494,21 @@ class TestCampaign:
         for name in layouts_a:
             assert (out_a / "layouts" / name).read_bytes() == (out_b / "layouts" / name).read_bytes()
 
+    def test_rerun_into_same_directory_leaves_no_stale_files(self, tmp_path):
+        # A 3-realization run, then a 1-realization run into the same
+        # directory, used to leave the traces and movable layouts of
+        # realizations 1 and 2.
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        write_campaign_outputs(run_campaign(tiny_spec(realizations=3)), out)
+        (out / "notes.txt").write_text("kept")
+        (out / "traces" / "kept").mkdir()
+        write_campaign_outputs(run_campaign(tiny_spec(realizations=1)), out)
+        write_campaign_outputs(run_campaign(tiny_spec(realizations=1)), fresh)
+        assert output_files(out) == {**output_files(fresh), "notes.txt": b"kept"}
+        assert (out / "traces" / "kept").is_dir()
+        write_campaign_outputs(run_campaign(tiny_spec(realizations=1)), out)
+        assert output_files(out) == {**output_files(fresh), "notes.txt": b"kept"}
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             tiny_spec(realizations=0)
@@ -655,8 +669,8 @@ class TestCampaign:
             assert [getattr(spec, n) for n in names] == [getattr(defaults, n) for n in names]
         own = [f for f in dataclasses.fields(ExperimentSpec) if f.name not in names]
         assert not [f.metadata["key"] for f in own if f.metadata["key"].startswith("scenario.")]
-        scenario_keys = [config_key(f) for f in dataclasses.fields(ExperimentSpec)
-                         if config_key(f).startswith("scenario.")]
+        scenario_keys = [f.metadata["key"] for f in dataclasses.fields(ExperimentSpec)
+                         if f.metadata["key"].startswith("scenario.")]
         assert scenario_keys == [f"scenario.{n}" for n in names]
 
     @pytest.mark.parametrize(
@@ -669,6 +683,9 @@ class TestCampaign:
             {"carrier_ghz": 1e300},
             {"carrier_ghz": 1e-320},
             {"kind": "rich-scattering", "normalized_gain": 1e300, "rice_factor_db": -100.0},
+            {"kind": 5},
+            {"kind": None},
+            {"r_min_m": np.float64("nan")},
         ],
     )
     def test_scenario_and_spec_reject_alike(self, overrides):

@@ -229,10 +229,10 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=field):
             replace(DEFAULT_SCENARIO, **overrides)
 
-    # A scenario built directly converts nothing, unlike a spec: a fractional
-    # or boolean count used to build, and a string or an integer beyond the
-    # float range in a float field raised TypeError or OverflowError from
-    # math.isfinite, naming no key.
+    # A fractional or boolean count in a directly built scenario used to
+    # build, and a string or an integer beyond the float range in a float
+    # field raised TypeError or OverflowError from math.isfinite, naming no
+    # key.
     @pytest.mark.parametrize(
         "key, overrides",
         [
@@ -245,6 +245,29 @@ class TestScenarioConfig:
     def test_direct_build_rejects_bad_value_naming_the_key(self, key, overrides):
         with pytest.raises(ValueError, match=key):
             ScenarioConfig(**overrides)
+
+    def test_numpy_values_convert_like_python_values(self):
+        # A numpy float32 carrier used to stay float32, so the wavelength and
+        # the channels differed from the Python twin's at 1e-3 relative.
+        scenario = ScenarioConfig(
+            carrier_ghz=np.float32(3.5), r_max_m=np.float64(250.0), cluster_count=np.int64(3),
+            rich_paths_per_cluster=np.int32(2), delay_stretch=np.float32(4.0),
+        )
+        twin = ScenarioConfig(
+            carrier_ghz=3.5, r_max_m=250.0, cluster_count=3, rich_paths_per_cluster=2, delay_stretch=4.0
+        )
+        for f in dataclasses.fields(ScenarioConfig):
+            assert type(getattr(scenario, f.name)) is type(getattr(twin, f.name)), f.name
+        assert scenario.wavelength.hex() == twin.wavelength.hex()
+        rng = np.random.default_rng(8)
+        paths = [synthesize_paths(rng, twin, p) for p in sample_user_positions(rng, twin, 3)]
+        h, h_twin = (
+            ChannelModel(paths, OfdmGrid(4, 15e3), s.wavelength).channels(
+                make_staggered_ura(2, 2, s.wavelength).positions
+            )
+            for s in (scenario, twin)
+        )
+        np.testing.assert_array_equal(h, h_twin)
 
     def test_every_float_field_must_be_finite(self):
         floats = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
