@@ -35,7 +35,6 @@ from .geometry import (
     make_move_regions,
     make_sparse_upa,
     make_staggered_ura,
-    min_pairwise_distance,
     save_layout,
     validate_layout,
     wave_vector,

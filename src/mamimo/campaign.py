@@ -20,7 +20,9 @@ import numpy as np
 from .channels import (
     _AT_LEAST_ONE,
     _NONNEGATIVE,
+    _PHASE_LIMIT,
     _POSITIVE,
+    LOS_DOMINANT,
     OfdmGrid,
     ScenarioConfig,
     UserPaths,
@@ -130,7 +132,8 @@ class ExperimentSpec(ScenarioConfig):
     def __post_init__(self) -> None:
         """Convert and check every field as `ScenarioConfig` does, then check
         that the spec yields rows, that no FDD carrier, its wavelength or the
-        subcarrier spacing overflows in Hz, and that the FIR pulse matrices
+        subcarrier spacing overflows in Hz, that the channel model can phase
+        every point of the movement regions, and that the FIR pulse matrices
         and the channel model's subcarrier weights fit in 1 GiB. Each error
         names its key."""
         super().__post_init__()
@@ -144,13 +147,27 @@ class ExperimentSpec(ScenarioConfig):
             check_carrier("campaign.fdd_eval_carriers_ghz", ghz)
         if not math.isfinite(self.subcarrier_spacing_hz):
             raise ValueError(f"grid.spacing_khz overflows in Hz, got {self.subcarrier_spacing_hz!r}")
+        # The farthest corner of the tiling's region_bounds boxes, |p| <= reach,
+        # formed without building the M regions.
+        side = self.region_side_wavelengths * self.wavelength
+        try:
+            reach = math.hypot(self.m_cols * side, self.m_rows * side) / 2
+        except OverflowError:
+            reach = math.inf
+        if not 2 * math.pi * reach / self.wavelength <= _PHASE_LIMIT:
+            raise ValueError(
+                "arrays.region_side_wavelengths, arrays.m_rows and arrays.m_cols: a movement region "
+                f"reaches {reach:.3g} m from the center, beyond the channel model's +-{_PHASE_LIMIT:g} "
+                "rad phases"
+            )
         grid = self.grid(max(self.subcarrier_counts))
         floats = channel_model_floats(self, max(self.user_counts), grid)
         if not floats <= 2**27:  # 1 GiB of float64, so an infinite bound is rejected
+            paths = "scenario." if self.kind == LOS_DOMINANT else "scenario.rich_"
             raise ValueError(
-                "scenario.delay_stretch, scenario.r_max_m, grid.subcarrier_counts, grid.spacing_khz and "
-                "campaign.user_counts: the FIR pulse matrices and subcarrier weights need up to "
-                f"{floats:.3g} floats, over 1 GiB"
+                f"scenario.delay_stretch, scenario.r_max_m, {paths}cluster_count, {paths}paths_per_cluster, "
+                "grid.subcarrier_counts, grid.spacing_khz and campaign.user_counts: the FIR pulse matrices "
+                f"and subcarrier weights need up to {floats:.3g} floats, over 1 GiB"
             )
 
     # --- derived SI quantities -------------------------------------------------

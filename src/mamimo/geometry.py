@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +26,8 @@ _PAIR_CHUNK_BYTES = 32 * 1024
 
 @dataclass(frozen=True)
 class MoveRegion:
-    """Square region in the x = 0 plane within which one antenna may move."""
+    """Square region in the x = 0 plane within which one antenna may move: the
+    closed :func:`region_bounds` box, whose points `repair_to_regions` fixes."""
 
     center_y: float
     center_z: float
@@ -38,10 +40,6 @@ class MoveRegion:
     @property
     def half(self) -> float:
         return self.side / 2.0
-
-    def contains(self, y: float, z: float) -> bool:
-        """Closed-interval membership; boundary positions are valid."""
-        return abs(y - self.center_y) <= self.half and abs(z - self.center_z) <= self.half
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +197,14 @@ def make_move_regions(m_rows: int, m_cols: int, side: float) -> tuple[MoveRegion
     )
 
 
+def region_bounds(regions: Sequence[MoveRegion]) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, 2) lower and upper yz-corners of the closed movement boxes. A
+    position is in its region exactly when `repair_to_regions` leaves it unchanged."""
+    lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
+    hi = np.array([[r.center_y + r.half, r.center_z + r.half] for r in regions])
+    return lo, hi
+
+
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Condensed upper-triangle pairwise Euclidean distances."""
     rows, cols = _upper_pairs(positions.shape[0])
@@ -215,14 +221,9 @@ def _upper_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def min_pairwise_distance(positions: np.ndarray) -> float:
-    d = pairwise_distances(np.asarray(positions, dtype=float))
-    return float(d.min()) if d.size else float("inf")
-
-
 def min_pairwise_distances(stack: np.ndarray) -> np.ndarray:
     """The (P,) smallest pair distances of a (P, M, D) stack of placements,
-    each with the bits of :func:`min_pairwise_distance` of its placement.
+    each with the bits of the least :func:`pairwise_distances` of its placement (inf if M = 1).
 
     It takes the placements in chunks of at most `_PAIR_CHUNK_BYTES` of
     pair differences, each with the differences, sums and square roots of
@@ -249,19 +250,17 @@ def min_spacing(wavelength: float) -> float:
 
 
 def validate_layout(layout: ArrayLayout) -> LayoutReport:
-    """Check mutual-coupling spacing and, if regions are present, membership.
-
-    Returns a report rather than raising, so invalid candidate layouts can be
-    inspected.
-    """
-    min_d = min_pairwise_distance(layout.positions)
+    """Check mutual-coupling spacing and, if regions are present, membership:
+    yz (not x) in the closed :func:`region_bounds` box, the fixed points of
+    `repair_to_regions`. Returns a report rather than raising, so invalid
+    candidate layouts can be inspected."""
+    min_d = float(min_pairwise_distances(layout.positions[None])[0])
     spacing_ok = min_d >= min_spacing(layout.wavelength)
     region_ok = None
     if layout.regions is not None:
-        region_ok = tuple(
-            region.contains(p[1], p[2])
-            for region, p in zip(layout.regions, layout.positions)
-        )
+        lo, hi = region_bounds(layout.regions)
+        yz = layout.positions[:, 1:]
+        region_ok = tuple(np.all((lo <= yz) & (yz <= hi), axis=1).tolist())
     return LayoutReport(min_d, spacing_ok, region_ok)
 
 

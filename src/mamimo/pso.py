@@ -18,10 +18,10 @@ from .channels import ChannelModel, OfdmGrid, UserPaths, subcarrier_channels  # 
 from .geometry import (
     ArrayLayout,
     MoveRegion,
-    min_pairwise_distance,
     min_pairwise_distances,
     min_spacing,
     pairwise_distances,
+    region_bounds,
 )
 from .rates import ImpairedLinkConfig, evaluate_rate_scheme
 
@@ -75,16 +75,9 @@ class OptimizationTrace:
     spacing_feasible: bool
 
 
-def _region_bounds(regions: Sequence[MoveRegion]) -> tuple[np.ndarray, np.ndarray]:
-    """The (M, 2) lower and upper yz-corners of the movement boxes."""
-    lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
-    hi = np.array([[r.center_y + r.half, r.center_z + r.half] for r in regions])
-    return lo, hi
-
-
 def repair_to_regions(coords: np.ndarray, regions: Sequence[MoveRegion]) -> np.ndarray:
-    """Clamp (..., M, 2) yz-coordinates into their closed boxes. Idempotent."""
-    return np.clip(np.asarray(coords, dtype=float), *_region_bounds(regions))
+    """Clamp (..., M, 2) yz-coordinates into their `region_bounds` boxes. Idempotent."""
+    return np.clip(np.asarray(coords, dtype=float), *region_bounds(regions))
 
 
 def spacing_penalty(
@@ -139,7 +132,7 @@ def pso_optimize(
     n = config.particle_count
     spacing = min_spacing(wavelength)
 
-    lo, hi = _region_bounds(regions)
+    lo, hi = region_bounds(regions)
     sides = np.array([[r.side, r.side] for r in regions])
     vmax = _VELOCITY_CLAMP * sides
 
@@ -153,7 +146,7 @@ def pso_optimize(
             raise ValueError("seed layout does not match the region count")
         clamped = np.clip(coords, lo, hi)
         inside = not np.any(np.abs(clamped - coords) > 1e-9 * sides)  # up to rounding
-        if inside and min_pairwise_distance(clamped) >= spacing:
+        if inside and min_pairwise_distances(clamped[None])[0] >= spacing:
             positions[slot] = clamped
             slot += 1
 

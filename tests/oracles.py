@@ -24,7 +24,7 @@ from mamimo.channels import (
     pulse_triangle,
     sync_and_tap_count,
 )
-from mamimo.geometry import ArrayLayout, array_response
+from mamimo.geometry import ArrayLayout, array_response, pairwise_distances
 from mamimo.rates import ImpairedLinkConfig, _gram, logdet_hpd
 
 
@@ -182,6 +182,13 @@ def dl_linear_sinr(
     own = float(gains[k])
     interference = float(gains.sum()) - own
     return kappa * own / (interference + (1.0 - kappa) * own + noise_variance)
+
+
+def min_pairwise_distance(positions: np.ndarray) -> float:
+    """Smallest pair distance of one placement, infinity for one antenna:
+    the per-placement reference of `mamimo.geometry.min_pairwise_distances`."""
+    d = pairwise_distances(np.asarray(positions, dtype=float))
+    return float(d.min()) if d.size else float("inf")
 
 
 def project_budget_euclidean(x: np.ndarray, budget: float) -> np.ndarray:

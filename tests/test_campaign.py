@@ -28,7 +28,7 @@ from mamimo.channels import (
     subcarrier_channels,
     synthesize_paths,
 )
-from mamimo.geometry import make_staggered_ura
+from mamimo.geometry import ArrayLayout, load_layout, make_move_regions, make_staggered_ura, validate_layout
 from mamimo.rates import (
     ImpairedLinkConfig,
     evaluate_rate_scheme,
@@ -494,6 +494,19 @@ class TestCampaign:
         for name in layouts_a:
             assert (out_a / "layouts" / name).read_bytes() == (out_b / "layouts" / name).read_bytes()
 
+    def test_written_movable_layouts_validate_at_3_5_ghz(self, tmp_path):
+        # The swarm clips to the region_bounds corners, and validate_layout
+        # used to test |y - center| <= half, which rejected 8 antennas of
+        # this campaign's layout at 3.5 GHz.
+        spec = ExperimentSpec(carrier_ghz=3.5, realizations=1, pso_particles=3, master_seed=1)
+        write_campaign_outputs(run_campaign(spec), tmp_path)
+        lam = spec.wavelength
+        regions = make_move_regions(spec.m_rows, spec.m_cols, spec.region_side_wavelengths * lam)
+        paths = sorted((tmp_path / "layouts").glob("movable_*.txt"))
+        assert paths
+        for path in paths:
+            assert validate_layout(ArrayLayout(load_layout(path).positions, lam, regions)).ok, path.name
+
     def test_rerun_into_same_directory_leaves_no_stale_files(self, tmp_path):
         # A 3-realization run, then a 1-realization run into the same
         # directory, used to leave the traces and movable layouts of
@@ -624,6 +637,35 @@ class TestCampaign:
         keys = ("scenario.delay_stretch", "scenario.r_max_m", "grid.subcarrier_counts",
                 "grid.spacing_khz", "campaign.user_counts")
         with pytest.raises(ValueError, match="over 1 GiB") as error:
+            ExperimentSpec(**overrides)
+        assert all(key in str(error.value) for key in keys)
+
+    @pytest.mark.parametrize(
+        "overrides, keys",
+        [
+            ({"cluster_count": 10**6}, ("scenario.cluster_count", "scenario.paths_per_cluster")),
+            (
+                {"kind": "rich-scattering", "rich_paths_per_cluster": 10**6},
+                ("scenario.rich_cluster_count", "scenario.rich_paths_per_cluster"),
+            ),
+        ],
+    )
+    def test_path_counts_beyond_memory_name_their_keys(self, overrides, keys):
+        # The bound grows with the path count of the configured kind, but the
+        # message used to name only the delay, subcarrier and user keys.
+        with pytest.raises(ValueError, match="over 1 GiB") as error:
+            ExperimentSpec(**overrides)
+        assert all(key in str(error.value) for key in keys)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"region_side_wavelengths": 1e12}, {"carrier_ghz": 0.1, "region_side_wavelengths": 1e308}],
+    )
+    def test_aperture_beyond_phase_limit_rejected(self, overrides):
+        # Both used to validate; a campaign then failed on phases beyond
+        # +-2^40 rad, or on an infinite region side, naming no key.
+        keys = ("arrays.region_side_wavelengths", "arrays.m_rows", "arrays.m_cols")
+        with pytest.raises(ValueError, match="rad phases") as error:
             ExperimentSpec(**overrides)
         assert all(key in str(error.value) for key in keys)
 

@@ -32,6 +32,7 @@ from mamimo.geometry import (
     array_response,
     make_move_regions,
     make_staggered_ura,
+    region_bounds,
     wave_vector,
 )
 from oracles import build_tap_channel, subcarriers_from_taps, unit_phasors_rint
@@ -500,7 +501,7 @@ def phasor_contract_bound(paths, layout, grid):
 def random_movable_layouts(rng, lam, count):
     """Random 2x2 movable layouts inside their move regions."""
     regions = make_move_regions(2, 2, 5 * lam)
-    lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
+    lo, _ = region_bounds(regions)
     for _ in range(count):
         positions = np.zeros((4, 3))
         positions[:, 1:] = lo + rng.uniform(size=(4, 2)) * 5 * lam
@@ -732,7 +733,7 @@ class TestChannelModel:
         grid = OfdmGrid(subcarriers, 15e3)
         model = ChannelModel(users, grid, lam)
         regions = make_move_regions(4, 4, 5 * lam)
-        lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
+        lo, _ = region_bounds(regions)
         stack = np.zeros((3, 16, 3))
         stack[:, :, 1:] = lo + rng.uniform(size=(3, 16, 2)) * 5 * lam
         got = model.channels(stack)

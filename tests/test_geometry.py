@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamimo.geometry import (
+    SPEED_OF_LIGHT,
     ArrayLayout,
     MoveRegion,
     array_response,
@@ -14,13 +15,14 @@ from mamimo.geometry import (
     make_move_regions,
     make_sparse_upa,
     make_staggered_ura,
-    min_pairwise_distance,
     min_pairwise_distances,
     pairwise_distances,
+    region_bounds,
     save_layout,
     validate_layout,
     wave_vector,
 )
+from oracles import min_pairwise_distance
 
 LAM = 0.1
 
@@ -218,6 +220,25 @@ class TestValidateLayout:
         assert validate_layout(inside).region_ok == (True,)
         assert validate_layout(outside).region_ok == (False,)
         assert not validate_layout(outside).ok
+
+    def test_every_clipped_corner_validates(self):
+        # At 3.5 GHz, |y - center| <= half used to reject 28 of the 64 box
+        # corners the swarm clips to, so validate_layout rejected swarm
+        # layouts; one float further out must still be rejected.
+        lam = SPEED_OF_LIGHT / 3.5e9
+        regions = make_move_regions(4, 4, 5 * lam)
+        lo, hi = region_bounds(regions)
+        for y_hi, z_hi in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            corner = np.where([y_hi, z_hi], hi, lo)
+            outward = np.where([y_hi, z_hi], np.inf, -np.inf)
+            positions = np.zeros((16, 3))
+            positions[:, 1:] = corner
+            assert validate_layout(ArrayLayout(positions, lam, regions)).ok
+            for axis in (1, 2):
+                beyond = positions.copy()
+                beyond[:, axis] = np.nextafter(corner[:, axis - 1], outward[axis - 1])
+                report = validate_layout(ArrayLayout(beyond, lam, regions))
+                assert report.spacing_ok and not any(report.region_ok)
 
     @pytest.mark.parametrize("count", [1, 2, 16])
     def test_pairwise_distances_equal_full_tensor_formula(self, count):

@@ -19,8 +19,8 @@ from mamimo.geometry import (
     make_move_regions,
     make_sparse_upa,
     make_staggered_ura,
-    min_pairwise_distance,
     min_spacing,
+    region_bounds,
     validate_layout,
 )
 from mamimo.pso import (
@@ -32,6 +32,7 @@ from mamimo.pso import (
     spacing_penalty,
 )
 from mamimo.rates import RATE_SCHEMES, ImpairedLinkConfig, evaluate_rate_scheme
+from oracles import min_pairwise_distance
 
 LAM = 0.1
 
@@ -256,7 +257,7 @@ def paper_realization():
 
 def random_round(regions, lam, count, rng):
     """`count` random layouts, one antenna uniform in each region."""
-    lo = np.array([[r.center_y - r.half, r.center_z - r.half] for r in regions])
+    lo, _ = region_bounds(regions)
     sides = np.array([[r.side, r.side] for r in regions])
     layouts = []
     for _ in range(count):
