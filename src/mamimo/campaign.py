@@ -132,10 +132,11 @@ class ExperimentSpec(ScenarioConfig):
     def __post_init__(self) -> None:
         """Convert and check every field as `ScenarioConfig` does, then check
         that the spec yields rows, that no FDD carrier, its wavelength or the
-        subcarrier spacing overflows in Hz, that the channel model can phase
-        every point of the movement regions, and that the FIR pulse matrices
-        and the channel model's subcarrier weights fit in 1 GiB. Each error
-        names its key."""
+        subcarrier spacing overflows in Hz, that the FIR pulse matrices, the
+        channel model's subcarrier weights and its M-antenna buffers fit in
+        1 GiB, and then that the channel model can phase every point of the
+        movement regions and every fixed array at the home carrier and at
+        each FDD carrier. Each error names its keys."""
         super().__post_init__()
         if (self.array_schemes == (ZERO_INTERFERENCE,) and not self.cross_pairs
                 and not self.fdd_eval_carriers_ghz and not {UL_LIN, UL_SIC} & set(self.rate_schemes)):
@@ -147,27 +148,31 @@ class ExperimentSpec(ScenarioConfig):
             check_carrier("campaign.fdd_eval_carriers_ghz", ghz)
         if not math.isfinite(self.subcarrier_spacing_hz):
             raise ValueError(f"grid.spacing_khz overflows in Hz, got {self.subcarrier_spacing_hz!r}")
-        # The farthest corner of the tiling's region_bounds boxes, |p| <= reach,
-        # formed without building the M regions.
-        side = self.region_side_wavelengths * self.wavelength
-        try:
-            reach = math.hypot(self.m_cols * side, self.m_rows * side) / 2
-        except OverflowError:
-            reach = math.inf
-        if not 2 * math.pi * reach / self.wavelength <= _PHASE_LIMIT:
-            raise ValueError(
-                "arrays.region_side_wavelengths, arrays.m_rows and arrays.m_cols: a movement region "
-                f"reaches {reach:.3g} m from the center, beyond the channel model's +-{_PHASE_LIMIT:g} "
-                "rad phases"
-            )
         grid = self.grid(max(self.subcarrier_counts))
-        floats = channel_model_floats(self, max(self.user_counts), grid)
+        floats = channel_model_floats(self, max(self.user_counts), grid, self.m_rows * self.m_cols)
         if not floats <= 2**27:  # 1 GiB of float64, so an infinite bound is rejected
             paths = "scenario." if self.kind == LOS_DOMINANT else "scenario.rich_"
             raise ValueError(
                 f"scenario.delay_stretch, scenario.r_max_m, {paths}cluster_count, {paths}paths_per_cluster, "
-                "grid.subcarrier_counts, grid.spacing_khz and campaign.user_counts: the FIR pulse matrices "
-                f"and subcarrier weights need up to {floats:.3g} floats, over 1 GiB"
+                "grid.subcarrier_counts, grid.spacing_khz, campaign.user_counts, arrays.m_rows and "
+                f"arrays.m_cols: the FIR pulse matrices, subcarrier weights and antenna buffers need up "
+                f"to {floats:.3g} floats, over 1 GiB"
+            )
+        # The farthest element of every array the campaign phases, at the
+        # shortest of the home and FDD wavelengths: the farthest corner of the
+        # tiling's region_bounds boxes, formed without building the M regions,
+        # or the farthest antenna of a fixed array, built now that M is bounded.
+        side = self.region_side_wavelengths * self.wavelength
+        reach = math.hypot(self.m_cols * side, self.m_rows * side) / 2
+        for layout in build_fixed_layouts(self).values():
+            reach = max(reach, float(np.linalg.norm(layout.positions, axis=1).max()))
+        lam = min([self.wavelength] + [SPEED_OF_LIGHT / (ghz * 1e9) for ghz in self.fdd_eval_carriers_ghz])
+        if not 2 * math.pi * reach / lam <= _PHASE_LIMIT:
+            fdd = ", campaign.fdd_eval_carriers_ghz" if lam < self.wavelength else ""
+            raise ValueError(
+                f"arrays.region_side_wavelengths, arrays.m_rows, arrays.m_cols{fdd}: an array element "
+                f"reaches {reach:.3g} m from the center, beyond the channel model's +-{_PHASE_LIMIT:g} "
+                f"rad phases at {SPEED_OF_LIGHT / lam / 1e9:.6g} GHz"
             )
 
     # --- derived SI quantities -------------------------------------------------

@@ -379,12 +379,14 @@ def sync_and_tap_count(paths: Sequence[UserPaths], grid: OfdmGrid) -> tuple[floa
     return eta, int(taps)
 
 
-def channel_model_floats(scenario: ScenarioConfig, users: int, grid: OfdmGrid) -> float:
+def channel_model_floats(scenario: ScenarioConfig, users: int, grid: OfdmGrid, antennas: int) -> float:
     """Upper bound, in floats, on the storage of a realization's channel model:
     K users x N paths x (T + 1) taps of FIR pulses, plus the stored complex
-    weights, K x N x S. N is the path count of :func:`synthesize_paths`, and
-    T the tap count of :func:`sync_and_tap_count` at the widest delay spread
-    the scenario can draw. A count beyond the float range gives infinity."""
+    weights, K x N x S, plus the buffers a call over M antennas fills: the
+    real phases and complex phasors, M x K x N, and the complex products,
+    M x K x S. N is the path count of :func:`synthesize_paths`, and T the
+    tap count of :func:`sync_and_tap_count` at the widest delay spread the
+    scenario can draw. A count beyond the float range gives infinity."""
     height = scenario.bs_height_m - scenario.user_height_m
     spread = (scenario.delay_stretch * math.hypot(scenario.r_max_m, height)
               - math.hypot(scenario.r_min_m, height)) / SPEED_OF_LIGHT
@@ -392,7 +394,8 @@ def channel_model_floats(scenario: ScenarioConfig, users: int, grid: OfdmGrid) -
              else scenario.rich_cluster_count * scenario.rich_paths_per_cluster)
     try:
         taps = np.ceil(grid.subcarrier_count * grid.subcarrier_spacing * spread)
-        return users * paths * (taps + 1 + 2 * grid.subcarrier_count)
+        s = grid.subcarrier_count
+        return users * (paths * (taps + 1 + 2 * s + 3 * antennas) + 2 * antennas * s)
     except OverflowError:
         return math.inf
 

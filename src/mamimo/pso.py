@@ -96,16 +96,16 @@ def spacing_penalty(
     return float(weight * np.sum(gaps**2))
 
 
-def _coords_to_layout(
-    coords: np.ndarray, wavelength: float, regions: tuple[MoveRegion, ...]
-) -> ArrayLayout:
-    positions = np.zeros((coords.shape[0], 3))
-    positions[:, 1:] = coords
-    return ArrayLayout(positions, wavelength, regions)
+def _in_plane(coords: np.ndarray) -> np.ndarray:
+    """Fresh read-only (..., M, 3) positions at x = 0 from (..., M, 2) yz-coordinates."""
+    positions = np.zeros(coords.shape[:-1] + (3,))
+    positions[..., 1:] = coords
+    positions.setflags(write=False)
+    return positions
 
 
 def pso_optimize(
-    objective: Callable[[list[ArrayLayout]], Sequence[float]],
+    objective: Callable[[np.ndarray, float], Sequence[float]],
     regions: Sequence[MoveRegion],
     wavelength: float,
     config: PsoConfig,
@@ -116,10 +116,10 @@ def pso_optimize(
     The random stream is `numpy.random.default_rng(config.seed)`. The swarm
     runs rounds 0 to `config.max_iterations`: round 0 scores the initial
     swarm, and every later round first moves the particles, then scores
-    them. `objective` scores a whole round in one call: it takes the list of
-    the round's `ArrayLayout`s, one per particle, and returns their values in
-    that order. A non-finite objective value raises `ValueError` naming its
-    round.
+    them. `objective(positions, wavelength)` scores a whole round: it takes
+    the round's fresh, read-only (P, M, 3) stack of placements at x = 0 and
+    returns their P values in order. A non-finite value raises `ValueError`
+    naming its round. The returned best is the swarm's one `ArrayLayout`.
     `seed_layouts` are `ArrayLayout`s placed into the initial swarm when they
     lie in the regions (after a clamp that only absorbs rounding) and satisfy
     the spacing constraint, so the result never scores below a feasible seed.
@@ -167,9 +167,7 @@ def pso_optimize(
             )
             velocities = np.clip(velocities, -vmax, vmax)
             positions = np.clip(positions + velocities, lo, hi)
-        values = np.asarray(
-            objective([_coords_to_layout(p, wavelength, regions) for p in positions]), dtype=float
-        )
+        values = np.asarray(objective(_in_plane(positions), wavelength), dtype=float)
         if values.shape != (n,):
             raise ValueError(f"objective returned shape {values.shape} for a round of {n} layouts")
         if not np.all(np.isfinite(values)):
@@ -194,7 +192,7 @@ def pso_optimize(
 
     feasible = feasible_pos is not None
     best_pos, best_val = (feasible_pos, feasible_val) if feasible else (gbest_pos, gbest_val)
-    layout = _coords_to_layout(best_pos, wavelength, regions)
+    layout = ArrayLayout(_in_plane(best_pos), wavelength, regions)
     return OptimizationTrace(np.array(history), layout, float(best_val), feasible)
 
 
@@ -205,42 +203,41 @@ def objective_adapter(
     config: ImpairedLinkConfig,
     *,
     penalty_weight: float = PENALTY_WEIGHT,
-) -> Callable[[ArrayLayout | Sequence[ArrayLayout]], float | np.ndarray]:
+) -> Callable[..., float | np.ndarray]:
     """Objective closure for one fixed channel realization.
 
     A call scores the chosen scheme minus the spacing penalty, either of one
-    `ArrayLayout`, returning a float, or of a sequence of layouts at one
-    wavelength, such as a swarm round, returning their (P,) values in order.
-    Each value has the bits of that layout's own call.
+    `ArrayLayout`, `objective(layout)`, returning a float, or of a (P, M, 3)
+    stack of placements in meters at one wavelength, such as a swarm round,
+    `objective(positions, wavelength)`, returning their (P,) values in order.
+    Each value has the bits of that placement's own call.
 
     The paths are independent of the antenna placement, so the closure keeps
     one :class:`ChannelModel` and each call computes only the candidates'
-    phase signatures. The model is rebuilt whenever layouts arrive at a
-    wavelength other than the one it was built for. A sequence is served in
+    phase signatures. The model is rebuilt whenever a call arrives at a
+    wavelength other than the one it was built for. A stack is served in
     chunks: the stacked channels of at most `_CHUNK_BYTES` bytes, then one
     rate evaluation over that stack. The spacing is tested once per call:
-    one :func:`min_pairwise_distances` pass over the call's (P, M, 3)
-    positions finds the layouts with a pair closer than half a wavelength,
-    and only those pay the exact per-layout :func:`spacing_penalty` sum; the
-    others' penalty is zero, so every value keeps its bits.
+    one :func:`min_pairwise_distances` pass over the call's positions finds
+    the placements with a pair closer than half a wavelength, and only those
+    pay the exact per-placement :func:`spacing_penalty` sum; the others'
+    penalty is zero, so every value keeps its bits.
     """
     model: ChannelModel | None = None
 
-    def objective(layouts: ArrayLayout | Sequence[ArrayLayout]) -> float | np.ndarray:
+    def objective(positions: ArrayLayout | np.ndarray, wavelength: float | None = None):
         nonlocal model
-        single = isinstance(layouts, ArrayLayout)
+        single = isinstance(positions, ArrayLayout)
         if single:
-            layouts = [layouts]
-        wavelength = layouts[0].wavelength
-        if any(layout.wavelength != wavelength for layout in layouts):
-            raise ValueError("the layouts of one objective call must share a wavelength")
+            positions, wavelength = positions.positions[None], positions.wavelength
+        elif wavelength is None:
+            raise ValueError("a (P, M, 3) position stack needs its wavelength")
         if model is None or model.wavelength != wavelength:
             model = ChannelModel(paths, grid, wavelength)
-        positions = np.array([layout.positions for layout in layouts])  # (P, M, 3)
         layout_bytes = 16 * grid.subcarrier_count * positions.shape[1] * len(paths)
         chunk = max(1, _CHUNK_BYTES // layout_bytes)
-        values = np.empty(len(layouts))
-        for start in range(0, len(layouts), chunk):
+        values = np.empty(len(positions))
+        for start in range(0, len(positions), chunk):
             h = model.channels(positions[start:start + chunk])
             report = evaluate_rate_scheme(scheme, h, config, summary_only=True)
             values[start:start + chunk] = report.sum_rate
@@ -248,7 +245,7 @@ def objective_adapter(
         # min_spacing, so only the call's violators need its sum.
         violators = min_pairwise_distances(positions) < min_spacing(wavelength)
         for i in np.flatnonzero(violators):
-            values[i] -= spacing_penalty(layouts[i].positions, wavelength, penalty_weight)
+            values[i] -= spacing_penalty(positions[i], wavelength, penalty_weight)
         return float(values[0]) if single else values
 
     return objective

@@ -200,8 +200,8 @@ def test_criterion_08_pso_contract():
     regions = make_move_regions(2, 2, 1.0)
     centers = np.array([[r.center_y, r.center_z] for r in regions])
 
-    def quadratic(layouts):
-        return [-float(np.sum((layout.positions[:, 1:] - centers) ** 2)) for layout in layouts]
+    def quadratic(positions, wavelength):
+        return [-float(np.sum((placement[:, 1:] - centers) ** 2)) for placement in positions]
 
     monotone = True
     trace = pso_optimize(

@@ -8,6 +8,7 @@ import yaml
 
 import mamimo.campaign
 from mamimo.campaign import (
+    SPARSE_UPA,
     STAGGERED_URA,
     ExperimentSpec,
     aggregate,
@@ -28,7 +29,15 @@ from mamimo.channels import (
     subcarrier_channels,
     synthesize_paths,
 )
-from mamimo.geometry import ArrayLayout, load_layout, make_move_regions, make_staggered_ura, validate_layout
+from mamimo.geometry import (
+    SPEED_OF_LIGHT,
+    ArrayLayout,
+    load_layout,
+    make_move_regions,
+    make_staggered_ura,
+    region_bounds,
+    validate_layout,
+)
 from mamimo.rates import (
     ImpairedLinkConfig,
     evaluate_rate_scheme,
@@ -658,16 +667,49 @@ class TestCampaign:
         assert all(key in str(error.value) for key in keys)
 
     @pytest.mark.parametrize(
-        "overrides",
-        [{"region_side_wavelengths": 1e12}, {"carrier_ghz": 0.1, "region_side_wavelengths": 1e308}],
+        "overrides, fdd",
+        [
+            ({"region_side_wavelengths": 1e12}, False),
+            ({"carrier_ghz": 0.1, "region_side_wavelengths": 1e308}, False),
+            ({"fdd_eval_carriers_ghz": (3.5, 1e11)}, True),
+        ],
     )
-    def test_aperture_beyond_phase_limit_rejected(self, overrides):
-        # Both used to validate; a campaign then failed on phases beyond
-        # +-2^40 rad, or on an infinite region side, naming no key.
+    def test_aperture_beyond_phase_limit_rejected(self, overrides, fdd):
+        # All used to validate; a campaign then failed on phases beyond
+        # +-2^40 rad, or on an infinite region side, naming no key. Only the
+        # home carrier's phases were checked, not those of an FDD carrier.
         keys = ("arrays.region_side_wavelengths", "arrays.m_rows", "arrays.m_cols")
         with pytest.raises(ValueError, match="rad phases") as error:
             ExperimentSpec(**overrides)
         assert all(key in str(error.value) for key in keys)
+        assert ("campaign.fdd_eval_carriers_ghz" in str(error.value)) == fdd
+
+    def test_fixed_array_beyond_phase_limit_rejected(self):
+        # At 5 x 5 the sparse aperture, 4 x 20/3 wavelengths, is wider than
+        # the tiling of 5-wavelength boxes: at this FDD carrier the sparse
+        # array's corner antenna is past the phase limit, the tiling's
+        # farthest corner is not.
+        spec = ExperimentSpec(m_rows=5, m_cols=5)
+        fdd_ghz = 2.88e10
+        limit = 2**40 * (SPEED_OF_LIGHT / (fdd_ghz * 1e9)) / (2 * math.pi)
+        lo, hi = region_bounds(make_move_regions(5, 5, 5 * spec.wavelength))
+        assert np.max(np.hypot(*np.maximum(-lo, hi).T)) < limit
+        assert np.max(np.linalg.norm(build_fixed_layouts(spec)[SPARSE_UPA].positions, axis=1)) > limit
+        with pytest.raises(ValueError, match="rad phases") as error:
+            dataclasses.replace(spec, fdd_eval_carriers_ghz=(fdd_ghz,))
+        assert "campaign.fdd_eval_carriers_ghz" in str(error.value)
+
+    def test_antenna_buffers_beyond_memory_rejected(self, monkeypatch):
+        # 10^10 antennas used to validate: a channel call then fills (M, 10 x
+        # 121) phases and phasors, 3 floats each. The bound comes before any
+        # array of size M is built.
+        def built(*args):
+            raise AssertionError("an array of size M was built")
+
+        monkeypatch.setattr(mamimo.campaign, "build_fixed_layouts", built)
+        with pytest.raises(ValueError, match="over 1 GiB") as error:
+            ExperimentSpec(m_rows=10**5, m_cols=10**5)
+        assert all(key in str(error.value) for key in ("arrays.m_rows", "arrays.m_cols"))
 
     def test_stored_subcarrier_weights_beyond_memory_rejected(self):
         # At S = 65,536 the default spec's FIR pulses take 11.5 M floats, but

@@ -307,7 +307,8 @@ class TestCliCommands:
         + [f"{key}={value}" for key, value in NON_FINITE]
         + [f"{key}={value}" for key, value in DERIVED_OVERFLOW]
         + [f"{key}=[]" for key in SWEPT_LISTS]
-        + [f"{key}={value}" for key, value in REPEATED_ENTRIES],
+        + [f"{key}={value}" for key, value in REPEATED_ENTRIES]
+        + ["campaign.fdd_eval_carriers_ghz=[1.0e+11]", "arrays.m_rows=100000"],
     )
     def test_validate_config_rejects_out_of_range(self, override, capsys):
         assert main(["validate-config", "--set", override]) == 1

@@ -42,15 +42,15 @@ def region_centers(regions):
 
 
 def per_layout(score):
-    """The round objective that scores each layout of a round with `score`."""
-    return lambda layouts: [score(layout) for layout in layouts]
+    """The round objective that scores each (M, 3) placement of a round's stack with `score`."""
+    return lambda positions, wavelength: [score(placement) for placement in positions]
 
 
 def quadratic_objective(regions):
     centers = region_centers(regions)
 
-    def objective(layout):
-        coords = layout.positions[:, 1:]
+    def objective(positions):
+        coords = positions[:, 1:]
         return -float(np.sum((coords - centers) ** 2))
 
     return per_layout(objective)
@@ -120,8 +120,8 @@ class TestPsoOptimize:
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=(3, 2))
 
-        def wobbly(layout):
-            coords = layout.positions[:, 1:]
+        def wobbly(positions):
+            coords = positions[:, 1:]
             return float(np.sum(np.sin(coords * 5.0) * coeffs))
 
         trace = pso_optimize(per_layout(wobbly), regions, LAM, config)
@@ -137,14 +137,22 @@ class TestPsoOptimize:
         config = PsoConfig(particle_count=particles, max_iterations=iterations, seed=seed)
         coeffs = np.random.default_rng(seed).normal(size=(3, 2))
         scored = []  # (value, yz-coordinates) in call order
+        rounds = []  # every call's stack, kept as passed
 
-        def objective(layout):
-            coords = layout.positions[:, 1:]
-            value = float(np.sum(np.sin(coords * 40.0 / LAM) * coeffs))
-            scored.append((value, coords.copy()))
-            return value
+        def objective(positions, wavelength):
+            # Each round is a new read-only C-contiguous (P, M, 3) stack at
+            # x = 0, so a kept stack still holds its own round.
+            assert wavelength == LAM
+            assert positions.shape == (particles, 3, 3) and positions.flags.c_contiguous
+            assert not positions.flags.writeable
+            assert not np.any(positions[..., 0])
+            assert not any(np.shares_memory(positions, kept) for kept in rounds)
+            rounds.append(positions)
+            values = [float(np.sum(np.sin(p[:, 1:] * 40.0 / LAM) * coeffs)) for p in positions]
+            scored.extend(zip(values, positions[..., 1:]))
+            return values
 
-        trace = pso_optimize(per_layout(objective), regions, LAM, config)
+        trace = pso_optimize(objective, regions, LAM, config)
         values = np.array([v for v, _ in scored]).reshape(iterations + 1, particles)
         np.testing.assert_array_equal(trace.best_values, np.maximum.accumulate(values.max(axis=1)))
         feasible = [(v, c) for v, c in scored if min_pairwise_distance(c) >= min_spacing(LAM)]
@@ -161,8 +169,8 @@ class TestPsoOptimize:
         regions = make_move_regions(1, 3, 0.6 * LAM)
         scored = []
 
-        def flat(layout):
-            scored.append(layout.positions[:, 1:].copy())
+        def flat(positions):
+            scored.append(positions[:, 1:].copy())
             return 0.0
 
         config = PsoConfig(particle_count=8, max_iterations=3, seed=5)
@@ -179,9 +187,9 @@ class TestPsoOptimize:
         finite = quadratic_objective(regions)
         calls = []
 
-        def objective(layout):
-            calls.append(layout)
-            return float("nan") if len(calls) == bad_call else finite([layout])[0]
+        def objective(positions):
+            calls.append(positions)
+            return float("nan") if len(calls) == bad_call else finite(positions[None], LAM)[0]
 
         config = PsoConfig(particle_count=10, max_iterations=20, seed=1)
         with pytest.raises(ValueError, match=f"non-finite value in round {round_}$"):
@@ -202,9 +210,9 @@ class TestPsoOptimize:
         rng = np.random.default_rng(9)
         coeffs = rng.normal(size=(4, 2))
 
-        def objective(layout):
-            value = float(np.sum(layout.positions[:, 1:] * coeffs))
-            return value - spacing_penalty(layout.positions, LAM)
+        def objective(positions):
+            value = float(np.sum(positions[:, 1:] * coeffs))
+            return value - spacing_penalty(positions, LAM)
 
         trace = pso_optimize(per_layout(objective), regions, LAM, config)
         assert trace.spacing_feasible
@@ -215,12 +223,12 @@ class TestPsoOptimize:
         regions = make_move_regions(2, 2, 1.0)
         config = PsoConfig(particle_count=5, max_iterations=1, seed=1)
         with pytest.raises(ValueError, match=r"shape \(4,\) for a round of 5 layouts"):
-            pso_optimize(lambda layouts: [0.0] * 4, regions, LAM, config)
+            pso_optimize(lambda positions, wavelength: [0.0] * 4, regions, LAM, config)
 
     def test_empty_region_list_rejected(self):
         with pytest.raises(ValueError):
             pso_optimize(
-                per_layout(lambda layout: 0.0), (), LAM, PsoConfig(particle_count=2, max_iterations=1)
+                per_layout(lambda positions: 0.0), (), LAM, PsoConfig(particle_count=2, max_iterations=1)
             )
 
     def test_config_validation(self):
@@ -255,16 +263,14 @@ def paper_realization():
     return spec, paths, make_move_regions(4, 4, 5 * scen.wavelength)
 
 
-def random_round(regions, lam, count, rng):
-    """`count` random layouts, one antenna uniform in each region."""
+def random_round(regions, count, rng):
+    """The (count, M, 3) stack of random placements, one antenna uniform in each region."""
     lo, _ = region_bounds(regions)
     sides = np.array([[r.side, r.side] for r in regions])
-    layouts = []
-    for _ in range(count):
-        positions = np.zeros((len(regions), 3))
-        positions[:, 1:] = lo + rng.uniform(size=lo.shape) * sides
-        layouts.append(ArrayLayout(positions, lam, regions))
-    return layouts
+    positions = np.zeros((count, len(regions), 3))
+    for placement in positions:
+        placement[:, 1:] = lo + rng.uniform(size=lo.shape) * sides
+    return positions
 
 
 class TestObjectiveAdapter:
@@ -378,14 +384,13 @@ class TestObjectiveAdapter:
         grid = spec.grid(subcarriers)
         config = spec.link_config(10, subcarriers, 0.02)
         assert count > _CHUNK_BYTES // (16 * subcarriers * 16 * 10)  # spans two chunks
-        layouts = random_round(regions, lam, count, np.random.default_rng(subcarriers))
-        close = layouts[-1].positions.copy()
-        close[1] = close[0] + [0.0, lam / 8, 0.0]  # both stay inside the regions
-        layouts[-1] = ArrayLayout(close, lam, regions)
+        positions = random_round(regions, count, np.random.default_rng(subcarriers))
+        positions[-1, 1] = positions[-1, 0] + [0.0, lam / 8, 0.0]  # both stay inside the regions
+        layouts = [ArrayLayout(placement, lam, regions) for placement in positions]
         penalties = [spacing_penalty(layout.positions, lam) for layout in layouts]
         assert penalties[-1] > 0.0
         objective = objective_adapter(scheme, paths, grid, config)
-        values = objective(layouts)
+        values = objective(positions, lam)
         assert np.array_equal(values, [objective(layout) for layout in layouts])
         expected = [
             evaluate_rate_scheme(
@@ -410,9 +415,9 @@ class TestObjectiveAdapter:
         objective = objective_adapter("ul-sic", paths, grid, config)
         scored = []  # (value, layout) in call order
 
-        def recording(layouts):
-            values = objective(layouts)
-            scored.extend(zip(values, layouts))
+        def recording(positions, wavelength):
+            values = objective(positions, wavelength)
+            scored.extend(zip(values, [ArrayLayout(p, wavelength) for p in positions]))
             return values
 
         swarm = PsoConfig(particle_count=particles, max_iterations=3, seed=seed)
@@ -442,12 +447,12 @@ class TestObjectiveAdapter:
         spec, paths, regions = paper_realization
         lam = spec.scenario().wavelength
         objective = objective_adapter("ul-sic", paths, spec.grid(1), spec.link_config(10, 1, 0.02))
-        layouts = random_round(regions, lam, 50, np.random.default_rng(1))
-        objective(layouts)
+        positions = random_round(regions, 50, np.random.default_rng(1))
+        objective(positions, lam)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            objective(layouts)
+            objective(positions, lam)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -459,23 +464,23 @@ class TestObjectiveAdapter:
         lam = spec.scenario().wavelength
         config = spec.link_config(10, 50, 0.02)
         objective = objective_adapter("ul-sic", paths, spec.grid(50), config)
-        layouts = random_round(regions, lam, 150, np.random.default_rng(0))
-        objective(layouts)
+        positions = random_round(regions, 150, np.random.default_rng(0))
+        objective(positions, lam)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            objective(layouts)
+            objective(positions, lam)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
 
-    def test_one_call_holds_one_wavelength(self, small_realization):
+    def test_stack_call_needs_its_wavelength(self, small_realization):
         scen, paths, grid, config = small_realization
         layout = make_staggered_ura(2, 2, scen.wavelength)
         objective = objective_adapter("ul-sic", paths, grid, config)
-        with pytest.raises(ValueError, match="share a wavelength"):
-            objective([layout, layout.with_wavelength(SPEED_OF_LIGHT / 3.5e9)])
+        with pytest.raises(ValueError, match="needs its wavelength"):
+            objective(layout.positions[None])
 
     def test_infeasible_seed_is_skipped(self, small_realization):
         scen, paths, grid, config = small_realization
